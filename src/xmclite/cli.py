@@ -22,6 +22,7 @@ from .config import (FIELD_HELP, RunConfig, _int_list, build_config,
 from .data import Dataset, Vocabulary, featurize_all, load_dataset
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
                      TrainingAbort, XmcliteError)
+from .fileio import atomic_open
 from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
 from .model import forward, init_params, load_checkpoint
@@ -139,7 +140,7 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
     report = metrics_report(ranked, eval_ds.positive_sets(), props,
                             config.eval_k_list())
     out = _out_path(config, config.metrics_path, "metrics.json")
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(report, sort_keys=True))

@@ -214,4 +214,7 @@ def build_config(file_values: dict | None = None,
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(config, key, coerce_value(key, raw, _FIELD_TYPES[key]))
             explicit.add(key)
+    if config.search not in ("exact", "approximate"):
+        raise ConfigError(f"search must be 'exact' or 'approximate', "
+                          f"got {config.search!r}")
     return config, explicit

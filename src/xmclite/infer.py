@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import Dataset, Vocabulary, featurize_all
 from .errors import ConfigError, DegenerateEmbeddingError
+from .fileio import atomic_open
 from .hnsw import HnswIndex, build_hnsw, search_hnsw
 from .model import ModelParams, forward
 
@@ -118,9 +119,9 @@ def predict(index: LabelIndex, params: ModelParams, texts: list,
 
 def write_predictions(path: str, results: list,
                       query_ids: list | None = None) -> None:
-    """TSV rows: query_id, rank (1-based), label_id, score."""
+    """TSV rows: query_id, rank (1-based), label_id, score; replaced atomically."""
     ids = query_ids if query_ids is not None else range(len(results))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for qid, (labels, scores) in zip(ids, results):
             for rank, (lab, sc) in enumerate(zip(labels, scores), start=1):
                 fh.write(f"{qid}\t{rank}\t{lab}\t{float(sc)!r}\n")

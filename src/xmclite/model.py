@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DegenerateEmbeddingError
+from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"XMCLITE1"
 
@@ -211,21 +212,40 @@ def clf_head(params: ModelParams, enc: np.ndarray, mode: str = "eval",
 
 @dataclass
 class Grads:
-    embed: np.ndarray
+    """Parameter gradients.
+
+    ``embed`` is row-sparse: a ``(row_ids, rows)`` pair of sorted unique int64
+    row ids and their ``(len(row_ids), encoder_dim)`` gradient rows.  Rows it
+    does not name have zero gradient.  The other groups are dense arrays.
+    """
+
+    embed: tuple
     de_w: np.ndarray
     de_b: np.ndarray
     clf_w: np.ndarray
     clf_b: np.ndarray
     classifiers: np.ndarray
+    hash_dim: int
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {"embed": self.embed, "de_w": self.de_w, "de_b": self.de_b,
+        """Gradient values by group; ``embed`` gives only its named rows."""
+        return {"embed": self.embed[1], "de_w": self.de_w, "de_b": self.de_b,
                 "clf_w": self.clf_w, "clf_b": self.clf_b,
                 "classifiers": self.classifiers}
 
+    def dense(self) -> dict[str, np.ndarray]:
+        """Like ``arrays`` but with ``embed`` as a full ``hash_dim`` table."""
+        row_ids, rows = self.embed
+        embed = np.zeros((self.hash_dim, rows.shape[1]), dtype=rows.dtype)
+        embed[row_ids] = rows
+        return {**self.arrays(), "embed": embed}
+
     def add_(self, other: "Grads") -> "Grads":
+        self.embed = merge_rows(self.embed, other.embed)
+        theirs = other.arrays()
         for k, v in self.arrays().items():
-            v += other.arrays()[k]
+            if k != "embed":
+                v += theirs[k]
         return self
 
     def scale_(self, factor: float) -> "Grads":
@@ -238,8 +258,27 @@ class Grads:
                                  for v in self.arrays().values())))
 
 
+def merge_rows(a: tuple, b: tuple) -> tuple:
+    """Sum of two ``(row_ids, rows)`` blocks over the union of their ids.
+
+    Each row is computed as ``(0 + a) + b``, the order in which ``+=`` into a
+    zeroed dense table would add them, so the sum is bitwise the dense one.
+    """
+    row_ids = np.union1d(a[0], b[0])
+    rows = np.zeros((row_ids.size, a[1].shape[1]),
+                    dtype=np.result_type(a[1], b[1]))
+    rows[np.searchsorted(row_ids, a[0])] += a[1]
+    rows[np.searchsorted(row_ids, b[0])] += b[1]
+    return row_ids, rows
+
+
 def zero_grads(params: ModelParams) -> Grads:
-    return Grads(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+    """Empty embedding rows and zeroed dense groups."""
+    dense = {k: np.zeros_like(v) for k, v in params.arrays().items()
+             if k != "embed"}
+    embed = (np.empty(0, dtype=np.int64),
+             np.empty((0, params.encoder_dim), dtype=params.embed.dtype))
+    return Grads(embed=embed, **dense, hash_dim=params.hash_dim)
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
@@ -252,7 +291,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
     ``d_de`` / ``d_clf`` are loss gradients w.r.t. the head outputs;
     ``d_classifier_rows`` are gradients w.r.t. the classifier-table rows named
-    by ``classifier_ids``.  Rows/params not touched keep zero gradient.
+    by ``classifier_ids``.  Rows/params not touched keep zero gradient; the
+    embedding gradient gains rows only for the trace's feature columns.
     """
     g = out if out is not None else zero_grads(params)
     d_enc = np.zeros_like(trace.enc)
@@ -285,7 +325,15 @@ def backward(params: ModelParams, trace: ForwardTrace,
         touched = True
 
     if touched:
-        g.embed += np.asarray(trace.feats.T @ d_enc)
+        # feats.T @ d_enc over the batch's feature columns only: the compact
+        # matrix keeps each row's entry order, so every row sums its terms in
+        # the same order as the full-width product.
+        feats = trace.feats
+        cols, local = np.unique(feats.indices, return_inverse=True)
+        compact = sp.csr_matrix((feats.data, local, feats.indptr),
+                                shape=(feats.shape[0], cols.size))
+        g.embed = merge_rows(g.embed, (cols.astype(np.int64),
+                                       np.asarray(compact.T @ d_enc)))
 
     if d_classifier_rows is not None:
         if classifier_ids is None:
@@ -300,8 +348,12 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 def save_checkpoint(path: str, params: ModelParams,
                     extra: dict | None = None) -> None:
-    """Binary checkpoint (magic + dims + float64 matrices) and JSON sidecar."""
-    with open(path, "wb") as fh:
+    """Binary checkpoint (magic + dims + float64 matrices) and JSON sidecar.
+
+    Each file is written to a temporary file and renamed into place, so a
+    failed save leaves the previous checkpoint loadable.
+    """
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.array([params.hash_dim, params.encoder_dim,
                            params.search_dim, params.num_labels],
@@ -317,7 +369,7 @@ def save_checkpoint(path: str, params: ModelParams,
                "dropout": params.dropout}
     if extra:
         sidecar.update(extra)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -129,6 +129,40 @@ def bf_ova_bce(scores, targets):
     return value
 
 
+class BfDenseAdam:
+    """Dense Adam with bias correction, one array entry at a time.
+
+    ``step`` updates every entry of every array in ``params`` (name -> array,
+    changed in place) from ``grads`` (name -> dense array of the same shape),
+    with the learning rate ``lrs[name]``.  Python floats round each operation
+    as numpy does, so with the same operation order the results are bitwise
+    those of a vectorized dense update.
+    """
+
+    def __init__(self, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lrs, self.beta1, self.beta2, self.eps = lrs, beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, x in params.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(x)
+                self.v[name] = np.zeros_like(x)
+            xf, gf = x.reshape(-1), np.asarray(grads[name]).reshape(-1)
+            mf, vf = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            for j in range(xf.size):
+                g = float(gf[j])
+                m = float(mf[j]) * self.beta1 + (1.0 - self.beta1) * g
+                v = float(vf[j]) * self.beta2 + (1.0 - self.beta2) * g * g
+                mf[j], vf[j] = m, v
+                xf[j] = float(xf[j]) - self.lrs[name] * (
+                    (m / bc1) / (math.sqrt(v / bc2) + self.eps))
+
+
 def finite_difference(fn, arrays, step=1e-6):
     """Central finite-difference gradients of scalar ``fn`` w.r.t. each array.
 

@@ -96,7 +96,7 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
     numeric = finite_difference(lambda: run(False),
                                 [params.arrays()[k] for k in names],
                                 step=1e-6)
-    analytic = [grads.arrays()[k] for k in names]
+    analytic = [grads.dense()[k] for k in names]
     err = max_relative_error(analytic, numeric)
     elapsed = time.perf_counter() - started
     _verdict("criterion 01 gradient check",

@@ -141,6 +141,15 @@ def test_bad_flag_value(workspace, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+def test_unknown_search_backend_is_rejected(workspace, capsys):
+    rc, _ = _run(["predict"] + workspace["common"] + [
+        "--checkpoint-path", workspace["ckpt"], "--search", "exakt",
+        "--predictions-path", str(workspace["out"] / "exakt.tsv")])
+    assert rc == 2
+    assert "search" in capsys.readouterr().err
+    assert not (workspace["out"] / "exakt.tsv").exists()
+
+
 def test_nonexistent_queries_file(tmp_path, capsys):
     rc, _ = _run(["train", "--queries-path", str(tmp_path / "nope.jsonl"),
                   "--labels-path", str(tmp_path / "nope.txt")])

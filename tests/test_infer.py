@@ -134,6 +134,13 @@ def test_predictions_tsv_roundtrip(tmp_path):
     assert back[10] == [(4, 0.75), (1, -0.125)]
     # repr-written floats survive the roundtrip bit-exactly
     assert back[42][0][1] == 1 / 3
+    # a write that fails partway leaves the previous file in place
+    before = (tmp_path / "p.tsv").read_bytes()
+    with pytest.raises(ValueError):
+        write_predictions(path, [(np.array([2]), np.array([0.5])),
+                                 (np.array([3]), ["not a score"])])
+    assert (tmp_path / "p.tsv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.tsv"]
 
 
 def test_read_predictions_restores_rank_order(tmp_path):

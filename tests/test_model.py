@@ -1,5 +1,7 @@
 """Encoder, heads, dropout, exact backward pass, and checkpoint IO."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -198,7 +200,7 @@ def test_backward_matches_finite_differences():
                      d_classifier_rows=r_rows, classifier_ids=ids)
     names = ["embed", "de_w", "de_b", "clf_w", "clf_b", "classifiers"]
     numeric = finite_difference(value, [p.arrays()[n] for n in names])
-    analytic = [grads.arrays()[n] for n in names]
+    analytic = [grads.dense()[n] for n in names]
     assert max_relative_error(analytic, numeric) < 1e-6
 
 
@@ -211,7 +213,29 @@ def test_backward_accumulates_repeated_classifier_ids():
     assert np.array_equal(g.classifiers[1], [2.0, 2.0])
     assert np.array_equal(g.classifiers[3], [1.0, 1.0])
     assert np.all(g.classifiers[[0, 2, 4]] == 0.0)
-    assert np.all(g.embed == 0.0)  # no head gradients were given
+    assert np.all(g.dense()["embed"] == 0.0)  # no head gradients were given
+
+
+def test_embedding_gradient_rows_equal_dense_product_bitwise():
+    rng = np.random.default_rng(12)
+    p = init_params(16, 5, 3, 4, seed=2)
+    q_feats = _random_feats(rng, 8, 16)
+    l_feats = _random_feats(rng, 4, 16)
+    q_trace = forward(p, q_feats)
+    l_trace = forward(p, l_feats, heads=("clf",))
+    d_q, d_l = rng.normal(size=(8, 3)), rng.normal(size=(4, 3))
+    g = backward(p, q_trace, d_clf=d_q)
+    backward(p, l_trace, d_clf=d_l, out=g)
+
+    dense = np.zeros_like(p.embed)
+    dense += np.asarray(q_trace.feats.T @ (d_q @ p.clf_w.T))
+    dense += np.asarray(l_trace.feats.T @ (d_l @ p.clf_w.T))
+    row_ids, rows = g.embed
+    want_ids = np.union1d(q_trace.feats.indices, l_trace.feats.indices)
+    assert row_ids.dtype == np.int64
+    assert np.array_equal(row_ids, want_ids)
+    assert np.array_equal(rows, dense[row_ids])
+    assert np.array_equal(g.dense()["embed"], dense)
 
 
 def test_backward_validates_inputs():
@@ -258,6 +282,22 @@ def test_checkpoint_roundtrip_and_stability(tmp_path):
     blob1 = (tmp_path / "model.bin").read_bytes()
     save_checkpoint(path, p, extra={"epoch": 7})
     assert (tmp_path / "model.bin").read_bytes() == blob1
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path):
+    p = init_params(8, 4, 2, 3, seed=0)
+    path = str(tmp_path / "m.bin")
+    save_checkpoint(path, p, extra={"epoch": 1})
+    bad = p.copy()
+    # the header and the first matrices are written before this one fails
+    bad.classifiers = np.full(p.classifiers.shape, "x", dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, bad, extra={"epoch": 2})
+    back, sidecar = load_checkpoint(path)
+    for name, arr in p.arrays().items():
+        assert np.array_equal(back.arrays()[name], arr)
+    assert sidecar["epoch"] == 1
+    assert sorted(os.listdir(tmp_path)) == ["m.bin", "m.bin.json"]
 
 
 def test_checkpoint_missing_sidecar_is_tolerated(tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from xmclite import Adam, TrainingAbort, init_params, zero_grads
+from oracles import BfDenseAdam
+from xmclite import Adam, TrainingAbort, init_params, optim, zero_grads
 
 # scalar trajectory under constant gradient 1.0 at lr=0.1 (frozen from an
 # independent stdlib computation)
@@ -64,6 +65,7 @@ def test_learning_rates_are_per_group():
     g = zero_grads(p)
     for arr in g.arrays().values():
         arr[:] = 1.0
+    g.embed = (np.arange(4), np.ones((4, 2)))
     opt.step(p, g)
     unit = STEP_1 / 0.1  # shared update direction for a unit gradient
     assert np.allclose(p.embed, 1e-4 * unit, rtol=1e-12)
@@ -79,7 +81,7 @@ def test_gradient_clipping_matches_manual_prescaling():
         p = _zeroed_params()
         opt = Adam()
         g = zero_grads(p)
-        g.embed[:] = 3.0
+        g.embed = (np.arange(4), np.full((4, 2), 3.0))
         g.classifiers[:] = -2.0
         if scale is not None:
             g.scale_(scale)
@@ -110,7 +112,7 @@ def test_non_finite_gradients_abort_before_updating():
     assert opt.step_count == 0
 
     g = zero_grads(p)
-    g.embed[0, 0] = np.inf
+    g.embed = (np.array([0]), np.array([[np.inf, 0.0]]))
     with pytest.raises(TrainingAbort):
         opt.step(p, g)
 
@@ -129,3 +131,47 @@ def test_moments_are_kept_per_parameter():
     assert p.de_w[0, 0] == pytest.approx(
         -0.1 * (0.1 / (1 - 0.9 ** 2)) /
         (np.sqrt(0.001 / (1 - 0.999 ** 2)) + 1e-8), rel=1e-12)
+
+
+@pytest.mark.parametrize("row_block", [256, 3])
+def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
+    monkeypatch.setattr(optim, "_ROW_BLOCK", row_block)
+    p = init_params(8, 3, 2, 4, seed=1)
+    ref = p.copy()
+    opt = Adam(lr_encoder=0.01, lr_heads=0.02, lr_classifiers=0.05)
+    lrs = {"embed": 0.01, "de_w": 0.02, "de_b": 0.02, "clf_w": 0.02,
+           "clf_b": 0.02, "classifiers": 0.05}
+    oracle = BfDenseAdam(lrs)
+    rng = np.random.default_rng(4)
+    # rows 1 and 2 are touched, skipped, then touched again; row 5 is
+    # touched once and then only decays
+    embed_rows = [[1, 2], [5], [], [1, 6], [0, 2, 3, 4, 7], [2]]
+    for step, rows in enumerate(embed_rows, start=1):
+        g = zero_grads(p)
+        for name, arr in g.arrays().items():
+            if name != "embed":
+                arr[:] = rng.normal(size=arr.shape)
+        g.embed = (np.array(rows, dtype=np.int64),
+                   rng.normal(size=(len(rows), 3)))
+        oracle.step(ref.arrays(), g.dense())
+        opt.step(p, g)
+        for name, arr in p.arrays().items():
+            assert np.array_equal(arr, ref.arrays()[name]), (step, name)
+            assert np.array_equal(opt.m[name], oracle.m[name]), (step, name)
+            assert np.array_equal(opt.v[name], oracle.v[name]), (step, name)
+    assert opt.active.tolist() == list(range(8))
+
+    # a non-finite embedding row aborts before anything moves
+    before = p.copy()
+    moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in opt.m}
+    g = zero_grads(p)
+    g.de_w[:] = 1.0
+    g.embed = (np.array([3, 5]), np.array([[0.5, 0.5, 0.5],
+                                           [0.5, np.nan, 0.5]]))
+    with pytest.raises(TrainingAbort, match="embed"):
+        opt.step(p, g)
+    assert opt.step_count == len(embed_rows)
+    for name, arr in p.arrays().items():
+        assert np.array_equal(arr, before.arrays()[name]), name
+        assert np.array_equal(opt.m[name], moments[name][0]), name
+        assert np.array_equal(opt.v[name], moments[name][1]), name
