@@ -3,8 +3,9 @@
 Trains a shared bag-of-tokens encoder with a dual-encoder retrieval head and
 a per-label classifier table in one loop: clustered negative-mining-aware
 batches, multi-positive softmax losses in both anchoring directions, mined
-hard negatives refreshed on a schedule, and exact or approximate top-k
-inference over dual, classifier, or concatenated label representations.
+hard negatives refreshed on a schedule, and exact top-k inference over dual,
+classifier, or concatenated label representations, scored in query blocks of
+bounded memory.
 """
 
 from .batching import (BatchPlan, CollatedBatch, batch_stats, cluster_queries,
@@ -14,7 +15,7 @@ from .data import (Dataset, Vocabulary, featurize, featurize_all,
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
                      TrainingAbort, XmcliteError)
 from .infer import (LabelIndex, build_index, label_vectors, predict,
-                    predict_vectors, query_vectors, read_predictions,
+                    predict_vectors, query_vectors, read_predictions, topk,
                     write_predictions)
 from .losses import (LossConfig, classifier_loss, combined_loss,
                      label_to_query_loss, one_vs_all_bce, pooled_softmax_loss,
@@ -26,7 +27,7 @@ from .model import (ForwardTrace, Grads, ModelParams, backward, clf_head,
                     de_head, encode, forward, init_params, load_checkpoint,
                     save_checkpoint, zero_grads)
 from .negatives import (HardNegativeCache, load_cache, mine_hard_negatives,
-                        refresh_cache, sample_hard_negatives, save_cache)
+                        sample_hard_negatives, save_cache)
 from .optim import Adam
 from .train import TrainConfig, TrainReport, evaluate_model, train
 

@@ -110,8 +110,7 @@ def cmd_predict(config: RunConfig, explicit: set) -> int:
         raise ConfigError(
             f"dataset has {dataset.num_labels} labels but checkpoint was "
             f"trained with {params.num_labels}")
-    index = build_index(params, dataset, config.mode,
-                        exact=config.search == "exact", hnsw_seed=config.seed)
+    index = build_index(params, dataset, config.mode)
     results = predict(index, params, dataset.instance_texts, vocab,
                       config.top_k)
     out = _out_path(config, config.predictions_path, "predictions.tsv")
@@ -169,13 +168,12 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
             if neg_cap > 0:
                 size = config.cache_size or neg_cap * config.refresh_interval
                 cache = mine_hard_negatives(q_emb, l_emb,
-                                            dataset.positive_sets(), size,
-                                            method=config.mining)
+                                            dataset.positive_sets(), size)
             stats = batch_stats(dataset, q_emb, pos_cap, neg_cap, num_batches,
                                 config.seed, cache=cache)
             lines.append(stats.csv_row())
     out = _out_path(config, "", "batch_stats.csv")
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -192,11 +190,12 @@ _COMMANDS = {
 
 def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="xmclite",
+        prog="xmclite", allow_abbrev=False,
         description="Desk-scale extreme multi-label classification engine.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        cmd_parser = sub.add_parser(name, help=help_text)
+        # No prefix matching: ``--search`` must not stand for ``--search-dim``.
+        cmd_parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_config_flags(cmd_parser)
     try:
         args = parser.parse_args(argv)

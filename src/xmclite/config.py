@@ -31,7 +31,6 @@ FIELD_HELP = {
     "hard_negatives_per_query": "hard negatives sampled per query per batch",
     "extra_clf_positives": "extra classifier-side positives per query",
     "cache_size": "mined negatives kept per query (0 = auto)",
-    "mining": "hard-negative mining backend: exact or approximate",
     "lr_encoder": "Adam learning rate for the embedding table",
     "lr_heads": "Adam learning rate for both projection heads",
     "lr_classifiers": "Adam learning rate for classifier rows",
@@ -48,7 +47,6 @@ FIELD_HELP = {
     "mode": "inference mode: de, clf, or concat",
     "top_k": "ranked labels per query for predict",
     "eval_k": "comma list of cutoffs for P@k / PSP@k",
-    "search": "prediction search backend: exact or approximate",
     "propensity_a": "propensity model exponent A",
     "propensity_b": "propensity model offset B",
     "out_dir": "directory for run artifacts",
@@ -81,7 +79,6 @@ class RunConfig:
     hard_negatives_per_query: int = 6
     extra_clf_positives: int = 0
     cache_size: int = 0
-    mining: str = "exact"
     lr_encoder: float = 1e-4
     lr_heads: float = 2e-4
     lr_classifiers: float = 1e-3
@@ -98,7 +95,6 @@ class RunConfig:
     mode: str = "concat"
     top_k: int = 5
     eval_k: str = "1,3,5"
-    search: str = "exact"
     propensity_a: float = 0.55
     propensity_b: float = 1.5
     out_dir: str = "runs/out"
@@ -129,7 +125,6 @@ class RunConfig:
             positives_per_query=self.positives_per_query,
             hard_negatives_per_query=self.hard_negatives_per_query,
             cache_size=self.cache_size,
-            mining=self.mining,
             hash_dim=self.hash_dim,
             encoder_dim=self.encoder_dim,
             search_dim=self.search_dim,
@@ -214,7 +209,4 @@ def build_config(file_values: dict | None = None,
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(config, key, coerce_value(key, raw, _FIELD_TYPES[key]))
             explicit.add(key)
-    if config.search not in ("exact", "approximate"):
-        raise ConfigError(f"search must be 'exact' or 'approximate', "
-                          f"got {config.search!r}")
     return config, explicit

@@ -9,8 +9,9 @@ Two on-disk formats are supported for the instance side:
   evaluation and batch simulation, not encoder training.
 * ``jsonl``: one ``{"text": ..., "labels": [...]}`` object per line.
 
-Label texts always come from a separate file, one label per line; an empty
-label line is a hard error because every label must be embeddable.
+Label texts always come from a separate file, one label per line; a label
+line that is blank or has no ASCII letter or digit is a hard error because
+every label must be embeddable.
 """
 
 from __future__ import annotations
@@ -143,12 +144,16 @@ def _read_lines(path: str) -> list[str]:
 
 
 def load_label_texts(path: str, vocab: Vocabulary) -> list[np.ndarray]:
-    """One label text per line; empty lines are a hard error."""
+    """One label text per line; a line without a token is a hard error."""
     texts = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             raise DatasetFormatError("empty label text", path, lineno)
-        texts.append(vocab.tokenize(line))
+        tokens = vocab.tokenize(line)
+        if tokens.size == 0:
+            raise DatasetFormatError(
+                "label text has no ASCII letter or digit to embed", path, lineno)
+        texts.append(tokens)
     return texts
 
 

@@ -6,8 +6,10 @@
 * ``concat``: both vectors concatenated per side, so every label's score is
   exactly its de score plus its clf score (rows have norm sqrt(2)).
 
-Search is an exact scan by default; the HNSW index is an optional stand-in.
-Ties always resolve toward the lower label id.
+Prediction, evaluation and hard-negative mining all rank labels with
+``topk``, an exact scan that scores queries in blocks of bounded size, so
+memory does not grow with the number of queries.  Ties always resolve toward
+the lower label id.
 """
 
 from __future__ import annotations
@@ -15,22 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset, Vocabulary, featurize_all
 from .errors import ConfigError, DegenerateEmbeddingError
 from .fileio import atomic_open
-from .hnsw import HnswIndex, build_hnsw, search_hnsw
 from .model import ModelParams, forward
 
 MODES = ("de", "clf", "concat")
+
+# Bytes of float64 scores one block of queries may hold in ``topk``.  The
+# block's argpartition needs an int64 index array of the same size again.
+SCORE_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
 class LabelIndex:
     mode: str
     vectors: np.ndarray              # (L, d) or (L, 2d)
-    exact: bool = True
-    ann: HnswIndex | None = None
 
 
 def _normalized_classifier_rows(params: ModelParams) -> np.ndarray:
@@ -54,11 +58,9 @@ def label_vectors(params: ModelParams, dataset: Dataset, mode: str) -> np.ndarra
     return np.hstack([de_rows, _normalized_classifier_rows(params)])
 
 
-def build_index(params: ModelParams, dataset: Dataset, mode: str = "concat",
-                exact: bool = True, hnsw_seed: int = 0) -> LabelIndex:
-    vectors = label_vectors(params, dataset, mode)
-    ann = None if exact else build_hnsw(vectors, seed=hnsw_seed)
-    return LabelIndex(mode, vectors, exact, ann)
+def build_index(params: ModelParams, dataset: Dataset,
+                mode: str = "concat") -> LabelIndex:
+    return LabelIndex(mode, label_vectors(params, dataset, mode))
 
 
 def query_vectors(params: ModelParams, texts: list, vocab: Vocabulary,
@@ -83,11 +85,51 @@ def query_vectors(params: ModelParams, texts: list, vocab: Vocabulary,
     return np.hstack([trace.de_out, clf])
 
 
-def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and scores of the k largest entries, ties toward lower index."""
-    k = min(k, scores.shape[-1])
-    order = np.argsort(-scores, kind="stable")[:k]
-    return order.astype(np.int64), scores[order]
+def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
+         exclude: sp.csr_matrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and scores of the ``min(k, L)`` best labels per query, best first.
+
+    Scores are inner products ``q_vecs @ l_vecs.T``; equal scores rank the
+    lower label id first, exactly as a stable argsort of each row would.
+    Where the (N, L) CSR mask ``exclude`` has an entry, the score is -inf.
+    Queries are scored in near-equal row blocks of at most about
+    ``SCORE_BLOCK_BYTES`` of scores each.
+    """
+    n, num_labels = q_vecs.shape[0], l_vecs.shape[0]
+    k = min(k, num_labels)
+    ids = np.zeros((n, k), dtype=np.int64)
+    scores = np.zeros((n, k))
+    if n == 0 or k == 0:
+        return ids, scores
+    # Near-equal blocks rather than full blocks plus a small tail: a GEMM of
+    # a few rows can round differently from the same rows inside a larger one.
+    n_blocks = min(n, -(-n * num_labels * 8 // SCORE_BLOCK_BYTES))
+    start = 0
+    for block in np.array_split(q_vecs, n_blocks):
+        stop = start + block.shape[0]
+        neg = block @ l_vecs.T
+        if exclude is not None:
+            ptr = exclude.indptr[start:stop + 1]
+            rows = np.repeat(np.arange(stop - start), np.diff(ptr))
+            neg[rows, exclude.indices[ptr[0]:ptr[-1]]] = -np.inf
+        np.negative(neg, out=neg)
+        if k < num_labels:
+            cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        else:
+            cand = np.broadcast_to(np.arange(num_labels), neg.shape)
+        vals = np.take_along_axis(neg, cand, axis=1)
+        order = np.lexsort((cand, vals), axis=1)
+        ids[start:stop] = np.take_along_axis(cand, order, axis=1)
+        scores[start:stop] = np.take_along_axis(vals, order, axis=1)
+        # A row with more entries tied at its k-th score than it kept may
+        # have kept a higher id than a stable sort would; rank it in full.
+        kth = scores[start:stop, k - 1:k]
+        for r in np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) > k):
+            best = np.argsort(neg[r], kind="stable")[:k]
+            ids[start + r], scores[start + r] = best, neg[r, best]
+        start = stop
+    np.negative(scores, out=scores)
+    return ids, scores
 
 
 def predict_vectors(index: LabelIndex, q_vecs: np.ndarray, k: int) -> list:
@@ -97,18 +139,7 @@ def predict_vectors(index: LabelIndex, q_vecs: np.ndarray, k: int) -> list:
     if q_vecs.shape[1] != index.vectors.shape[1]:
         raise ConfigError(
             f"query dim {q_vecs.shape[1]} != index dim {index.vectors.shape[1]}")
-    out = []
-    if index.exact:
-        scores = q_vecs @ index.vectors.T
-        for row in scores:
-            out.append(top_k(row, k))
-    else:
-        for q in q_vecs:
-            ids = search_hnsw(index.ann, q, min(k, index.vectors.shape[0]))
-            got = index.vectors[ids] @ q
-            order = np.lexsort((ids, -got))
-            out.append((ids[order], got[order]))
-    return out
+    return list(zip(*topk(q_vecs, index.vectors, k)))
 
 
 def predict(index: LabelIndex, params: ModelParams, texts: list,
@@ -130,7 +161,8 @@ def write_predictions(path: str, results: list,
 def read_predictions(path: str) -> dict[int, list[tuple[int, float]]]:
     """Parse a predictions TSV into ranked per-query lists."""
     rows: dict[int, list[tuple[int, int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become U+FFFD, which no number parses: a ConfigError.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -16,6 +16,7 @@ replayed bit-identically (required for finite-difference checks).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -380,20 +381,26 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a model checkpoint (bad magic)")
+    if len(blob) < 48:
+        raise ConfigError(f"{path}: truncated checkpoint header "
+                          f"({len(blob)} of 48 bytes)")
     dims = np.frombuffer(blob, dtype="<u8", count=4, offset=8)
     hash_dim, enc_dim, search_dim, num_labels = (int(x) for x in dims)
+    if min(hash_dim, enc_dim, search_dim, num_labels) == 0:
+        raise ConfigError(f"{path}: zero dimension in checkpoint header "
+                          f"{[hash_dim, enc_dim, search_dim, num_labels]}")
     (dropout,) = struct.unpack_from("<d", blob, 40)
     shapes = [("embed", (hash_dim, enc_dim)), ("de_w", (enc_dim, search_dim)),
               ("de_b", (search_dim,)), ("clf_w", (enc_dim, search_dim)),
               ("clf_b", (search_dim,)), ("classifiers", (num_labels, search_dim))]
-    expected = 48 + 8 * sum(int(np.prod(s)) for _, s in shapes)
+    expected = 48 + 8 * sum(math.prod(s) for _, s in shapes)
     if len(blob) != expected:
         raise ConfigError(
             f"{path}: size {len(blob)} does not match header dims "
             f"(expected {expected})")
     offset, fields = 48, {}
     for name, shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         fields[name] = np.frombuffer(
             blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += 8 * count
@@ -404,4 +411,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
             sidecar = json.load(fh)
     except FileNotFoundError:
         sidecar = {}
+    except ValueError as exc:   # invalid JSON or UTF-8
+        raise ConfigError(f"{sidecar_path}: corrupt checkpoint sidecar: "
+                          f"{exc}") from exc
     return params, sidecar

@@ -3,8 +3,8 @@
 The cache holds, for each query, the highest-scoring labels that are not
 ground-truth positives, ranked by inner product of unit retrieval embeddings.
 It is rebuilt on a schedule (every few epochs) and sampled from on every
-batch.  Exact mining is the default; an HNSW index can stand in when scans
-get expensive.
+batch.  Mining is an exact scan through ``infer.topk``, whose query blocks
+bound the memory of the score matrix.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .data import Dataset, featurize_all
 from .errors import ConfigError
-from .hnsw import build_hnsw, search_hnsw
-from .model import ModelParams, forward
+from .fileio import atomic_open
+from .infer import topk
 
 CACHE_MAGIC = b"XMCHNC01"
 
@@ -32,52 +32,26 @@ class HardNegativeCache:
 
 def mine_hard_negatives(query_vecs: np.ndarray, label_vecs: np.ndarray,
                         positive_sets: list, cache_size: int,
-                        method: str = "exact", epoch: int = 0,
-                        hnsw_seed: int = 0) -> HardNegativeCache:
+                        epoch: int = 0) -> HardNegativeCache:
     """Top ``cache_size`` non-positive labels per query by inner product.
 
-    Exact mode ranks a full score row with a stable sort, so equal scores
-    resolve toward the lower label id.  Queries whose positives cover almost
-    the whole label set simply get shorter lists.
+    Equal scores resolve toward the lower label id.  Queries whose positives
+    cover almost the whole label set simply get shorter lists.
     """
-    if method not in ("exact", "approximate"):
-        raise ConfigError(f"unknown mining method {method!r}")
-    n, l = query_vecs.shape[0], label_vecs.shape[0]
+    n, num_labels = query_vecs.shape[0], label_vecs.shape[0]
     if len(positive_sets) != n:
         raise ValueError("one positive set per query required")
     if cache_size <= 0:
         return HardNegativeCache([np.zeros(0, dtype=np.int64)] * n, epoch)
 
-    out = []
-    if method == "exact":
-        scores = query_vecs @ label_vecs.T
-        for i in range(n):
-            row = scores[i].copy()
-            row[np.asarray(positive_sets[i], dtype=np.int64)] = -np.inf
-            order = np.argsort(-row, kind="stable")[:cache_size]
-            out.append(order[np.isfinite(row[order])].astype(np.int64))
-    else:
-        index = build_hnsw(label_vecs, seed=hnsw_seed)
-        for i in range(n):
-            pos = set(int(x) for x in positive_sets[i])
-            want = min(l, cache_size + len(pos))
-            found = search_hnsw(index, query_vecs[i], want,
-                                ef=max(2 * want, 64))
-            keep = [c for c in found if int(c) not in pos][:cache_size]
-            out.append(np.asarray(keep, dtype=np.int64))
-    return HardNegativeCache(out, epoch)
-
-
-def refresh_cache(params: ModelParams, dataset: Dataset, cache_size: int,
-                  method: str = "exact", epoch: int = 0) -> HardNegativeCache:
-    """Re-embed queries and labels (eval mode) and mine a fresh cache."""
-    q_feats = featurize_all(dataset.instance_texts, dataset.vocab)
-    l_feats = featurize_all(dataset.label_texts, dataset.vocab)
-    q_vecs = forward(params, q_feats, mode="eval", heads=("de",)).de_out
-    l_vecs = forward(params, l_feats, mode="eval", heads=("de",)).de_out
-    return mine_hard_negatives(q_vecs, l_vecs, dataset.positive_sets(),
-                               cache_size, method=method, epoch=epoch,
-                               hnsw_seed=epoch)
+    cols = [np.asarray(p, dtype=np.int64) for p in positive_sets]
+    indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
+    indices = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+    exclude = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                            shape=(n, num_labels))
+    ids, scores = topk(query_vecs, label_vecs, cache_size, exclude)
+    return HardNegativeCache(
+        [row[np.isfinite(s)] for row, s in zip(ids, scores)], epoch)
 
 
 def sample_hard_negatives(cache: HardNegativeCache, query_id: int,
@@ -92,6 +66,8 @@ def sample_hard_negatives(cache: HardNegativeCache, query_id: int,
 
 
 def _write_varint(buf: bytearray, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"cannot store negative value {value} as a varint")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -103,6 +79,7 @@ def _write_varint(buf: bytearray, value: int) -> None:
 
 
 def _read_varint(blob: bytes, offset: int) -> tuple[int, int]:
+    """Value and next offset; IndexError past the end of ``blob``."""
     shift = value = 0
     while True:
         byte = blob[offset]
@@ -111,6 +88,8 @@ def _read_varint(blob: bytes, offset: int) -> tuple[int, int]:
         if not byte & 0x80:
             return value, offset
         shift += 7
+        if shift >= 64:
+            raise ValueError(f"varint at byte {offset} is longer than 64 bits")
 
 
 def save_cache(cache: HardNegativeCache, path: str) -> None:
@@ -121,7 +100,7 @@ def save_cache(cache: HardNegativeCache, path: str) -> None:
         _write_varint(buf, len(ids))
         for x in ids:
             _write_varint(buf, int(x))
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(bytes(buf))
 
 
@@ -130,13 +109,23 @@ def load_cache(path: str) -> HardNegativeCache:
         blob = fh.read()
     if blob[:8] != CACHE_MAGIC:
         raise ConfigError(f"{path}: not a hard-negative cache (bad magic)")
-    epoch, off = _read_varint(blob, 8)
-    count, off = _read_varint(blob, off)
-    negatives = []
-    for _ in range(count):
-        size, off = _read_varint(blob, off)
-        ids = np.zeros(size, dtype=np.int64)
-        for j in range(size):
-            ids[j], off = _read_varint(blob, off)
-        negatives.append(ids)
+    # Every varint takes at least one byte, so the loops below end at the
+    # end of the blob whatever counts a corrupt file declares.
+    try:
+        epoch, off = _read_varint(blob, 8)
+        count, off = _read_varint(blob, off)
+        negatives = []
+        for _ in range(count):
+            size, off = _read_varint(blob, off)
+            ids = []
+            for _ in range(size):
+                x, off = _read_varint(blob, off)
+                ids.append(x)
+            negatives.append(np.asarray(ids, dtype=np.int64))
+    except (IndexError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: corrupt hard-negative cache "
+                          f"({type(exc).__name__}: {exc})") from exc
+    if off != len(blob):
+        raise ConfigError(f"{path}: {len(blob) - off} trailing bytes after "
+                          f"the hard-negative cache")
     return HardNegativeCache(negatives, epoch)

@@ -42,7 +42,6 @@ class TrainConfig:
     positives_per_query: int = 3        # per-query positive sample cap
     hard_negatives_per_query: int = 6   # per-query hard-negative sample count
     cache_size: int = 0                 # 0 -> hard_negatives_per_query * refresh_interval
-    mining: str = "exact"
     hash_dim: int = 1 << 15
     encoder_dim: int = 64
     search_dim: int = 32
@@ -72,8 +71,6 @@ class TrainConfig:
             (self.hard_negatives_per_query >= 0,
              "hard_negatives_per_query must be >= 0"),
             (self.cache_size >= 0, "cache_size must be >= 0"),
-            (self.mining in ("exact", "approximate"),
-             f"mining must be 'exact' or 'approximate', got {self.mining!r}"),
             (min(self.hash_dim, self.encoder_dim, self.search_dim) >= 1,
              "model dimensions must be >= 1"),
             (0.0 <= self.dropout < 1.0, "dropout must be in [0, 1)"),
@@ -81,6 +78,7 @@ class TrainConfig:
              "learning rates must be > 0"),
             (self.grad_clip >= 0.0, "grad_clip must be >= 0"),
             (self.eval_every >= 0, "eval_every must be >= 0"),
+            (len(self.eval_k) > 0, "eval_k must not be empty"),
             (all(k >= 1 for k in self.eval_k), "eval_k entries must be >= 1"),
             (all(m in MODES for m in self.eval_modes),
              f"eval_modes entries must be in {MODES}"),
@@ -103,7 +101,7 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
                    propensity_dataset: Dataset | None = None,
                    propensity_a: float = 0.55,
                    propensity_b: float = 1.5) -> dict:
-    """P@k / PSP@k per inference mode, using exact search.
+    """P@k / PSP@k per inference mode.
 
     Propensities come from ``propensity_dataset`` frequencies (a train split)
     when given, otherwise from the evaluated dataset itself.
@@ -115,7 +113,7 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
     k_max = max(k_list)
     out = {}
     for mode in modes:
-        index = build_index(params, dataset, mode, exact=True)
+        index = build_index(params, dataset, mode)
         q_vecs = query_vectors(params, dataset.instance_texts,
                                dataset.vocab, mode)
         ranked = [ids for ids, _ in predict_vectors(index, q_vecs, k_max)]
@@ -165,8 +163,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                     l_emb = forward(params, l_feats, mode="eval",
                                     heads=("de",)).de_out
                     cache = mine_hard_negatives(
-                        q_emb, l_emb, positive_sets, cache_size,
-                        method=cfg.mining, epoch=epoch, hnsw_seed=seed)
+                        q_emb, l_emb, positive_sets, cache_size, epoch=epoch)
                 refreshed = True
 
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,

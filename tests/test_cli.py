@@ -150,6 +150,44 @@ def test_unknown_search_backend_is_rejected(workspace, capsys):
     assert not (workspace["out"] / "exakt.tsv").exists()
 
 
+@pytest.mark.parametrize("argv", [["--search", "16"], ["--mining", "exact"]])
+def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
+    # "--search" must not be taken as an abbreviation of "--search-dim"
+    rc, _ = _run(["predict"] + workspace["common"] + [
+        "--checkpoint-path", workspace["ckpt"],
+        "--predictions-path", str(workspace["out"] / "removed.tsv")] + argv)
+    assert rc == 2
+    assert "unrecognized arguments: " + argv[0] in capsys.readouterr().err
+    assert not (workspace["out"] / "removed.tsv").exists()
+
+
+@pytest.mark.parametrize("key", ["search", "mining"])
+def test_removed_search_and_mining_keys_are_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=exact\n")
+    rc, _ = _run(["train", "--config", str(cfg)])
+    assert rc == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_is_a_usage_error(workspace, tmp_path, capsys):
+    blob = open(workspace["ckpt"], "rb").read()
+    for size in (20, 47, len(blob) - 1):
+        path = tmp_path / f"cut{size}.bin"
+        path.write_bytes(blob[:size])
+        rc, _ = _run(["predict"] + workspace["common"] + [
+            "--checkpoint-path", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    path = tmp_path / "whole.bin"
+    path.write_bytes(blob)
+    (tmp_path / "whole.bin.json").write_text("{not json")
+    rc, _ = _run(["predict"] + workspace["common"] + [
+        "--checkpoint-path", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "sidecar" in capsys.readouterr().err
+
+
 def test_nonexistent_queries_file(tmp_path, capsys):
     rc, _ = _run(["train", "--queries-path", str(tmp_path / "nope.jsonl"),
                   "--labels-path", str(tmp_path / "nope.txt")])

@@ -212,6 +212,14 @@ def test_label_file_rejects_empty_lines(tmp_path):
     assert err.value.line == 2
 
 
+def test_label_file_rejects_lines_without_ascii_tokens(tmp_path):
+    path = _write(tmp_path / "l.txt", "a\n\u65e5\u672c\u8a9e\nb\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_label_texts(path, Vocabulary())
+    assert err.value.line == 2
+    assert "ASCII" in str(err.value)
+
+
 def test_unknown_format_rejected(tmp_path):
     q = _write(tmp_path / "q.txt", "1 1\n0\n")
     l = _write(tmp_path / "l.txt", "a\n")

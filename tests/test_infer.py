@@ -1,16 +1,18 @@
-"""Label indexing, three scoring modes, exact/approximate top-k, TSV IO."""
+"""Label indexing, three scoring modes, blocked exact top-k, TSV IO."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xmclite import (ConfigError, DegenerateEmbeddingError, LabelIndex,
                      build_index, init_params, label_vectors, predict,
                      predict_vectors, query_vectors, read_predictions,
                      synth_dataset, write_predictions)
-from xmclite.infer import top_k
+from xmclite import infer
+from xmclite.infer import topk
 
-from conftest import unit_rows
-from oracles import bf_top_k
+from conftest import random_positive_sets
+from oracles import bf_hard_negatives, bf_top_k
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +70,53 @@ def test_concat_score_is_sum_of_mode_scores(setup):
                        atol=1e-10)
 
 
+def _top_k(scores, k):
+    """``topk`` of one score row, as a 1-d query against 1-d labels."""
+    ids, vals = topk(np.ones((1, 1)), np.asarray(scores)[:, None], k)
+    return ids[0], vals[0]
+
+
 def test_top_k_orders_and_breaks_ties_toward_lower_ids():
-    ids, scores = top_k(np.array([0.5, 0.9, 0.9, 0.1]), 2)
+    ids, scores = _top_k(np.array([0.5, 0.9, 0.9, 0.1]), 2)
     assert ids.tolist() == [1, 2]
     assert scores.tolist() == [0.9, 0.9]
-    ids, _ = top_k(np.array([0.3, 0.3, 0.3]), 3)
+    ids, _ = _top_k(np.array([0.3, 0.3, 0.3]), 3)
     assert ids.tolist() == [0, 1, 2]
-    ids, _ = top_k(np.array([0.1, 0.2]), 99)
+    ids, _ = _top_k(np.array([0.1, 0.2]), 99)
     assert ids.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("block_bytes", [infer.SCORE_BLOCK_BYTES, 8 * 40 * 7])
+def test_topk_matches_brute_force_with_ties_and_exclusions(monkeypatch,
+                                                          block_bytes):
+    # The small block size splits the 50 queries into 8 blocks.
+    monkeypatch.setattr(infer, "SCORE_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(3)
+    # integer coordinates: scores are exact and ties are plentiful
+    q = rng.integers(-2, 3, size=(50, 4)).astype(np.float64)
+    l = rng.integers(-2, 3, size=(40, 4)).astype(np.float64)
+    scores = q @ l.T
+    # rows 0-2 exclude all but 3 labels, fewer than most k below
+    sets = random_positive_sets(rng, 50, 40, max_pos=6)
+    sets[:3] = [np.delete(np.arange(40), [5, 17, 30])] * 3
+    exclude = sp.csr_matrix(
+        (np.ones(sum(len(s) for s in sets), dtype=bool),
+         np.concatenate(sets), np.cumsum([0] + [len(s) for s in sets])),
+        shape=(50, 40))
+    # k at a tie boundary: a k-th score that other labels share
+    row = np.sort(scores[7])[::-1]
+    tie_k = int(np.flatnonzero(row[1:] == row[:-1])[0]) + 1
+    for k in (1, tie_k, 7, 40, 41):
+        ids, vals = topk(q, l, k)
+        assert ids.shape == vals.shape == (50, min(k, 40))
+        for i in range(50):
+            assert ids[i].tolist() == bf_top_k(scores[i], k)
+            assert np.array_equal(vals[i], scores[i][ids[i]])
+        ids, vals = topk(q, l, k, exclude)
+        for i in range(50):
+            kept = ids[i][np.isfinite(vals[i])]
+            assert kept.tolist() == bf_hard_negatives(scores[i], sets[i], k)
+        assert all(np.isfinite(vals[i]).sum() == min(k, 3) for i in range(3))
 
 
 def test_exact_prediction_matches_brute_force_scan():
@@ -90,19 +131,6 @@ def test_exact_prediction_matches_brute_force_scan():
         assert ids.tolist() == bf_top_k(row, 6)
         assert np.array_equal(scores, row[ids])
         assert np.all(np.diff(scores) <= 0)
-
-
-def test_approximate_prediction_agrees_on_small_indexes(setup):
-    ds, params = setup
-    exact = build_index(params, ds, "concat", exact=True)
-    approx = build_index(params, ds, "concat", exact=False, hnsw_seed=3)
-    assert approx.ann is not None
-    texts = ds.instance_texts[:8]
-    got_e = predict(exact, params, texts, ds.vocab, 4)
-    got_a = predict(approx, params, texts, ds.vocab, 4)
-    for (ids_e, sc_e), (ids_a, sc_a) in zip(got_e, got_a):
-        assert ids_e.tolist() == ids_a.tolist()
-        assert np.allclose(sc_e, sc_a, atol=1e-12)
 
 
 def test_predict_vectors_validates_inputs(setup):

@@ -1,0 +1,93 @@
+"""Fuzzed readers: corrupt checkpoints, caches and predictions TSVs.
+
+Whatever the bytes, a reader either returns or raises a package error (or
+FileNotFoundError), which the CLI reports as a usage error, never a crash.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from xmclite import (HardNegativeCache, XmcliteError, init_params, load_cache,
+                     read_predictions, save_cache)
+from xmclite.model import load_checkpoint, save_checkpoint
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _corruptions(valid: bytes):
+    """Random bytes, the valid file's magic plus random bytes, or the valid
+    file cut short, with one byte overwritten, or with bytes appended."""
+    cut = st.integers(0, len(valid)).map(lambda n: valid[:n])
+    flip = st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+        lambda t: valid[:t[0]] + bytes([t[1]]) + valid[t[0] + 1:])
+    return st.one_of(st.binary(max_size=120),
+                     st.binary(max_size=120).map(lambda b: valid[:8] + b),
+                     cut, flip, st.binary(min_size=1, max_size=9).map(
+                         lambda b: valid + b))
+
+
+def _reads_cleanly(read, path) -> None:
+    try:
+        read(path)
+    except (XmcliteError, FileNotFoundError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    ckpt = str(root / "ckpt.bin")
+    save_checkpoint(ckpt, init_params(6, 3, 2, 4, seed=0), extra={"epoch": 1})
+    cache = str(root / "cache.bin")
+    save_cache(HardNegativeCache([np.array([3, 200, 70000]),
+                                  np.zeros(0, dtype=np.int64)], epoch=2),
+               cache)
+    return {name: open(path, "rb").read() for name, path in
+            (("ckpt", ckpt), ("sidecar", ckpt + ".json"), ("cache", cache))}
+
+
+def _check_checkpoint(tmp_path, blob, sidecar):
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(blob)
+    (tmp_path / "ckpt.bin.json").write_bytes(sidecar)
+    _reads_cleanly(load_checkpoint, str(path))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoints_raise_package_errors(valid_files, tmp_path, data):
+    blob = data.draw(_corruptions(valid_files["ckpt"]))
+    _check_checkpoint(tmp_path, blob, valid_files["sidecar"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoint_sidecars_raise_package_errors(valid_files,
+                                                         tmp_path, data):
+    sidecar = data.draw(_corruptions(valid_files["sidecar"]))
+    _check_checkpoint(tmp_path, valid_files["ckpt"], sidecar)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_caches_raise_package_errors(valid_files, tmp_path, data):
+    path = tmp_path / "cache.bin"
+    path.write_bytes(data.draw(_corruptions(valid_files["cache"])))
+    _reads_cleanly(load_cache, str(path))
+
+
+_TSV_TEXT = st.text(alphabet=st.sampled_from("0123456789-.e+\t\n\r xnaif_"),
+                    max_size=80)
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=80),
+                 _TSV_TEXT.map(lambda t: t.encode("utf-8"))))
+def test_fuzzed_predictions_raise_package_errors(tmp_path, blob):
+    path = tmp_path / "p.tsv"
+    path.write_bytes(blob)
+    _reads_cleanly(read_predictions, str(path))

@@ -318,9 +318,16 @@ def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path):
     (tmp_path / "bad.bin").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(ConfigError):
         load_checkpoint(str(tmp_path / "bad.bin"))
-    (tmp_path / "short.bin").write_bytes(blob[:-16])
-    with pytest.raises(ConfigError):
-        load_checkpoint(str(tmp_path / "short.bin"))
+    for size in (len(blob) - 16, 47, 20):
+        (tmp_path / "short.bin").write_bytes(blob[:size])
+        with pytest.raises(ConfigError):
+            load_checkpoint(str(tmp_path / "short.bin"))
+    # a header with a zero dimension, whatever the others say
+    for dims in ([0, 0, 0, 0], [2**64 - 1, 0, 0, 1]):
+        (tmp_path / "zero.bin").write_bytes(
+            blob[:8] + np.array(dims, dtype="<u8").tobytes() + blob[40:48])
+        with pytest.raises(ConfigError):
+            load_checkpoint(str(tmp_path / "zero.bin"))
 
 
 def test_params_copy_is_deep():

@@ -1,13 +1,10 @@
-"""Hard-negative mining (exact and approximate), cache IO, and sampling."""
+"""Hard-negative mining, cache IO, and sampling."""
 
 import numpy as np
 import pytest
 
 from xmclite import (ConfigError, HardNegativeCache, load_cache,
-                     mine_hard_negatives, refresh_cache, sample_hard_negatives,
-                     save_cache, synth_dataset)
-from xmclite.hnsw import build_hnsw, search_hnsw
-from xmclite.model import init_params
+                     mine_hard_negatives, sample_hard_negatives, save_cache)
 
 from conftest import random_positive_sets, unit_rows
 from oracles import bf_hard_negatives
@@ -51,19 +48,6 @@ def test_mining_truncates_and_handles_saturated_queries():
     assert cache.negatives[0].size == 2
     cache = mine_hard_negatives(q, l, [[0]], cache_size=0)
     assert cache.negatives[0].size == 0
-    with pytest.raises(ConfigError):
-        mine_hard_negatives(q, l, [[0]], 3, method="fuzzy")
-
-
-def test_refresh_cache_uses_model_embeddings():
-    ds = synth_dataset(15, 8, seed=3)
-    params = init_params(ds.vocab.hash_dim, 8, 4, 8, seed=0)
-    cache = refresh_cache(params, ds, cache_size=4, epoch=6)
-    assert cache.epoch == 6
-    assert len(cache) == 15
-    for i in range(15):
-        assert cache.negatives[i].size <= 4
-        assert not np.any(np.isin(cache.negatives[i], ds.positives(i)))
 
 
 def test_sampling_contracts_and_uniformity():
@@ -99,6 +83,12 @@ def test_cache_roundtrip_including_multibyte_ids(tmp_path):
     assert len(back) == 3
     for a, b in zip(rows, back.negatives):
         assert a.tolist() == b.tolist()
+    # a negative id is refused, and the failed save leaves the previous file
+    before = (tmp_path / "negs.bin").read_bytes()
+    with pytest.raises(ValueError):
+        save_cache(HardNegativeCache([np.array([-1])]), path)
+    assert (tmp_path / "negs.bin").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["negs.bin"]
 
 
 def test_cache_load_rejects_bad_magic(tmp_path):
@@ -106,46 +96,3 @@ def test_cache_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTACACHE")
     with pytest.raises(ConfigError):
         load_cache(str(path))
-
-
-def test_approximate_mining_behaves_like_exact_on_easy_data():
-    rng = np.random.default_rng(5)
-    q, l = unit_rows(rng, 30, 16), unit_rows(rng, 120, 16)
-    sets = random_positive_sets(rng, 30, 120, max_pos=4)
-    exact = mine_hard_negatives(q, l, sets, cache_size=5, method="exact")
-    approx = mine_hard_negatives(q, l, sets, cache_size=5,
-                                 method="approximate", hnsw_seed=1)
-    overlaps = []
-    for i in range(30):
-        assert not np.any(np.isin(approx.negatives[i], sets[i]))
-        assert approx.negatives[i].size == 5
-        inter = np.intersect1d(exact.negatives[i], approx.negatives[i])
-        overlaps.append(inter.size / 5)
-    assert np.mean(overlaps) >= 0.9
-    again = mine_hard_negatives(q, l, sets, cache_size=5,
-                                method="approximate", hnsw_seed=1)
-    for a, b in zip(approx.negatives, again.negatives):
-        assert np.array_equal(a, b)
-
-
-def test_hnsw_search_finds_exact_neighbors_on_small_sets():
-    rng = np.random.default_rng(6)
-    vecs = unit_rows(rng, 60, 8)
-    index = build_hnsw(vecs, max_degree=12, ef_construction=80, seed=0)
-    query = unit_rows(rng, 1, 8)[0]
-    got = search_hnsw(index, query, 10, ef=60)
-    scores = vecs @ query
-    want = np.argsort(-scores, kind="stable")[:10]
-    assert got.tolist() == want.tolist()
-
-
-def test_hnsw_edge_cases():
-    index = build_hnsw(np.zeros((0, 4)))
-    assert search_hnsw(index, np.zeros(4), 3).size == 0
-    one = build_hnsw(np.eye(4)[:1])
-    assert search_hnsw(one, np.ones(4), 5).tolist() == [0]
-    rng = np.random.default_rng(7)
-    vecs = unit_rows(rng, 10, 4)
-    idx = build_hnsw(vecs, seed=2)
-    assert search_hnsw(idx, vecs[3], 99).size == 10
-    assert search_hnsw(idx, vecs[3], 0).size == 0

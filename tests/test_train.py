@@ -218,7 +218,7 @@ def test_empty_dataset_rejected():
 @pytest.mark.parametrize("kw", [
     dict(epochs=0), dict(batch_size=0), dict(refresh_interval=0),
     dict(positives_per_query=0), dict(hard_negatives_per_query=-1),
-    dict(cache_size=-1), dict(mining="fuzzy"), dict(hash_dim=0),
+    dict(cache_size=-1), dict(eval_k=()), dict(hash_dim=0),
     dict(encoder_dim=0), dict(search_dim=0), dict(dropout=1.0),
     dict(dropout=-0.1), dict(lr_encoder=0.0), dict(lr_heads=-1.0),
     dict(lr_classifiers=0.0), dict(grad_clip=-1.0), dict(eval_every=-1),
@@ -241,12 +241,6 @@ def test_training_without_hard_negatives():
     params, report = train(_ds(), _cfg(hard_negatives_per_query=0))
     params.assert_finite()
     assert all(np.isfinite(r["total"]) for r in report.records)
-
-
-def test_training_with_approximate_mining():
-    params, report = train(_ds(), _cfg(mining="approximate"))
-    params.assert_finite()
-    assert len(report.records) == 2
 
 
 def test_eval_dataset_is_the_one_scored():
