@@ -18,14 +18,13 @@ from .infer import (LabelIndex, build_index, label_vectors, predict,
                     predict_vectors, query_vectors, read_predictions, topk,
                     write_predictions)
 from .losses import (LossConfig, classifier_loss, combined_loss,
-                     label_to_query_loss, one_vs_all_bce, pooled_softmax_loss,
-                     query_to_label_loss, retrieval_loss, symmetric_pool_loss,
-                     triplet_loss)
+                     one_vs_all_bce, pooled_softmax_loss, retrieval_loss,
+                     symmetric_pool_loss, triplet_loss)
 from .metrics import (METRICS_SCHEMA, metrics_report, precision_at_k,
                       propensity, psp_at_k)
-from .model import (ForwardTrace, Grads, ModelParams, backward, clf_head,
-                    de_head, encode, forward, init_params, load_checkpoint,
-                    save_checkpoint, zero_grads)
+from .model import (ForwardTrace, Grads, ModelParams, backward, encode,
+                    forward, init_params, load_checkpoint, save_checkpoint,
+                    zero_grads)
 from .negatives import (HardNegativeCache, load_cache, mine_hard_negatives,
                         sample_hard_negatives, save_cache)
 from .optim import Adam

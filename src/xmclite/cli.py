@@ -1,9 +1,12 @@
 """Command-line pipeline: train, predict, eval, simulate-batches.
 
-Every RunConfig key is available as a ``--key-name`` flag on every command;
-values can also come from a ``--config`` key=value file, with command-line
-flags winning.  Exit codes: 0 success, 1 runtime abort (training/numeric
-failures), 2 usage or configuration errors.
+Every configuration key (``config.KEYS``: the fields of ``RunConfig`` and
+of the ``TrainConfig``/``LossConfig`` it nests) is a ``--key-name`` flag on
+every command, with that field's help text and default; values can also come
+from a ``--config`` key=value file, with command-line flags winning.  The
+merged configuration is validated once, before any command runs.  Exit
+codes: 0 success, 1 runtime abort (training/numeric failures), 2 usage or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import replace
 
 import numpy as np
 
 from .batching import BATCH_STATS_HEADER, batch_stats
-from .config import (FIELD_HELP, RunConfig, _int_list, build_config,
-                     parse_config_file)
+from .config import KEYS, RunConfig, build_config, parse_config_file
 from .data import Dataset, Vocabulary, featurize_all, load_dataset
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
                      TrainingAbort, XmcliteError)
@@ -26,26 +28,24 @@ from .fileio import atomic_open
 from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
 from .model import forward, init_params, load_checkpoint
-from .negatives import mine_hard_negatives
 from .train import train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="key=value config file (flags override it)")
-    defaults = RunConfig()
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, metavar=f.name.upper(),
-                            default=argparse.SUPPRESS,
-                            help=f"{FIELD_HELP[f.name]} "
-                                 f"(default: {getattr(defaults, f.name)!r})")
+    for key in KEYS.values():
+        default = (",".join(map(str, key.default))
+                   if isinstance(key.default, tuple) else repr(key.default))
+        parser.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
+                            metavar=key.name.upper(), default=argparse.SUPPRESS,
+                            help=f"{key.help} (default: {default})")
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                 if hasattr(args, f.name)}
+    overrides = {name: getattr(args, name) for name in KEYS
+                 if hasattr(args, name)}
     return build_config(file_values, overrides)
 
 
@@ -69,16 +69,16 @@ def _out_path(config: RunConfig, explicit: str, default_name: str) -> str:
 
 def cmd_train(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
-    vocab = Vocabulary(config.hash_dim)
+    vocab = Vocabulary(config.train.hash_dim)
     dataset = _load(config, config.queries_path, vocab)
     eval_dataset = (_load(config, config.eval_queries_path, vocab)
                     if config.eval_queries_path else None)
     log_path = _out_path(config, config.log_path, "train_log.jsonl")
     ckpt_path = _out_path(config, config.checkpoint_path, "checkpoint.bin")
-    params, report = train(dataset, config.train_config(), log_path=log_path,
+    params, report = train(dataset, config.train, log_path=log_path,
                            checkpoint_path=ckpt_path, eval_dataset=eval_dataset)
     last = report.records[-1]
-    print(f"trained {config.epochs} epochs in {report.wall_seconds:.1f}s; "
+    print(f"trained {config.train.epochs} epochs in {report.wall_seconds:.1f}s; "
           f"final loss {last['total']:.6f}")
     print(f"checkpoint: {ckpt_path}")
     print(f"log: {log_path}")
@@ -93,9 +93,9 @@ def _checked_params(config: RunConfig, explicit: set):
     for key, value in (("hash_dim", params.hash_dim),
                        ("encoder_dim", params.encoder_dim),
                        ("search_dim", params.search_dim)):
-        if key in explicit and getattr(config, key) != value:
+        if key in explicit and getattr(config.train, key) != value:
             raise ConfigError(
-                f"{key}={getattr(config, key)} conflicts with checkpoint "
+                f"{key}={getattr(config.train, key)} conflicts with checkpoint "
                 f"({key}={value})")
     return params, sidecar
 
@@ -122,7 +122,7 @@ def cmd_predict(config: RunConfig, explicit: set) -> int:
 
 def cmd_eval(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path", "predictions_path")
-    vocab = Vocabulary(config.hash_dim)
+    vocab = Vocabulary(config.train.hash_dim)
     train_ds = _load(config, config.queries_path, vocab)
     eval_ds = (_load(config, config.eval_queries_path, vocab)
                if config.eval_queries_path else train_ds)
@@ -135,9 +135,9 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
     ranked = [np.asarray([lab for lab, _ in by_query.get(i, [])], dtype=np.int64)
               for i in range(eval_ds.num_instances)]
     props = propensity(train_ds.label_frequencies, train_ds.num_instances,
-                       config.propensity_a, config.propensity_b)
+                       config.train.propensity_a, config.train.propensity_b)
     report = metrics_report(ranked, eval_ds.positive_sets(), props,
-                            config.eval_k_list())
+                            config.train.eval_k)
     out = _out_path(config, config.metrics_path, "metrics.json")
     with atomic_open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -148,29 +148,27 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
 
 def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
+    cfg = config.train
     if config.checkpoint_path:
         params, _ = _checked_params(config, explicit)
     else:
-        params = init_params(config.hash_dim, config.encoder_dim,
-                             config.search_dim, 1, config.seed, config.dropout)
+        params = init_params(cfg.hash_dim, cfg.encoder_dim, cfg.search_dim, 1,
+                             cfg.seed, cfg.dropout)
     vocab = Vocabulary(params.hash_dim)
     dataset = _load(config, config.queries_path, vocab)
     q_emb = forward(params, featurize_all(dataset.instance_texts, vocab),
                     mode="eval", heads=("de",)).de_out
     l_emb = forward(params, featurize_all(dataset.label_texts, vocab),
                     mode="eval", heads=("de",)).de_out
-    num_batches = max(1, -(-dataset.num_instances // config.batch_size))
+    num_batches = max(1, -(-dataset.num_instances // cfg.batch_size))
     lines = [BATCH_STATS_HEADER]
-    for pos_cap in _int_list(config.sim_positive_caps, "sim_positive_caps"):
-        for neg_cap in _int_list(config.sim_negative_caps,
-                                 "sim_negative_caps"):
-            cache = None
-            if neg_cap > 0:
-                size = config.cache_size or neg_cap * config.refresh_interval
-                cache = mine_hard_negatives(q_emb, l_emb,
-                                            dataset.positive_sets(), size)
+    for pos_cap in config.sim_positive_caps:
+        for neg_cap in config.sim_negative_caps:
+            size = replace(cfg, hard_negatives_per_query=neg_cap
+                           ).resolved_cache_size()
             stats = batch_stats(dataset, q_emb, pos_cap, neg_cap, num_batches,
-                                config.seed, cache=cache)
+                                cfg.seed, label_embeddings=l_emb,
+                                cache_size=size)
             lines.append(stats.csv_row())
     out = _out_path(config, "", "batch_stats.csv")
     with atomic_open(out, "w", encoding="utf-8") as fh:
@@ -188,7 +186,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: list | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmclite", allow_abbrev=False,
         description="Desk-scale extreme multi-label classification engine.")
@@ -197,14 +195,18 @@ def main(argv: list | None = None) -> int:
         # No prefix matching: ``--search`` must not stand for ``--search-dim``.
         cmd_parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_config_flags(cmd_parser)
+    return parser
+
+
+def main(argv: list | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code) if exc.code is not None else 0
 
     try:
-        config, explicit = _resolve_config(args)
+        config, explicit = resolve_config(args)
         return _COMMANDS[args.command][0](config, explicit)
     except (ConfigError, DatasetFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from .errors import DatasetFormatError
 
+FORMATS = ("jsonl", "xmc-sparse")
 _SPLIT = re.compile(r"[^0-9a-z]+")
 
 
@@ -139,8 +140,15 @@ def make_dataset(instance_texts: list[np.ndarray], label_texts: list[np.ndarray]
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the prefix before the first bad byte decodes; "x" opens its line
+        prefix = blob[:exc.start].decode("utf-8") + "x"
+        raise DatasetFormatError("text is not valid UTF-8", path,
+                                 len(prefix.splitlines())) from exc
 
 
 def load_label_texts(path: str, vocab: Vocabulary) -> list[np.ndarray]:

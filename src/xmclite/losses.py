@@ -13,7 +13,7 @@ All losses return their gradients w.r.t. every input vector; no autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -34,14 +34,20 @@ class LossConfig:
     positives ("mean") or summed ("sum").
     """
 
-    temperature: float = 0.05
-    de_weight: float = 0.5
-    de_q2l_weight: float = 0.5
-    clf_q2l_weight: float = 0.5
-    positive_reduction: str = "mean"
-    batch_reduction: str = "mean"
-    triplet_margin: float = 0.3
-    extra_clf_positives: int = 0
+    temperature: float = field(default=0.05, metadata={
+        "help": "softmax temperature for all pool losses"})
+    de_weight: float = field(default=0.5, metadata={
+        "help": "weight of the retrieval loss in the total (1 = retrieval only)"})
+    de_q2l_weight: float = field(default=0.5, metadata={
+        "help": "query-anchored share inside the retrieval loss"})
+    clf_q2l_weight: float = field(default=0.5, metadata={
+        "help": "query-anchored share inside the classifier loss"})
+    positive_reduction: str = field(default="mean", metadata={
+        "help": "per-anchor reduction over positives: mean or sum"})
+    batch_reduction: str = field(default="mean", metadata={
+        "help": "reduction over anchors: mean or sum"})
+    extra_clf_positives: int = field(default=0, metadata={
+        "help": "extra classifier-side positives per query"})
 
     def validate(self) -> None:
         if self.temperature <= 0:
@@ -54,8 +60,6 @@ class LossConfig:
             if getattr(self, name) not in _REDUCTIONS:
                 raise ConfigError(
                     f"{name} must be one of {_REDUCTIONS}, got {getattr(self, name)!r}")
-        if self.triplet_margin < 0:
-            raise ConfigError("triplet_margin must be >= 0")
         if self.extra_clf_positives < 0:
             raise ConfigError("extra_clf_positives must be >= 0")
 
@@ -138,20 +142,6 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     d_anchors = (d_logits @ targets) / temperature
     d_targets = (d_logits.T @ anchors) / temperature
     return PoolLossResult(value, per_anchor, d_anchors, d_targets)
-
-
-def query_to_label_loss(query_vecs, label_vecs, positives_by_query,
-                        temperature, **kw) -> PoolLossResult:
-    """Queries anchor; softmax runs over the label pool."""
-    return pooled_softmax_loss(query_vecs, label_vecs, positives_by_query,
-                               temperature, **kw)
-
-
-def label_to_query_loss(label_vecs, query_vecs, positives_by_label,
-                        temperature, **kw) -> PoolLossResult:
-    """Pool labels anchor; softmax runs over the batch queries."""
-    return pooled_softmax_loss(label_vecs, query_vecs, positives_by_label,
-                               temperature, **kw)
 
 
 @dataclass

@@ -185,32 +185,6 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
     return trace
 
 
-def de_head(params: ModelParams, enc: np.ndarray, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Unit-norm retrieval embedding of pre-computed encodings."""
-    enc2 = np.atleast_2d(np.asarray(enc, dtype=np.float64))
-    act = np.tanh(enc2 @ params.de_w + params.de_b)
-    if mode == "train" and params.dropout > 0.0:
-        act = act * _dropout_mask(act.shape, params.dropout,
-                                  rng if rng is not None else np.random.default_rng())
-    norms = np.linalg.norm(act, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DegenerateEmbeddingError("zero-norm vector before normalization")
-    out = act / norms
-    return out[0] if np.ndim(enc) == 1 else out
-
-
-def clf_head(params: ModelParams, enc: np.ndarray, mode: str = "eval",
-             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Unnormalized classifier-side embedding of pre-computed encodings."""
-    enc2 = np.atleast_2d(np.asarray(enc, dtype=np.float64))
-    out = enc2 @ params.clf_w + params.clf_b
-    if mode == "train" and params.dropout > 0.0:
-        out = out * _dropout_mask(out.shape, params.dropout,
-                                  rng if rng is not None else np.random.default_rng())
-    return out[0] if np.ndim(enc) == 1 else out
-
-
 @dataclass
 class Grads:
     """Parameter gradients.

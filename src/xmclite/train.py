@@ -27,7 +27,7 @@ from .data import Dataset, featurize_all
 from .errors import ConfigError, TrainingAbort
 from .infer import MODES, build_index, predict_vectors, query_vectors
 from .losses import LossConfig, classifier_loss, combined_loss, retrieval_loss
-from .metrics import metrics_report, propensity
+from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
 from .negatives import mine_hard_negatives
@@ -36,25 +36,46 @@ from .optim import Adam
 
 @dataclass
 class TrainConfig:
-    epochs: int = 150
-    batch_size: int = 64
-    refresh_interval: int = 5
-    positives_per_query: int = 3        # per-query positive sample cap
-    hard_negatives_per_query: int = 6   # per-query hard-negative sample count
-    cache_size: int = 0                 # 0 -> hard_negatives_per_query * refresh_interval
-    hash_dim: int = 1 << 15
-    encoder_dim: int = 64
-    search_dim: int = 32
-    dropout: float = 0.1
-    warm_start_classifiers: bool = True
-    lr_encoder: float = 1e-4
-    lr_heads: float = 2e-4
-    lr_classifiers: float = 1e-3
-    grad_clip: float = 0.0
-    seed: int = 0
-    eval_every: int = 0                 # 0 -> no in-training evaluation
-    eval_k: tuple = (1, 3, 5)
-    eval_modes: tuple = MODES
+    epochs: int = field(default=150, metadata={"help": "training epochs"})
+    batch_size: int = field(default=64, metadata={
+        "help": "target batch size (clustered batches, sizes within 1)"})
+    refresh_interval: int = field(default=5, metadata={
+        "help": "epochs between re-clustering and cache refresh"})
+    positives_per_query: int = field(default=3, metadata={
+        "help": "max positives sampled per query per batch"})
+    hard_negatives_per_query: int = field(default=6, metadata={
+        "help": "hard negatives sampled per query per batch"})
+    cache_size: int = field(default=0, metadata={
+        "help": "mined negatives kept per query "
+                "(0 = hard_negatives_per_query * refresh_interval)"})
+    hash_dim: int = field(default=1 << 15, metadata={
+        "help": "feature-hashing dimension of the token vocabulary"})
+    encoder_dim: int = field(default=64, metadata={
+        "help": "width of the shared token-embedding encoder"})
+    search_dim: int = field(default=32, metadata={
+        "help": "width of the retrieval/classifier embedding space"})
+    dropout: float = field(default=0.1, metadata={
+        "help": "dropout rate in both projection heads"})
+    warm_start_classifiers: bool = field(default=True, metadata={
+        "help": "seed classifier rows from label text embeddings"})
+    lr_encoder: float = field(default=1e-4, metadata={
+        "help": "Adam learning rate for the embedding table"})
+    lr_heads: float = field(default=2e-4, metadata={
+        "help": "Adam learning rate for both projection heads"})
+    lr_classifiers: float = field(default=1e-3, metadata={
+        "help": "Adam learning rate for classifier rows"})
+    grad_clip: float = field(default=0.0, metadata={
+        "help": "global gradient-norm clip (0 = off)"})
+    seed: int = field(default=0, metadata={
+        "help": "master seed; all randomness derives from it"})
+    eval_every: int = field(default=0, metadata={
+        "help": "evaluate every this many epochs, in all modes (0 = off)"})
+    eval_k: tuple = field(default=(1, 3, 5), metadata={
+        "help": "comma list of cutoffs for P@k / PSP@k"})
+    propensity_a: float = field(default=DEFAULT_A, metadata={
+        "help": "propensity model exponent A"})
+    propensity_b: float = field(default=DEFAULT_B, metadata={
+        "help": "propensity model offset B (> 0)"})
     loss: LossConfig = field(default_factory=LossConfig)
 
     def resolved_cache_size(self) -> int:
@@ -71,17 +92,16 @@ class TrainConfig:
             (self.hard_negatives_per_query >= 0,
              "hard_negatives_per_query must be >= 0"),
             (self.cache_size >= 0, "cache_size must be >= 0"),
-            (min(self.hash_dim, self.encoder_dim, self.search_dim) >= 1,
-             "model dimensions must be >= 1"),
+            *((getattr(self, k) >= 1, f"{k} must be >= 1")
+              for k in ("hash_dim", "encoder_dim", "search_dim")),
             (0.0 <= self.dropout < 1.0, "dropout must be in [0, 1)"),
-            (min(self.lr_encoder, self.lr_heads, self.lr_classifiers) > 0,
-             "learning rates must be > 0"),
+            *((getattr(self, k) > 0, f"{k} must be > 0")
+              for k in ("lr_encoder", "lr_heads", "lr_classifiers")),
             (self.grad_clip >= 0.0, "grad_clip must be >= 0"),
             (self.eval_every >= 0, "eval_every must be >= 0"),
             (len(self.eval_k) > 0, "eval_k must not be empty"),
             (all(k >= 1 for k in self.eval_k), "eval_k entries must be >= 1"),
-            (all(m in MODES for m in self.eval_modes),
-             f"eval_modes entries must be in {MODES}"),
+            (self.propensity_b > 0, "propensity_b must be > 0"),
         ]
         for ok, message in checks:
             if not ok:
@@ -99,8 +119,8 @@ class TrainReport:
 def evaluate_model(params: ModelParams, dataset: Dataset,
                    k_list=(1, 3, 5), modes=MODES,
                    propensity_dataset: Dataset | None = None,
-                   propensity_a: float = 0.55,
-                   propensity_b: float = 1.5) -> dict:
+                   propensity_a: float = DEFAULT_A,
+                   propensity_b: float = DEFAULT_B) -> dict:
     """P@k / PSP@k per inference mode.
 
     Propensities come from ``propensity_dataset`` frequencies (a train split)
@@ -220,8 +240,9 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                                        or epoch == cfg.epochs - 1):
                 target = eval_dataset if eval_dataset is not None else dataset
                 record["metrics"] = evaluate_model(
-                    params, target, cfg.eval_k, cfg.eval_modes,
-                    propensity_dataset=dataset)
+                    params, target, cfg.eval_k, propensity_dataset=dataset,
+                    propensity_a=cfg.propensity_a,
+                    propensity_b=cfg.propensity_b)
             report.records.append(record)
             if log_fh is not None:
                 log_fh.write(json.dumps(record, sort_keys=True) + "\n")

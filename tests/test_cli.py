@@ -272,3 +272,40 @@ def test_simulate_batches_without_checkpoint(tmp_path):
     lines = out.splitlines()
     assert lines[0] == BATCH_STATS_HEADER
     assert len(lines) == 2  # default single cap combination
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["simulate-batches", "--batch-size", "0"], "batch_size"),
+    (["simulate-batches", "--sim-negative-caps", "-1"], "sim_negative_caps"),
+    (["eval", "--propensity-b", "-5"], "propensity_b"),
+])
+def test_invalid_values_are_rejected_by_name(workspace, tmp_path, capsys,
+                                             argv, key):
+    rc, out = _run(argv[:1] + workspace["common"] + [
+        "--predictions-path", workspace["preds"],
+        "--out-dir", str(tmp_path)] + argv[1:])
+    assert rc == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not any(tmp_path.iterdir())   # rejected before the command ran
+
+
+def test_propensity_settings_reach_in_training_metrics(tmp_path):
+    queries, labels = write_text_dataset(tmp_path, 16, 4, seed=2)
+    metrics = {}
+    for name, extra in (("default", []),
+                        ("custom", ["--propensity-a", "5",
+                                    "--propensity-b", "9"])):
+        out = tmp_path / name
+        rc, _ = _run(["train", "--queries-path", queries, "--labels-path",
+                      labels, "--out-dir", str(out), "--epochs", "1",
+                      "--batch-size", "8", "--eval-every", "1",
+                      "--eval-k", "1,3"] + SMALL_DIMS + extra)
+        assert rc == 0
+        log = (out / "train_log.jsonl").read_text()
+        metrics[name] = json.loads(log)["metrics"]
+    for mode, want in metrics["default"].items():
+        got = metrics["custom"][mode]
+        precision = [k for k in want if k.startswith("P@")]
+        assert [got[k] for k in precision] == [want[k] for k in precision]
+        assert all(got[k] != want[k] for k in want if k.startswith("PSP@"))

@@ -220,6 +220,27 @@ def test_label_file_rejects_lines_without_ascii_tokens(tmp_path):
     assert "ASCII" in str(err.value)
 
 
+def test_undecodable_bytes_are_format_errors_with_line_numbers(tmp_path):
+    labels = tmp_path / "l.txt"
+    labels.write_bytes(b"a\nb\n")
+    cases = [
+        (b"a\r\nb\xff\nc\n", None, 2),                       # label file
+        (b'{"text": "a", "labels": [0]}\n\n{"text": "\xc3("}\n', "jsonl", 3),
+        (b"2 2\n0\n\xff1\n", "xmc-sparse", 3),
+    ]
+    for blob, fmt, line in cases:
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(blob)
+        with pytest.raises(DatasetFormatError) as err:
+            if fmt is None:
+                load_label_texts(str(bad), Vocabulary())
+            else:
+                load_dataset(str(bad), str(labels), format=fmt)
+        assert err.value.path == str(bad)
+        assert err.value.line == line
+        assert "UTF-8" in str(err.value)
+
+
 def test_unknown_format_rejected(tmp_path):
     q = _write(tmp_path / "q.txt", "1 1\n0\n")
     l = _write(tmp_path / "l.txt", "a\n")

@@ -1,4 +1,5 @@
-"""Fuzzed readers: corrupt checkpoints, caches and predictions TSVs.
+"""Fuzzed readers: corrupt checkpoints, caches, predictions TSVs, and jsonl
+and xmc-sparse instance files.
 
 Whatever the bytes, a reader either returns or raises a package error (or
 FileNotFoundError), which the CLI reports as a usage error, never a crash.
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmclite import (HardNegativeCache, XmcliteError, init_params, load_cache,
-                     read_predictions, save_cache)
+                     load_dataset, read_predictions, save_cache)
 from xmclite.model import load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
@@ -91,3 +92,28 @@ def test_fuzzed_predictions_raise_package_errors(tmp_path, blob):
     path = tmp_path / "p.tsv"
     path.write_bytes(blob)
     _reads_cleanly(read_predictions, str(path))
+
+
+_INSTANCES = {
+    "jsonl": b'{"text": "sig0 w1", "labels": [0, 2]}\n'
+             b'{"text": "sig1", "labels": []}\n',
+    "xmc-sparse": b"3 3\n0,2 5:1.0\n\n1\n",
+}
+_INSTANCE_TEXT = st.text(alphabet=st.sampled_from('{}[]":,0123456789 \n-.e'
+                                                  'textlabsig\\u\xe9'),
+                         max_size=80)
+
+
+@pytest.mark.parametrize("fmt", sorted(_INSTANCES))
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_instance_files_raise_package_errors(tmp_path, fmt, data):
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes(b"sig0\nsig1\nsig2\n")
+    blob = data.draw(st.one_of(
+        _corruptions(_INSTANCES[fmt]),
+        _INSTANCE_TEXT.map(lambda t: t.encode("utf-8"))))
+    path = tmp_path / "queries.txt"
+    path.write_bytes(blob)
+    _reads_cleanly(lambda p: load_dataset(p, str(labels), format=fmt),
+                   str(path))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from xmclite import (ConfigError, LossConfig, classifier_loss, combined_loss,
-                     label_to_query_loss, one_vs_all_bce, pooled_softmax_loss,
-                     query_to_label_loss, retrieval_loss, symmetric_pool_loss,
-                     triplet_loss)
+                     one_vs_all_bce, pooled_softmax_loss, retrieval_loss,
+                     symmetric_pool_loss, triplet_loss)
 
 from conftest import random_positive_sets, unit_rows
 from oracles import (bf_ova_bce, bf_pool_loss, bf_symmetric_loss, bf_triplet,
@@ -164,10 +163,12 @@ def test_direction_wrappers_share_the_core():
     queries, labels = unit_rows(rng, 4, 3), unit_rows(rng, 5, 3)
     pos_q = random_positive_sets(rng, 4, 5)
     pos_l = random_positive_sets(rng, 5, 4)
-    fwd = query_to_label_loss(queries, labels, pos_q, 0.1)
-    rev = label_to_query_loss(labels, queries, pos_l, 0.1)
-    assert fwd.value == pooled_softmax_loss(queries, labels, pos_q, 0.1).value
-    assert rev.value == pooled_softmax_loss(labels, queries, pos_l, 0.1).value
+    # both directions of the symmetric loss are the one pooled core
+    both = symmetric_pool_loss(queries, labels, pos_q, pos_l, 0.1, 0.5)
+    fwd = pooled_softmax_loss(queries, labels, pos_q, 0.1)
+    rev = pooled_softmax_loss(labels, queries, pos_l, 0.1)
+    assert both.q2l_value == fwd.value
+    assert both.l2q_value == rev.value
 
 
 def test_symmetric_loss_mixes_directions_and_matches_brute_force():
@@ -303,8 +304,7 @@ def test_loss_config_validation():
     bad = [dict(temperature=0.0), dict(temperature=-1.0),
            dict(de_weight=1.2), dict(de_q2l_weight=-0.1),
            dict(clf_q2l_weight=2.0), dict(positive_reduction="avg"),
-           dict(batch_reduction="none"), dict(triplet_margin=-1.0),
-           dict(extra_clf_positives=-2)]
+           dict(batch_reduction="none"), dict(extra_clf_positives=-2)]
     for kw in bad:
         with pytest.raises(ConfigError):
             LossConfig(**kw).validate()

@@ -7,9 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
-                     Vocabulary, backward, clf_head, de_head, encode, featurize,
-                     forward, init_params, load_checkpoint, save_checkpoint,
-                     zero_grads)
+                     Vocabulary, backward, encode, featurize, forward,
+                     init_params, load_checkpoint, save_checkpoint, zero_grads)
 from xmclite.model import _dropout_mask, mean_normalize
 
 from conftest import unit_rows
@@ -27,6 +26,17 @@ def _identity_head_params(num_labels=3):
     params.de_w = np.eye(2)
     params.clf_w = np.eye(2)
     return params
+
+
+def _heads(params, enc):
+    """``forward`` on given encodings: row i holds one token whose embedding
+    row is ``enc[i]``.  Returns (de_out, clf_out), 1-d for a 1-d ``enc``."""
+    enc2 = np.atleast_2d(enc)
+    params.embed = enc2.astype(np.float64)
+    trace = forward(params, sp.identity(len(enc2), format="csr"))
+    if np.ndim(enc) == 1:
+        return trace.de_out[0], trace.clf_out[0]
+    return trace.de_out, trace.clf_out
 
 
 def _random_feats(rng, n, hash_dim, min_tokens=1, max_tokens=5):
@@ -90,7 +100,7 @@ def test_mean_normalize_rows_sum_to_one():
 
 def test_retrieval_head_frozen_example():
     params = _identity_head_params()
-    out = de_head(params, np.array([3.0, 4.0]))
+    out = _heads(params, np.array([3.0, 4.0]))[0]
     assert np.allclose(out, UNIT_34, atol=1e-12)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     # pre-normalization activations are the raw tanh values
@@ -100,20 +110,20 @@ def test_retrieval_head_frozen_example():
 
 def test_classifier_head_is_affine_and_unnormalized():
     params = _identity_head_params()
-    out = clf_head(params, np.array([3.0, 4.0]))
+    out = _heads(params, np.array([3.0, 4.0]))[1]
     assert np.allclose(out, [3.0, 4.0], atol=1e-15)
     assert abs(np.linalg.norm(out) - 5.0) < 1e-12
     params.clf_b = np.array([1.0, -1.0])
-    assert np.allclose(clf_head(params, np.array([3.0, 4.0])), [4.0, 3.0])
+    assert np.allclose(_heads(params, np.array([3.0, 4.0]))[1], [4.0, 3.0])
 
 
 def test_heads_accept_batched_input():
     params = _identity_head_params()
     enc = np.array([[3.0, 4.0], [1.0, 0.0]])
-    de = de_head(params, enc)
+    de, clf = _heads(params, enc)
     assert de.shape == (2, 2)
     assert np.allclose(np.linalg.norm(de, axis=1), 1.0, atol=1e-12)
-    assert np.allclose(clf_head(params, enc), enc, atol=1e-15)
+    assert np.allclose(clf, enc, atol=1e-15)
 
 
 def test_forward_eval_equals_train_without_dropout():

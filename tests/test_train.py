@@ -12,6 +12,7 @@ from conftest import text_dataset
 from xmclite import (ConfigError, LossConfig, TrainConfig, TrainingAbort,
                      Vocabulary, evaluate_model, featurize_all, forward,
                      init_params, load_checkpoint, make_dataset, train)
+from xmclite.infer import MODES
 
 HASH = 512
 
@@ -122,8 +123,8 @@ def test_epoch_records_have_expected_keys(logged_run):
 def test_final_metrics_match_last_record(logged_run):
     _, cfg, _, report, _, _ = logged_run
     assert report.final_metrics == report.records[-1]["metrics"]
-    assert set(report.final_metrics) == set(cfg.eval_modes)
-    for mode in cfg.eval_modes:
+    assert set(report.final_metrics) == set(MODES)
+    for mode in MODES:
         assert "P@1" in report.final_metrics[mode]
     assert report.wall_seconds > 0.0
 
@@ -222,7 +223,7 @@ def test_empty_dataset_rejected():
     dict(encoder_dim=0), dict(search_dim=0), dict(dropout=1.0),
     dict(dropout=-0.1), dict(lr_encoder=0.0), dict(lr_heads=-1.0),
     dict(lr_classifiers=0.0), dict(grad_clip=-1.0), dict(eval_every=-1),
-    dict(eval_k=(0,)), dict(eval_modes=("de", "bogus")),
+    dict(eval_k=(0,)), dict(propensity_b=0.0),
     dict(loss=LossConfig(temperature=0.0)),
 ])
 def test_config_validation_rejects(kw):
@@ -250,7 +251,7 @@ def test_eval_dataset_is_the_one_scored():
     params, report = train(ds, cfg, eval_dataset=held_out)
     # propensities always come from the training split's label frequencies
     want = evaluate_model(params, held_out, k_list=(1,),
-                          modes=cfg.eval_modes, propensity_dataset=ds)
+                          propensity_dataset=ds)
     assert report.records[-1]["metrics"] == want
 
 
