@@ -248,8 +248,14 @@ def batch_stats(dataset: Dataset, embeddings: np.ndarray, max_positives: int,
                 max_negatives: int, num_batches: int, seed: int,
                 label_embeddings: np.ndarray | None = None,
                 cache: HardNegativeCache | None = None,
-                cache_size: int | None = None) -> BatchStats:
-    """Collate one epoch's batches and report pool-size statistics."""
+                cache_size: int | None = None,
+                plan: BatchPlan | None = None) -> BatchStats:
+    """Collate one epoch's batches and report pool-size statistics.
+
+    ``plan`` and ``cache``, when given, must be what ``cluster_queries`` and
+    ``mine_hard_negatives`` give for these embeddings; a sweep over caps
+    passes them to cluster and mine once.
+    """
     if max_negatives > 0 and cache is None:
         if label_embeddings is None:
             raise ConfigError(
@@ -257,7 +263,8 @@ def batch_stats(dataset: Dataset, embeddings: np.ndarray, max_positives: int,
         cache = mine_hard_negatives(embeddings, label_embeddings,
                                     dataset.positive_sets(),
                                     cache_size if cache_size else max_negatives)
-    plan = cluster_queries(embeddings, num_batches, seed)
+    if plan is None:
+        plan = cluster_queries(embeddings, num_batches, seed)
     pb_sizes, pool_sizes, gains = [], [], []
     for b, ids in enumerate(plan):
         batch = collate_batch(ids, dataset, cache, max_positives,

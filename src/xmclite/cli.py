@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .batching import BATCH_STATS_HEADER, batch_stats
+from .batching import BATCH_STATS_HEADER, batch_stats, cluster_queries
 from .config import KEYS, RunConfig, build_config, parse_config_file
 from .data import Dataset, Vocabulary, featurize_all, load_dataset
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
@@ -28,6 +28,7 @@ from .fileio import atomic_open
 from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
 from .model import forward, init_params, load_checkpoint
+from .negatives import mine_hard_negatives
 from .train import train
 
 
@@ -127,11 +128,16 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
     eval_ds = (_load(config, config.eval_queries_path, vocab)
                if config.eval_queries_path else train_ds)
     by_query = read_predictions(config.predictions_path)
-    for qid in by_query:
+    for qid, rows in by_query.items():
         if qid < 0 or qid >= eval_ds.num_instances:
             raise ConfigError(
                 f"{config.predictions_path}: query id {qid} outside the "
                 f"evaluated dataset (N={eval_ds.num_instances})")
+        for lab, _ in rows:
+            if lab < 0 or lab >= eval_ds.num_labels:
+                raise ConfigError(
+                    f"{config.predictions_path}: query id {qid} has label id "
+                    f"{lab} outside the label set (L={eval_ds.num_labels})")
     ranked = [np.asarray([lab for lab, _ in by_query.get(i, [])], dtype=np.int64)
               for i in range(eval_ds.num_instances)]
     props = propensity(train_ds.label_frequencies, train_ds.num_instances,
@@ -161,14 +167,25 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     l_emb = forward(params, featurize_all(dataset.label_texts, vocab),
                     mode="eval", heads=("de",)).de_out
     num_batches = max(1, -(-dataset.num_instances // cfg.batch_size))
+    # Every cap pair shares one batch plan and one cache per cache size.
+    plan = cluster_queries(q_emb, num_batches, cfg.seed)
+    mined = {}
+
+    def cache_for(neg_cap: int):
+        if neg_cap == 0:
+            return None
+        size = replace(cfg, hard_negatives_per_query=neg_cap
+                       ).resolved_cache_size()
+        if size not in mined:
+            mined[size] = mine_hard_negatives(q_emb, l_emb,
+                                              dataset.positive_sets(), size)
+        return mined[size]
+
     lines = [BATCH_STATS_HEADER]
     for pos_cap in config.sim_positive_caps:
         for neg_cap in config.sim_negative_caps:
-            size = replace(cfg, hard_negatives_per_query=neg_cap
-                           ).resolved_cache_size()
             stats = batch_stats(dataset, q_emb, pos_cap, neg_cap, num_batches,
-                                cfg.seed, label_embeddings=l_emb,
-                                cache_size=size)
+                                cfg.seed, cache=cache_for(neg_cap), plan=plan)
             lines.append(stats.csv_row())
     out = _out_path(config, "", "batch_stats.csv")
     with atomic_open(out, "w", encoding="utf-8") as fh:

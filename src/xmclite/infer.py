@@ -37,25 +37,58 @@ class LabelIndex:
     vectors: np.ndarray              # (L, d) or (L, 2d)
 
 
-def _normalized_classifier_rows(params: ModelParams) -> np.ndarray:
-    norms = np.linalg.norm(params.classifiers, axis=1, keepdims=True)
+def _check_modes(modes) -> None:
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
+    """Rows of ``x`` scaled to unit norm; zero rows raise, naming ``what``."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
     bad = np.flatnonzero(norms.ravel() == 0.0)
     if bad.size:
-        raise DegenerateEmbeddingError(
-            f"classifier rows with zero norm for labels {bad.tolist()}")
-    return params.classifiers / norms
+        raise DegenerateEmbeddingError(f"zero-norm {what} {bad.tolist()}")
+    return x / norms
+
+
+def _by_mode(modes, de: np.ndarray | None, clf: np.ndarray | None) -> dict:
+    """Each mode's vectors from one side's unit de and clf vectors."""
+    return {mode: de if mode == "de" else clf if mode == "clf"
+            else np.hstack([de, clf]) for mode in modes}
+
+
+def label_vectors_by_mode(params: ModelParams, dataset: Dataset,
+                          modes=MODES) -> dict:
+    """Label vectors of each of ``modes``, embedding the label texts at most
+    once; without ``clf`` or ``concat`` the classifier rows are not read."""
+    _check_modes(modes)
+    de = clf = None
+    if any(mode != "clf" for mode in modes):
+        feats = featurize_all(dataset.label_texts, dataset.vocab)
+        de = forward(params, feats, mode="eval", heads=("de",)).de_out
+    if any(mode != "de" for mode in modes):
+        clf = _unit_rows(params.classifiers, "classifier rows for labels")
+    return _by_mode(modes, de, clf)
+
+
+def query_vectors_by_mode(params: ModelParams, texts: list, vocab: Vocabulary,
+                          modes=MODES) -> dict:
+    """Query vectors of each of ``modes`` from one featurize and one forward
+    pass through the heads those modes need (eval, deterministic)."""
+    _check_modes(modes)
+    heads = tuple(head for head, other in (("de", "clf"), ("clf", "de"))
+                  if any(mode != other for mode in modes))
+    trace = forward(params, featurize_all(texts, vocab), mode="eval",
+                    heads=heads)
+    clf = None
+    if "clf" in heads:
+        clf = _unit_rows(trace.clf_out, "classifier-head embeddings for queries")
+    return _by_mode(modes, trace.de_out, clf)
 
 
 def label_vectors(params: ModelParams, dataset: Dataset, mode: str) -> np.ndarray:
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "clf":
-        return _normalized_classifier_rows(params)
-    feats = featurize_all(dataset.label_texts, dataset.vocab)
-    de_rows = forward(params, feats, mode="eval", heads=("de",)).de_out
-    if mode == "de":
-        return de_rows
-    return np.hstack([de_rows, _normalized_classifier_rows(params)])
+    return label_vectors_by_mode(params, dataset, (mode,))[mode]
 
 
 def build_index(params: ModelParams, dataset: Dataset,
@@ -66,23 +99,7 @@ def build_index(params: ModelParams, dataset: Dataset,
 def query_vectors(params: ModelParams, texts: list, vocab: Vocabulary,
                   mode: str) -> np.ndarray:
     """Embed query texts for the given scoring mode (eval, deterministic)."""
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    feats = featurize_all(texts, vocab)
-    heads = ("de",) if mode == "de" else (("clf",) if mode == "clf" else ("de", "clf"))
-    trace = forward(params, feats, mode="eval", heads=heads)
-    if mode == "de":
-        return trace.de_out
-    clf = trace.clf_out
-    norms = np.linalg.norm(clf, axis=1, keepdims=True)
-    bad = np.flatnonzero(norms.ravel() == 0.0)
-    if bad.size:
-        raise DegenerateEmbeddingError(
-            f"zero-norm classifier-head embedding for queries {bad.tolist()}")
-    clf = clf / norms
-    if mode == "clf":
-        return clf
-    return np.hstack([trace.de_out, clf])
+    return query_vectors_by_mode(params, texts, vocab, (mode,))[mode]
 
 
 def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,

@@ -25,7 +25,11 @@ import numpy as np
 from .batching import (STREAM_DROPOUT, cluster_queries, collate_batch)
 from .data import Dataset, featurize_all
 from .errors import ConfigError, TrainingAbort
-from .infer import MODES, build_index, predict_vectors, query_vectors
+# build_index, query_vectors and predict_vectors are unused here but stay
+# importable from this module: perfbench/tracer.py wraps them by name.
+from .infer import (MODES, build_index, label_vectors_by_mode,  # noqa: F401
+                    predict_vectors, query_vectors, query_vectors_by_mode,
+                    topk)
 from .losses import LossConfig, classifier_loss, combined_loss, retrieval_loss
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (ModelParams, backward, forward, init_params,
@@ -123,6 +127,11 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
                    propensity_b: float = DEFAULT_B) -> dict:
     """P@k / PSP@k per inference mode.
 
+    The queries and the label texts are embedded once, through only the
+    heads ``modes`` need, and every mode's vectors are formed from that pass
+    (``concat`` is the de and clf vectors side by side), so each mode ranks
+    exactly what ``build_index`` and ``query_vectors`` would give it.  Each
+    mode's top-``max(k_list)`` id matrix is scored for every k at once.
     Propensities come from ``propensity_dataset`` frequencies (a train split)
     when given, otherwise from the evaluated dataset itself.
     """
@@ -131,13 +140,13 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
                        propensity_a, propensity_b)
     truth = dataset.positive_sets()
     k_max = max(k_list)
+    l_vecs = label_vectors_by_mode(params, dataset, modes)
+    q_vecs = query_vectors_by_mode(params, dataset.instance_texts,
+                                   dataset.vocab, modes)
     out = {}
     for mode in modes:
-        index = build_index(params, dataset, mode)
-        q_vecs = query_vectors(params, dataset.instance_texts,
-                               dataset.vocab, mode)
-        ranked = [ids for ids, _ in predict_vectors(index, q_vecs, k_max)]
-        out[mode] = metrics_report(ranked, truth, props, k_list)
+        ids, _ = topk(q_vecs[mode], l_vecs[mode], k_max)
+        out[mode] = metrics_report(ids, truth, props, k_list)
     return out
 
 

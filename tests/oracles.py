@@ -109,6 +109,46 @@ def bf_psp_at_k(predictions, truths, propensities, k):
     return total / counted if counted else 0.0
 
 
+def loop_metrics_report(predictions, truth_sets, propensities,
+                        k_list=(1, 3, 5)):
+    """``metrics_report`` as a per-query loop: one ``np.isin`` per query, k
+    and metric, totals accumulated query by query.
+
+    This is the straight-line form the vectorised metrics must equal bitwise:
+    it fixes every summation order (numpy's own ``sum`` per row, then one
+    running total over queries).
+    """
+    def precision(k):
+        if not len(predictions):
+            return 0.0
+        total = 0.0
+        for pred, truth in zip(predictions, truth_sets):
+            top = np.asarray(pred, dtype=np.int64)[:k]
+            total += np.isin(top, np.asarray(truth, dtype=np.int64)).sum() / k
+        return float(total / len(predictions))
+
+    def psp(k):
+        inv = 1.0 / np.asarray(propensities, dtype=np.float64)
+        total, counted = 0.0, 0
+        for pred, truth in zip(predictions, truth_sets):
+            truth = np.asarray(truth, dtype=np.int64)
+            if truth.size == 0:
+                continue
+            counted += 1
+            top = np.asarray(pred, dtype=np.int64)[:k]
+            hits = top[np.isin(top, truth)]
+            gained = inv[hits].sum()
+            ideal = np.sort(inv[truth])[::-1][:k].sum()
+            total += gained / ideal
+        return float(total / counted) if counted else 0.0
+
+    report = {}
+    for k in k_list:
+        report[f"P@{k}"] = precision(k)
+        report[f"PSP@{k}"] = psp(k)
+    return report
+
+
 def bf_triplet(anchor, positives, negatives, margin):
     value = 0.0
     for p in positives:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import write_text_dataset
-from xmclite import METRICS_SCHEMA, read_predictions
+from xmclite import METRICS_SCHEMA, batching, cli, read_predictions
 from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.cli import main
 
@@ -238,6 +238,22 @@ def test_flag_overrides_config_file(tmp_path):
     assert len(log) == 1  # the flag beat the file's epochs=3
 
 
+@pytest.mark.parametrize("label_id", [99999, 128, -1])
+def test_eval_rejects_out_of_range_label_ids(tmp_path, capsys, label_id):
+    queries, labels = write_text_dataset(tmp_path, 4, 128, seed=1)
+    preds = tmp_path / "p.tsv"
+    preds.write_text(f"0\t1\t5\t2.0\n2\t1\t7\t1.0\n2\t2\t{label_id}\t0.5\n")
+    metrics_path = tmp_path / "m.json"
+    rc, out = _run(["eval", "--queries-path", queries, "--labels-path", labels,
+                    "--predictions-path", str(preds),
+                    "--metrics-path", str(metrics_path)])
+    assert rc == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(preds) in err
+    assert "query id 2" in err and f"label id {label_id}" in err
+    assert not metrics_path.exists()
+
+
 def test_checkpoint_dim_conflict(workspace, capsys):
     rc, _ = _run(["predict", "--queries-path", workspace["queries"],
                   "--labels-path", workspace["labels"],
@@ -272,6 +288,40 @@ def test_simulate_batches_without_checkpoint(tmp_path):
     lines = out.splitlines()
     assert lines[0] == BATCH_STATS_HEADER
     assert len(lines) == 2  # default single cap combination
+
+
+def test_simulate_batches_clusters_once_and_mines_once_per_cache_size(
+        workspace, tmp_path, monkeypatch):
+    calls = {"cluster_queries": 0, "mine_hard_negatives": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, batching):
+        for name in calls:
+            counted(module, name)
+    rc, out = _run(["simulate-batches"] + workspace["common"] + [
+        "--checkpoint-path", workspace["ckpt"], "--out-dir", str(tmp_path),
+        "--sim-positive-caps", "1,2,3", "--sim-negative-caps", "0,2",
+        "--batch-size", "8"])
+    assert rc == 0 and len(out.splitlines()) == 1 + 6
+    assert calls == {"cluster_queries": 1, "mine_hard_negatives": 1}
+    # With refresh_interval 2, negative caps 2 and 3 resolve to cache sizes
+    # 4 and 6; with cache_size 5 both resolve to 5 and share one cache.
+    for extra, mined in ((["--refresh-interval", "2"], 2),
+                         (["--cache-size", "5"], 1)):
+        calls.update(cluster_queries=0, mine_hard_negatives=0)
+        rc, _ = _run(["simulate-batches"] + workspace["common"] + [
+            "--checkpoint-path", workspace["ckpt"], "--out-dir", str(tmp_path),
+            "--sim-positive-caps", "1,2", "--sim-negative-caps", "2,3,0",
+            "--batch-size", "8"] + extra)
+        assert rc == 0
+        assert calls == {"cluster_queries": 1, "mine_hard_negatives": mined}
 
 
 @pytest.mark.parametrize("argv,key", [

@@ -3,12 +3,14 @@
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xmclite import (ConfigError, METRICS_SCHEMA, metrics_report,
                      precision_at_k, propensity, psp_at_k)
 
 from conftest import random_positive_sets
-from oracles import bf_precision_at_k, bf_psp_at_k
+from oracles import bf_precision_at_k, bf_psp_at_k, loop_metrics_report
 
 # frozen from an independent stdlib computation (N=1000, A=0.55, B=1.5)
 C_N1000 = 9.77888866709656
@@ -134,3 +136,53 @@ def test_metrics_schema_rejects_foreign_keys():
         jsonschema.validate({"P@0": 0.5}, METRICS_SCHEMA)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"P@1": 1.5}, METRICS_SCHEMA)
+
+
+@st.composite
+def _ranking_cases(draw):
+    """Predictions, truth sets, propensities and a k list that between them
+    hold ragged, empty, short and 2-d prediction lists, duplicate, negative
+    and >= L ids, empty truth rows, unsorted or repeated k up to 10, and
+    rows with 8 or more hits or truth labels."""
+    num_labels = draw(st.integers(1, 14))
+    n = draw(st.integers(0, 8))
+    label = st.integers(0, num_labels - 1)
+    truth = [sorted(draw(st.sets(label, max_size=12))) for _ in range(n)]
+    foreign = st.one_of(st.integers(-3, -1),
+                        st.integers(num_labels, num_labels + 3))
+
+    def ranked(row, lo, hi):
+        # Mixed ids, or true labels only, so that rows with 8 or more hits
+        # occur often.
+        true = st.sampled_from(row) if row else label
+        mixed = st.one_of(true, true, label, foreign)
+        return st.one_of(st.lists(mixed, min_size=lo, max_size=hi),
+                         st.lists(true, min_size=max(lo, min(8, hi)),
+                                  max_size=hi))
+
+    if draw(st.booleans()):
+        preds = [draw(ranked(row, 0, 12)) for row in truth]
+    else:
+        width = draw(st.integers(0, 12))
+        rows = [draw(ranked(row, width, width)) for row in truth]
+        preds = np.array(rows, dtype=np.int64).reshape(n, width)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    props = np.random.default_rng(seed).uniform(0.05, 1.0, size=num_labels)
+    k_list = tuple(draw(st.lists(st.integers(1, 10), min_size=1, max_size=4)))
+    return preds, truth, props, k_list
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ranking_cases())
+# Both 8-term sums of this row differ between numpy's pairwise sum and a
+# sequential one.
+@example(([list(range(9, -1, -1))], [list(range(10))],
+          np.random.default_rng(1).uniform(0.05, 1.0, size=10), (8,)))
+def test_metrics_equal_the_per_query_loop_bitwise(case):
+    preds, truth, props, k_list = case
+    want = loop_metrics_report(preds, truth, props, k_list)
+    got = metrics_report(preds, truth, props, k_list)
+    assert got == want and list(got) == list(want)
+    for k in k_list:
+        assert precision_at_k(preds, truth, k) == want[f"P@{k}"]
+        assert psp_at_k(preds, truth, props, k) == want[f"PSP@{k}"]

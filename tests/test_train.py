@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import text_dataset
-from xmclite import (ConfigError, LossConfig, TrainConfig, TrainingAbort,
-                     Vocabulary, evaluate_model, featurize_all, forward,
-                     init_params, load_checkpoint, make_dataset, train)
+from oracles import loop_metrics_report
+from xmclite import (ConfigError, DegenerateEmbeddingError, LossConfig,
+                     TrainConfig, TrainingAbort, Vocabulary, build_index,
+                     evaluate_model, featurize_all, forward, init_params,
+                     load_checkpoint, make_dataset, predict_vectors,
+                     propensity, query_vectors, train)
 from xmclite.infer import MODES
 
 HASH = 512
@@ -193,6 +196,43 @@ def test_untrained_model_scores_at_chance_level():
     params = init_params(4096, 16, 8, 10, seed=0)
     p1 = evaluate_model(params, ds, k_list=(1,), modes=("de",))["de"]["P@1"]
     assert 0.0633 <= p1 <= 0.1367
+
+
+def _evaluate_mode_by_mode(params, ds, k_list, modes):
+    """evaluate_model as separate index, query embedding, ranking and
+    per-query metric passes for each mode."""
+    props = propensity(ds.label_frequencies, ds.num_instances)
+    out = {}
+    for mode in modes:
+        index = build_index(params, ds, mode)
+        q_vecs = query_vectors(params, ds.instance_texts, ds.vocab, mode)
+        ranked = [ids for ids, _ in predict_vectors(index, q_vecs, max(k_list))]
+        out[mode] = loop_metrics_report(ranked, ds.positive_sets(), props,
+                                        k_list)
+    return out
+
+
+@pytest.mark.parametrize("modes", [MODES, ("de",), ("clf",), ("concat",),
+                                   ("concat", "de")])
+def test_evaluate_model_equals_mode_by_mode_evaluation(logged_run, modes):
+    ds, _, params, _, _, _ = logged_run
+    k_list = (3, 1, 8, 3)      # unsorted, repeated, and k > num_labels
+    got = evaluate_model(params, ds, k_list, modes)
+    want = _evaluate_mode_by_mode(params, ds, k_list, modes)
+    assert got == want and list(got) == list(want)
+
+
+def test_zero_classifier_row_fails_only_modes_that_read_it(logged_run):
+    ds, _, params, _, _, _ = logged_run
+    broken = params.copy()
+    broken.classifiers[2] = 0.0
+    assert (evaluate_model(broken, ds, (1, 3), ("de",))
+            == evaluate_model(params, ds, (1, 3), ("de",)))
+    for mode in ("clf", "concat"):
+        with pytest.raises(DegenerateEmbeddingError, match=r"labels \[2\]"):
+            evaluate_model(broken, ds, (1, 3), (mode,))
+    with pytest.raises(DegenerateEmbeddingError):
+        evaluate_model(broken, ds, (1, 3))
 
 
 def test_divergent_run_aborts(tmp_path):
