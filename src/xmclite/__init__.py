@@ -9,7 +9,7 @@ bounded memory.
 """
 
 from .batching import (BatchPlan, CollatedBatch, batch_stats, cluster_queries,
-                       collate_batch, collate_from_samples, sample_positives)
+                       collate_batch, collate_from_samples, sample_ids)
 from .data import (Dataset, Vocabulary, featurize, featurize_all,
                    load_dataset, make_dataset, save_sparse, synth_dataset)
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
@@ -18,15 +18,12 @@ from .infer import (LabelIndex, build_index, label_vectors, predict,
                     predict_vectors, query_vectors, read_predictions, topk,
                     write_predictions)
 from .losses import (LossConfig, classifier_loss, combined_loss,
-                     one_vs_all_bce, pooled_softmax_loss, retrieval_loss,
-                     symmetric_pool_loss, triplet_loss)
+                     pooled_softmax_loss, retrieval_loss, symmetric_pool_loss)
 from .metrics import (METRICS_SCHEMA, metrics_report, precision_at_k,
                       propensity, psp_at_k)
-from .model import (ForwardTrace, Grads, ModelParams, backward, encode,
-                    forward, init_params, load_checkpoint, save_checkpoint,
-                    zero_grads)
-from .negatives import (HardNegativeCache, load_cache, mine_hard_negatives,
-                        sample_hard_negatives, save_cache)
+from .model import (ForwardTrace, Grads, ModelParams, backward, forward,
+                    init_params, load_checkpoint, save_checkpoint, zero_grads)
+from .negatives import HardNegativeCache, mine_hard_negatives
 from .optim import Adam
 from .train import TrainConfig, TrainReport, evaluate_model, train
 

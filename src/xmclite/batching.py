@@ -21,12 +21,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .negatives import HardNegativeCache, mine_hard_negatives, sample_hard_negatives
+from .negatives import HardNegativeCache
 
 # Stream ids for the per-purpose RNGs, combined as
 # default_rng([seed, stream, epoch, batch, query]) so draws are independent
-# of iteration order.
-STREAM_INIT = 0
+# of iteration order.  Stream 0 is ``init_params``'s ``[seed, 0]``.
 STREAM_CLUSTER = 1
 STREAM_POSITIVES = 2
 STREAM_NEGATIVES = 3
@@ -37,7 +36,6 @@ STREAM_EXTRA_POSITIVES = 5
 @dataclass
 class BatchPlan:
     batches: list[np.ndarray]     # sorted query-id arrays, disjoint cover of [N]
-    epoch: int = 0
 
     def __iter__(self):
         return iter(self.batches)
@@ -99,18 +97,28 @@ def cluster_queries(embeddings: np.ndarray, num_batches: int, seed: int,
         split(ids[~mask], sizes[kl:], 2 * node + 1)
 
     split(np.arange(n, dtype=np.int64), sizes, node=1)
-    return BatchPlan(leaves, epoch)
+    return BatchPlan(leaves)
 
 
-def sample_positives(positives: np.ndarray, cap: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement of at most ``cap`` positives."""
-    positives = np.asarray(positives, dtype=np.int64)
-    if cap <= 0 or positives.size == 0:
+def batch_count(dataset: Dataset, batch_size: int) -> int:
+    """Number of clustered batches in one epoch over ``dataset``."""
+    if dataset.num_instances == 0 or dataset.num_labels == 0:
+        raise ConfigError("dataset has no instances or no labels")
+    return -(-dataset.num_instances // batch_size)
+
+
+def sample_ids(ids: np.ndarray, cap: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Sorted uniform sample without replacement of min(cap, |ids|) ids.
+
+    Draws positives, extra classifier positives and cached hard negatives.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if cap <= 0 or ids.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if positives.size <= cap:
-        return positives.copy()
-    return np.sort(rng.choice(positives, size=cap, replace=False))
+    if ids.size <= cap:
+        return np.sort(ids)
+    return np.sort(rng.choice(ids, size=cap, replace=False))
 
 
 @dataclass
@@ -199,20 +207,20 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
         p_i = dataset.positives(qid)
         rng_pos = np.random.default_rng(
             [seed, STREAM_POSITIVES, epoch, batch_index, qid])
-        p_hat = sample_positives(p_i, max_positives, rng_pos)
+        p_hat = sample_ids(p_i, max_positives, rng_pos)
         sampled_pos.append(p_hat)
         if max_negatives > 0:
             rng_neg = np.random.default_rng(
                 [seed, STREAM_NEGATIVES, epoch, batch_index, qid])
-            sampled_neg.append(sample_hard_negatives(cache, qid,
-                                                     max_negatives, rng_neg))
+            sampled_neg.append(sample_ids(cache.negatives[qid],
+                                          max_negatives, rng_neg))
         else:
             sampled_neg.append(np.zeros(0, dtype=np.int64))
         if extra_clf_positives > 0:
             rest = np.setdiff1d(p_i, p_hat, assume_unique=True)
             rng_extra = np.random.default_rng(
                 [seed, STREAM_EXTRA_POSITIVES, epoch, batch_index, qid])
-            extras.append(sample_positives(rest, extra_clf_positives, rng_extra))
+            extras.append(sample_ids(rest, extra_clf_positives, rng_extra))
         else:
             extras.append(np.zeros(0, dtype=np.int64))
     return collate_from_samples(query_ids, dataset, sampled_pos, sampled_neg,
@@ -244,27 +252,13 @@ BATCH_STATS_HEADER = ("positive_cap,negative_cap,batch_size,"
                       "mean_pb,p50_pb,p95_pb,mean_pool")
 
 
-def batch_stats(dataset: Dataset, embeddings: np.ndarray, max_positives: int,
-                max_negatives: int, num_batches: int, seed: int,
-                label_embeddings: np.ndarray | None = None,
-                cache: HardNegativeCache | None = None,
-                cache_size: int | None = None,
-                plan: BatchPlan | None = None) -> BatchStats:
-    """Collate one epoch's batches and report pool-size statistics.
+def batch_stats(dataset: Dataset, plan: BatchPlan,
+                cache: HardNegativeCache | None, max_positives: int,
+                max_negatives: int, seed: int) -> BatchStats:
+    """Collate the batches of ``plan`` at epoch 0 and report pool sizes.
 
-    ``plan`` and ``cache``, when given, must be what ``cluster_queries`` and
-    ``mine_hard_negatives`` give for these embeddings; a sweep over caps
-    passes them to cluster and mine once.
+    ``cache`` may be None only when ``max_negatives`` is 0.
     """
-    if max_negatives > 0 and cache is None:
-        if label_embeddings is None:
-            raise ConfigError(
-                "max_negatives > 0 needs label_embeddings or a prebuilt cache")
-        cache = mine_hard_negatives(embeddings, label_embeddings,
-                                    dataset.positive_sets(),
-                                    cache_size if cache_size else max_negatives)
-    if plan is None:
-        plan = cluster_queries(embeddings, num_batches, seed)
     pb_sizes, pool_sizes, gains = [], [], []
     for b, ids in enumerate(plan):
         batch = collate_batch(ids, dataset, cache, max_positives,

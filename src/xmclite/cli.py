@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .batching import BATCH_STATS_HEADER, batch_stats, cluster_queries
+from .batching import (BATCH_STATS_HEADER, batch_count, batch_stats,
+                       cluster_queries)
 from .config import KEYS, RunConfig, build_config, parse_config_file
 from .data import Dataset, Vocabulary, featurize_all, load_dataset
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
@@ -162,11 +163,11 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
                              cfg.seed, cfg.dropout)
     vocab = Vocabulary(params.hash_dim)
     dataset = _load(config, config.queries_path, vocab)
+    num_batches = batch_count(dataset, cfg.batch_size)
     q_emb = forward(params, featurize_all(dataset.instance_texts, vocab),
                     mode="eval", heads=("de",)).de_out
     l_emb = forward(params, featurize_all(dataset.label_texts, vocab),
                     mode="eval", heads=("de",)).de_out
-    num_batches = max(1, -(-dataset.num_instances // cfg.batch_size))
     # Every cap pair shares one batch plan and one cache per cache size.
     plan = cluster_queries(q_emb, num_batches, cfg.seed)
     mined = {}
@@ -184,8 +185,8 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     lines = [BATCH_STATS_HEADER]
     for pos_cap in config.sim_positive_caps:
         for neg_cap in config.sim_negative_caps:
-            stats = batch_stats(dataset, q_emb, pos_cap, neg_cap, num_batches,
-                                cfg.seed, cache=cache_for(neg_cap), plan=plan)
+            stats = batch_stats(dataset, plan, cache_for(neg_cap), pos_cap,
+                                neg_cap, cfg.seed)
             lines.append(stats.csv_row())
     out = _out_path(config, "", "batch_stats.csv")
     with atomic_open(out, "w", encoding="utf-8") as fh:

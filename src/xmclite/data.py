@@ -9,9 +9,9 @@ Two on-disk formats are supported for the instance side:
   evaluation and batch simulation, not encoder training.
 * ``jsonl``: one ``{"text": ..., "labels": [...]}`` object per line.
 
-Label texts always come from a separate file, one label per line; a label
-line that is blank or has no ASCII letter or digit is a hard error because
-every label must be embeddable.
+Label texts always come from a separate file, one label per line.  A label
+line, or a jsonl query text, with no ASCII letter or digit is a hard error,
+because every label and every query with text must be embeddable.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DatasetFormatError
+from .fileio import atomic_open
 
 FORMATS = ("jsonl", "xmc-sparse")
 _SPLIT = re.compile(r"[^0-9a-z]+")
@@ -264,9 +265,13 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
             if lid < 0 or lid >= l:
                 raise DatasetFormatError("label id out of range", path, lineno)
             ids.append(lid)
+        tokens = vocab.tokenize(obj["text"])
+        if tokens.size == 0:
+            raise DatasetFormatError(
+                "query text has no ASCII letter or digit to embed", path, lineno)
         if not ids:
             empties += 1
-        instance_texts.append(vocab.tokenize(obj["text"]))
+        instance_texts.append(tokens)
         positive_sets.append(ids)
     return make_dataset(instance_texts, label_texts, positive_sets, l,
                         vocab, empty_row_count=empties)
@@ -274,7 +279,7 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
 
 def save_sparse(dataset: Dataset, path: str) -> None:
     """Write the relevance matrix in the xmc-sparse format (labels only)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{dataset.num_instances} {dataset.num_labels}\n")
         for i in range(dataset.num_instances):
             fh.write(",".join(str(x) for x in dataset.positives(i)) + "\n")

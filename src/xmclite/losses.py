@@ -5,8 +5,7 @@ anchor may have several positive targets inside the pool.  It is applied in
 two directions (queries scoring the label pool, and pool labels scoring the
 queries) and on two representation pairs (retrieval-head embeddings against
 label retrieval embeddings; classifier-head embeddings against classifier
-rows).  Baseline objectives (pairwise triplet hinge, one-vs-all BCE) live here
-too.
+rows).
 
 All losses return their gradients w.r.t. every input vector; no autodiff.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 
@@ -205,37 +203,3 @@ def combined_loss(retrieval_value: float, classifier_value: float,
         raise ConfigError(f"de_weight must be in [0, 1], got {de_weight}")
     return de_weight * retrieval_value + (1.0 - de_weight) * classifier_value
 
-
-def triplet_loss(anchor: np.ndarray, positives: np.ndarray,
-                 negatives: np.ndarray, margin: float,
-                 with_grads: bool = True):
-    """Pairwise hinge on inner-product scores, summed over all (p, n) pairs."""
-    if margin < 0:
-        raise ConfigError(f"margin must be >= 0, got {margin}")
-    pos_scores = positives @ anchor
-    neg_scores = negatives @ anchor
-    # violation[p, n] = margin + <a, z_n> - <a, z_p>, clamped at zero
-    viol = margin + neg_scores[None, :] - pos_scores[:, None]
-    hinge = np.maximum(viol, 0.0)
-    value = float(hinge.sum())
-    if not with_grads:
-        return value, None, None, None
-    act = (viol > 0).astype(np.float64)
-    d_pos = -act.sum(axis=1)[:, None] * anchor
-    d_neg = act.sum(axis=0)[:, None] * anchor
-    d_anchor = act.sum(axis=0) @ negatives - act.sum(axis=1) @ positives
-    return value, d_anchor, d_pos, d_neg
-
-
-def one_vs_all_bce(scores: np.ndarray, targets: np.ndarray,
-                   with_grads: bool = True):
-    """Sum of per-label sigmoid cross-entropies, overflow-safe."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if scores.shape != targets.shape:
-        raise ValueError(f"shape mismatch {scores.shape} vs {targets.shape}")
-    if np.any((targets != 0) & (targets != 1)):
-        raise ValueError("targets must be binary")
-    value = float(np.sum(np.logaddexp(0.0, scores) - targets * scores))
-    if not with_grads:
-        return value, None
-    return value, expit(scores) - targets

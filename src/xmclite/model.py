@@ -103,11 +103,6 @@ def mean_normalize(feats: sp.csr_matrix) -> sp.csr_matrix:
     return sp.diags(scale).dot(feats).tocsr()
 
 
-def encode(params: ModelParams, feats: sp.csr_matrix) -> np.ndarray:
-    """Count-weighted mean of embedding rows; zero rows encode to zero."""
-    return np.asarray(mean_normalize(feats) @ params.embed)
-
-
 @dataclass
 class ForwardTrace:
     """Cached activations from one forward pass (inputs to ``backward``)."""
@@ -214,14 +209,6 @@ class Grads:
         embed = np.zeros((self.hash_dim, rows.shape[1]), dtype=rows.dtype)
         embed[row_ids] = rows
         return {**self.arrays(), "embed": embed}
-
-    def add_(self, other: "Grads") -> "Grads":
-        self.embed = merge_rows(self.embed, other.embed)
-        theirs = other.arrays()
-        for k, v in self.arrays().items():
-            if k != "embed":
-                v += theirs[k]
-        return self
 
     def scale_(self, factor: float) -> "Grads":
         for v in self.arrays().values():

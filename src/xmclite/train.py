@@ -16,13 +16,13 @@ JSONL training log carries no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .batching import (STREAM_DROPOUT, cluster_queries, collate_batch)
+from .batching import (STREAM_DROPOUT, batch_count, cluster_queries,
+                       collate_batch)
 from .data import Dataset, featurize_all
 from .errors import ConfigError, TrainingAbort
 # build_index, query_vectors and predict_vectors are unused here but stay
@@ -154,8 +154,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
           checkpoint_path: str | None = None,
           eval_dataset: Dataset | None = None) -> tuple[ModelParams, TrainReport]:
     cfg.validate()
-    if dataset.num_instances == 0 or dataset.num_labels == 0:
-        raise ConfigError("dataset has no instances or no labels")
+    num_batches = batch_count(dataset, cfg.batch_size)
     if dataset.vocab.hash_dim != cfg.hash_dim:
         raise ConfigError(
             f"dataset was featurized with hash_dim={dataset.vocab.hash_dim} "
@@ -175,7 +174,6 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
         params.classifiers = forward(params, l_feats, mode="eval",
                                      heads=("de",)).de_out.copy()
     opt = Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers)
-    num_batches = math.ceil(dataset.num_instances / cfg.batch_size)
     cache_size = cfg.resolved_cache_size()
     plan, cache = None, None
     report = TrainReport()
@@ -191,8 +189,8 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                 if neg_cap > 0:
                     l_emb = forward(params, l_feats, mode="eval",
                                     heads=("de",)).de_out
-                    cache = mine_hard_negatives(
-                        q_emb, l_emb, positive_sets, cache_size, epoch=epoch)
+                    cache = mine_hard_negatives(q_emb, l_emb, positive_sets,
+                                                cache_size)
                 refreshed = True
 
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,

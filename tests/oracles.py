@@ -149,26 +149,6 @@ def loop_metrics_report(predictions, truth_sets, propensities,
     return report
 
 
-def bf_triplet(anchor, positives, negatives, margin):
-    value = 0.0
-    for p in positives:
-        sp = sum(float(a) * float(x) for a, x in zip(anchor, p))
-        for n in negatives:
-            sn = sum(float(a) * float(x) for a, x in zip(anchor, n))
-            value += max(0.0, sn - sp + margin)
-    return value
-
-
-def bf_ova_bce(scores, targets):
-    value = 0.0
-    for s, y in zip(scores, targets):
-        s, y = float(s), float(y)
-        sig = 1.0 / (1.0 + math.exp(-s)) if s > -30 else math.exp(s)
-        sig = min(max(sig, 1e-300), 1.0 - 1e-16)
-        value += -(y * math.log(sig) + (1.0 - y) * math.log(1.0 - sig))
-    return value
-
-
 class BfDenseAdam:
     """Dense Adam with bias correction, one array entry at a time.
 

@@ -5,7 +5,7 @@ import pytest
 
 from xmclite import (ConfigError, batch_stats, cluster_queries, collate_batch,
                      collate_from_samples, make_dataset, mine_hard_negatives,
-                     sample_positives, synth_dataset)
+                     sample_ids, synth_dataset)
 from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.data import Vocabulary
 
@@ -82,15 +82,15 @@ def test_cluster_queries_rejects_bad_batch_count():
 def test_sample_positives_contracts():
     rng = np.random.default_rng(3)
     pool = _arr([4, 9, 11, 30])
-    full = sample_positives(pool, 10, rng)
+    full = sample_ids(pool, 10, rng)
     assert np.array_equal(full, pool)
     assert full.base is None and full is not pool  # a safe copy
-    sub = sample_positives(pool, 2, rng)
+    sub = sample_ids(pool, 2, rng)
     assert sub.size == 2
     assert np.all(np.diff(sub) > 0)
     assert np.all(np.isin(sub, pool))
-    assert sample_positives(pool, 0, rng).size == 0
-    assert sample_positives(_arr([]), 3, rng).size == 0
+    assert sample_ids(pool, 0, rng).size == 0
+    assert sample_ids(_arr([]), 3, rng).size == 0
 
 
 def test_sample_positives_inclusion_is_uniform():
@@ -99,7 +99,7 @@ def test_sample_positives_inclusion_is_uniform():
     hits = {int(p): 0 for p in pool}
     trials = 30000
     for _ in range(trials):
-        for p in sample_positives(pool, 2, rng):
+        for p in sample_ids(pool, 2, rng):
             hits[int(p)] += 1
     for p in pool:
         assert abs(hits[int(p)] / trials - 0.5) < 0.01
@@ -252,7 +252,8 @@ def test_batch_stats_with_full_positive_sampling():
     ds = synth_dataset(40, 12, seed=0, positives_per_instance=(1, 3))
     rng = np.random.default_rng(10)
     emb = unit_rows(rng, 40, 6)
-    stats = batch_stats(ds, emb, max_positives=5, max_negatives=0, num_batches=5, seed=0)
+    stats = batch_stats(ds, cluster_queries(emb, 5, seed=0), None,
+                        max_positives=5, max_negatives=0, seed=0)
     truth_mean = np.mean([ds.positives(i).size for i in range(40)])
     assert stats.mean_pb == pytest.approx(float(truth_mean))
     assert np.all(stats.gain_sizes == 0)
@@ -266,9 +267,9 @@ def test_batch_stats_agrees_with_manual_recount():
     emb = unit_rows(rng, 30, 6)
     l_emb = unit_rows(rng, 25, 6)
     cache = mine_hard_negatives(emb, l_emb, ds.positive_sets(), cache_size=8)
-    stats = batch_stats(ds, emb, max_positives=2, max_negatives=3, num_batches=4, seed=5,
-                        cache=cache)
     plan = cluster_queries(emb, 4, seed=5)
+    stats = batch_stats(ds, plan, cache, max_positives=2, max_negatives=3,
+                        seed=5)
     manual = []
     for b, ids in enumerate(plan):
         batch = collate_batch(ids, ds, cache, 2, 3, seed=5, epoch=0,
@@ -278,23 +279,11 @@ def test_batch_stats_agrees_with_manual_recount():
     assert stats.pool_sizes.size == 4
 
 
-def test_batch_stats_mines_a_cache_when_given_label_embeddings():
-    rng = np.random.default_rng(12)
-    ds = id_dataset(rng, 20, 18, max_pos=4)
-    emb, l_emb = unit_rows(rng, 20, 5), unit_rows(rng, 18, 5)
-    with pytest.raises(ConfigError):
-        batch_stats(ds, emb, max_positives=2, max_negatives=2, num_batches=3, seed=0)
-    with_negs = batch_stats(ds, emb, max_positives=2, max_negatives=2, num_batches=3, seed=0,
-                            label_embeddings=l_emb)
-    without = batch_stats(ds, emb, max_positives=2, max_negatives=0, num_batches=3, seed=0)
-    assert with_negs.pool_sizes.sum() >= without.pool_sizes.sum()
-
-
 def test_batch_stats_csv_row_matches_header():
     ds = synth_dataset(10, 6, seed=1)
     rng = np.random.default_rng(13)
-    stats = batch_stats(ds, unit_rows(rng, 10, 4), max_positives=2, max_negatives=0,
-                        num_batches=2, seed=0)
+    stats = batch_stats(ds, cluster_queries(unit_rows(rng, 10, 4), 2, seed=0),
+                        None, max_positives=2, max_negatives=0, seed=0)
     fields = stats.csv_row().split(",")
     assert len(fields) == len(BATCH_STATS_HEADER.split(","))
     assert int(fields[0]) == 2 and int(fields[1]) == 0

@@ -148,6 +148,8 @@ def test_load_jsonl_rejects_bad_rows(tmp_path):
         ('{"labels": []}\n', "expected an object"),
         ('[1, 2]\n', "expected an object"),
         ('{"text": "x", "labels": [0]\n', "invalid JSON"),
+        ('{"text": "日本語", "labels": [0]}\n', "no ASCII letter or digit"),
+        ('{"text": "", "labels": [0]}\n', "no ASCII letter or digit"),
     ]
     for body, needle in cases:
         q = _write(tmp_path / "bad.jsonl", '{"text": "ok", "labels": [0]}\n'
@@ -252,6 +254,7 @@ def test_save_sparse_roundtrip(tmp_path):
     ds = synth_dataset(25, 7, seed=2)
     q = tmp_path / "rel.txt"
     save_sparse(ds, str(q))
+    assert [p.name for p in tmp_path.iterdir()] == ["rel.txt"]
     l = _write(tmp_path / "l.txt", "".join(f"sig{i}\n" for i in range(7)))
     back = load_dataset(str(q), l, format="xmc-sparse", vocab=ds.vocab)
     assert np.array_equal(back.relevance.toarray(), ds.relevance.toarray())

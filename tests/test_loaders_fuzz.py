@@ -1,17 +1,15 @@
-"""Fuzzed readers: corrupt checkpoints, caches, predictions TSVs, and jsonl
-and xmc-sparse instance files.
+"""Fuzzed readers: corrupt checkpoints, predictions TSVs, and jsonl and
+xmc-sparse instance files.
 
 Whatever the bytes, a reader either returns or raises a package error (or
 FileNotFoundError), which the CLI reports as a usage error, never a crash.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmclite import (HardNegativeCache, XmcliteError, init_params, load_cache,
-                     load_dataset, read_predictions, save_cache)
+from xmclite import XmcliteError, init_params, load_dataset, read_predictions
 from xmclite.model import load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
@@ -43,12 +41,8 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     ckpt = str(root / "ckpt.bin")
     save_checkpoint(ckpt, init_params(6, 3, 2, 4, seed=0), extra={"epoch": 1})
-    cache = str(root / "cache.bin")
-    save_cache(HardNegativeCache([np.array([3, 200, 70000]),
-                                  np.zeros(0, dtype=np.int64)], epoch=2),
-               cache)
     return {name: open(path, "rb").read() for name, path in
-            (("ckpt", ckpt), ("sidecar", ckpt + ".json"), ("cache", cache))}
+            (("ckpt", ckpt), ("sidecar", ckpt + ".json"))}
 
 
 def _check_checkpoint(tmp_path, blob, sidecar):
@@ -71,14 +65,6 @@ def test_fuzzed_checkpoint_sidecars_raise_package_errors(valid_files,
                                                          tmp_path, data):
     sidecar = data.draw(_corruptions(valid_files["sidecar"]))
     _check_checkpoint(tmp_path, valid_files["ckpt"], sidecar)
-
-
-@FUZZ
-@given(data=st.data())
-def test_fuzzed_caches_raise_package_errors(valid_files, tmp_path, data):
-    path = tmp_path / "cache.bin"
-    path.write_bytes(data.draw(_corruptions(valid_files["cache"])))
-    _reads_cleanly(load_cache, str(path))
 
 
 _TSV_TEXT = st.text(alphabet=st.sampled_from("0123456789-.e+\t\n\r xnaif_"),

@@ -1,15 +1,14 @@
-"""Pool softmax losses, their symmetric/combined wrappers, and baselines."""
+"""Pool softmax losses and their symmetric/combined wrappers."""
 
 import numpy as np
 import pytest
 
 from xmclite import (ConfigError, LossConfig, classifier_loss, combined_loss,
-                     one_vs_all_bce, pooled_softmax_loss, retrieval_loss,
-                     symmetric_pool_loss, triplet_loss)
+                     pooled_softmax_loss, retrieval_loss, symmetric_pool_loss)
 
 from conftest import random_positive_sets, unit_rows
-from oracles import (bf_ova_bce, bf_pool_loss, bf_symmetric_loss, bf_triplet,
-                     finite_difference, max_relative_error)
+from oracles import (bf_pool_loss, bf_symmetric_loss, finite_difference,
+                     max_relative_error)
 
 LN2 = 0.6931471805599453
 LN3 = 1.0986122886681098
@@ -220,83 +219,6 @@ def test_combined_loss_is_convex_mix():
     with pytest.raises(ConfigError):
         combined_loss(1.0, 1.0, 1.5)
 
-
-def test_triplet_loss_hand_example():
-    anchor = np.array([1.0, 0.0])
-    pos = np.array([[1.0, 0.0]])          # score 1.0
-    neg = np.array([[0.5, 0.0]])          # score 0.5
-    # score gap 0.5 exceeds margin 0.3: no violation
-    value, *_ = triplet_loss(anchor, pos, neg, margin=0.3)
-    assert value == 0.0
-    value, d_a, d_p, d_n = triplet_loss(anchor, pos, neg, margin=0.6)
-    assert value == pytest.approx(0.1, abs=1e-15)
-    assert np.allclose(d_a, neg[0] - pos[0])
-    assert np.allclose(d_p, -anchor)
-    assert np.allclose(d_n, anchor)
-
-
-def test_triplet_loss_matches_brute_force_and_finite_differences():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        anchor = rng.normal(size=4)
-        pos = rng.normal(size=(int(rng.integers(1, 4)), 4))
-        neg = rng.normal(size=(int(rng.integers(1, 5)), 4))
-        margin = float(rng.uniform(0.0, 1.0))
-        value, d_a, d_p, d_n = triplet_loss(anchor, pos, neg, margin)
-        assert value == pytest.approx(bf_triplet(anchor, pos, neg, margin),
-                                      abs=1e-10)
-
-    anchor = rng.normal(size=3)
-    pos = rng.normal(size=(2, 3))
-    neg = rng.normal(size=(3, 3))
-    value, d_a, d_p, d_n = triplet_loss(anchor, pos, neg, 0.5)
-
-    def scalar():
-        return triplet_loss(anchor, pos, neg, 0.5, with_grads=False)[0]
-
-    numeric = finite_difference(scalar, [anchor, pos, neg])
-    assert max_relative_error([d_a, d_p, d_n], numeric, floor=1e-6) < 1e-4
-
-
-def test_triplet_loss_rejects_negative_margin():
-    with pytest.raises(ConfigError):
-        triplet_loss(np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)), -0.1)
-
-
-def test_ova_bce_analytic_points_and_stability():
-    value, grad = one_vs_all_bce(np.array([0.0]), np.array([1.0]))
-    assert value == pytest.approx(LN2, abs=1e-12)
-    assert grad[0] == pytest.approx(-0.5, abs=1e-12)
-    value, _ = one_vs_all_bce(np.array([2.0]), np.array([1.0]))
-    assert value == pytest.approx(LN_1P_EXP_M2, abs=1e-12)
-    # far in the tails: no overflow warnings, exact limits
-    value, grad = one_vs_all_bce(np.array([1000.0, -1000.0]),
-                                 np.array([1.0, 0.0]))
-    assert value == pytest.approx(0.0, abs=1e-10)
-    assert np.allclose(grad, 0.0, atol=1e-10)
-    value, _ = one_vs_all_bce(np.array([1000.0]), np.array([0.0]))
-    assert value == pytest.approx(1000.0, rel=1e-12)
-
-
-def test_ova_bce_matches_brute_force_and_finite_differences():
-    rng = np.random.default_rng(12)
-    scores = rng.uniform(-8.0, 8.0, size=12)
-    targets = (rng.random(12) < 0.5).astype(np.float64)
-    value, grad = one_vs_all_bce(scores, targets)
-    assert value == pytest.approx(bf_ova_bce(scores, targets), abs=1e-10)
-
-    def scalar():
-        return one_vs_all_bce(scores, targets, with_grads=False)[0]
-
-    numeric = finite_difference(scalar, [scores])
-    assert max_relative_error([grad], numeric) < 1e-5
-
-
-def test_ova_bce_validates_inputs():
-    with pytest.raises(ValueError):
-        one_vs_all_bce(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        one_vs_all_bce(np.zeros(2), np.array([0.0, 0.5]))
 
 
 def test_loss_config_validation():

@@ -1,10 +1,8 @@
-"""Hard-negative mining, cache IO, and sampling."""
+"""Hard-negative mining and sampling from the cache."""
 
 import numpy as np
-import pytest
 
-from xmclite import (ConfigError, HardNegativeCache, load_cache,
-                     mine_hard_negatives, sample_hard_negatives, save_cache)
+from xmclite import HardNegativeCache, mine_hard_negatives, sample_ids
 
 from conftest import random_positive_sets, unit_rows
 from oracles import bf_hard_negatives
@@ -54,45 +52,19 @@ def test_sampling_contracts_and_uniformity():
     rng = np.random.default_rng(4)
     cache = HardNegativeCache([np.array([3, 1, 4, 15, 5, 9], dtype=np.int64),
                                np.zeros(0, dtype=np.int64)])
-    got = sample_hard_negatives(cache, 0, 3, rng)
+    got = sample_ids(cache.negatives[0], 3, rng)
     assert got.size == 3 and np.all(np.diff(got) > 0)
     assert np.all(np.isin(got, cache.negatives[0]))
-    assert sample_hard_negatives(cache, 1, 3, rng).size == 0
-    assert sample_hard_negatives(cache, 0, 0, rng).size == 0
-    everything = sample_hard_negatives(cache, 0, 99, rng)
+    assert sample_ids(cache.negatives[1], 3, rng).size == 0
+    assert sample_ids(cache.negatives[0], 0, rng).size == 0
+    everything = sample_ids(cache.negatives[0], 99, rng)
     assert everything.tolist() == sorted(cache.negatives[0].tolist())
 
     hits = {int(x): 0 for x in cache.negatives[0]}
     trials = 12000
     for _ in range(trials):
-        for x in sample_hard_negatives(cache, 0, 2, rng):
+        for x in sample_ids(cache.negatives[0], 2, rng):
             hits[int(x)] += 1
     for x, count in hits.items():
         assert abs(count / trials - 2 / 6) < 0.015
 
-
-def test_cache_roundtrip_including_multibyte_ids(tmp_path):
-    rows = [np.array([0, 127, 128, 300000], dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.array([16384], dtype=np.int64)]
-    cache = HardNegativeCache(rows, epoch=11)
-    path = str(tmp_path / "negs.bin")
-    save_cache(cache, path)
-    back = load_cache(path)
-    assert back.epoch == 11
-    assert len(back) == 3
-    for a, b in zip(rows, back.negatives):
-        assert a.tolist() == b.tolist()
-    # a negative id is refused, and the failed save leaves the previous file
-    before = (tmp_path / "negs.bin").read_bytes()
-    with pytest.raises(ValueError):
-        save_cache(HardNegativeCache([np.array([-1])]), path)
-    assert (tmp_path / "negs.bin").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["negs.bin"]
-
-
-def test_cache_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTACACHE")
-    with pytest.raises(ConfigError):
-        load_cache(str(path))
