@@ -7,9 +7,9 @@ their sampled positives act as informative in-batch negatives for each other.
 
 Collation then samples a capped number of positives and cached hard
 negatives per query, unions them into the batch label pool, and records, for
-every query, which pool labels are true positives (and the transpose view:
-for every pool label, which batch queries are positive).  Membership tests
-run against the full ground truth, so a label brought in by one query also
+every query, which pool labels are true positives (and the transpose view),
+with the metrics' one membership test, ``data.hit_matrix``.  Membership runs
+against the full ground truth, so a label brought in by one query also
 counts as a positive of any other query that truly has it.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, hit_matrix
 from .errors import ConfigError
 from .negatives import HardNegativeCache
 
@@ -107,17 +107,19 @@ def batch_count(dataset: Dataset, batch_size: int) -> int:
     return -(-dataset.num_instances // batch_size)
 
 
-def sample_ids(ids: np.ndarray, cap: int,
-               rng: np.random.Generator) -> np.ndarray:
+def sample_ids(ids: np.ndarray, cap: int, seed) -> np.ndarray:
     """Sorted uniform sample without replacement of min(cap, |ids|) ids.
 
     Draws positives, extra classifier positives and cached hard negatives.
+    ``seed`` is a ``default_rng`` seed, such as collation's ``[seed, stream,
+    epoch, batch, query]`` key, or a Generator; one is built only to draw.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if cap <= 0 or ids.size == 0:
         return np.zeros(0, dtype=np.int64)
     if ids.size <= cap:
         return np.sort(ids)
+    rng = np.random.default_rng(seed)
     return np.sort(rng.choice(ids, size=cap, replace=False))
 
 
@@ -146,23 +148,25 @@ class CollatedBatch:
     clf_pl_idx: list[np.ndarray] | None = None
 
 
+def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """``values`` cut into consecutive pieces of the given lengths."""
+    return np.split(values, np.cumsum(counts))[:-1]
+
+
 def _pool_membership(query_ids: np.ndarray, pool: np.ndarray,
                      dataset: Dataset):
     """Each query's ground truth ∩ pool, as ids and pool positions, plus
-    the transpose."""
-    pb_ids, pb_idx = [], []
-    pl_idx = [[] for _ in range(pool.size)]
-    for qpos, qid in enumerate(query_ids):
-        inter = np.intersect1d(dataset.positives(int(qid)), pool,
-                               assume_unique=True)
-        pb_ids.append(inter)
-        idx = np.searchsorted(pool, inter)
-        pb_idx.append(idx)
-        for j in idx:
-            pl_idx[j].append(qpos)
-    pl_idx = [np.asarray(v, dtype=np.int64) for v in pl_idx]
-    pl_ids = [query_ids[v] for v in pl_idx]
-    return pb_ids, pb_idx, pl_ids, pl_idx
+    the transpose, from one ``hit_matrix`` of the queries' relevance rows
+    against the sorted pool, whose row-major nonzeros come out sorted."""
+    truth = dataset.relevance[query_ids]
+    t_row = np.repeat(np.arange(query_ids.size), np.diff(truth.indptr))
+    shape = (query_ids.size, pool.size)
+    hit = hit_matrix(np.broadcast_to(pool, shape), np.ones(shape, dtype=bool),
+                     t_row, truth.indices.astype(np.int64))
+    pb, pl = np.nonzero(hit)[1], np.nonzero(hit.T)[1]
+    pb_counts, pl_counts = hit.sum(axis=1), hit.sum(axis=0)
+    return (_split(pool[pb], pb_counts), _split(pb, pb_counts),
+            _split(query_ids[pl], pl_counts), _split(pl, pl_counts))
 
 
 def collate_from_samples(query_ids: np.ndarray, dataset: Dataset,
@@ -170,25 +174,18 @@ def collate_from_samples(query_ids: np.ndarray, dataset: Dataset,
                          extras: list | None = None) -> CollatedBatch:
     """Assemble pool and positive bookkeeping from already-drawn samples."""
     query_ids = np.asarray(query_ids, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
     if extras is None:
-        extras = [np.zeros(0, dtype=np.int64)] * query_ids.size
-    pool = np.unique(np.concatenate(sampled_pos + sampled_neg)) \
-        if query_ids.size else np.zeros(0, dtype=np.int64)
+        extras = [empty] * query_ids.size
+    pool = np.unique(np.concatenate([empty] + sampled_pos + sampled_neg))
     pb_ids, pb_idx, pl_ids, pl_idx = _pool_membership(query_ids, pool, dataset)
-    batch = CollatedBatch(query_ids, sampled_pos, sampled_neg, pool,
-                          pb_ids, pb_idx, pl_ids, pl_idx, extras)
-
+    # without extras the classifier side aliases the retrieval pool
+    batch = CollatedBatch(query_ids, sampled_pos, sampled_neg, pool, pb_ids,
+                          pb_idx, pl_ids, pl_idx, extras, pool, pb_idx, pl_idx)
     if any(e.size for e in extras):
-        clf_pool = np.unique(np.concatenate([pool] + extras))
-        _, clf_pb_idx, _, clf_pl_idx = _pool_membership(query_ids, clf_pool,
-                                                        dataset)
-        batch.clf_pool = clf_pool
-        batch.clf_pb_idx = clf_pb_idx
-        batch.clf_pl_idx = clf_pl_idx
-    else:
-        batch.clf_pool = pool
-        batch.clf_pb_idx = pb_idx
-        batch.clf_pl_idx = pl_idx
+        batch.clf_pool = np.unique(np.concatenate([pool] + extras))
+        _, batch.clf_pb_idx, _, batch.clf_pl_idx = _pool_membership(
+            query_ids, batch.clf_pool, dataset)
     return batch
 
 
@@ -201,28 +198,21 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
     if max_negatives > 0 and cache is None:
         raise ConfigError("hard-negative sampling requested without a cache")
     query_ids = np.asarray(query_ids, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
     sampled_pos, sampled_neg, extras = [], [], []
-    for qid in query_ids:
-        qid = int(qid)
+    for qid in query_ids.tolist():
+        key = [epoch, batch_index, qid]
         p_i = dataset.positives(qid)
-        rng_pos = np.random.default_rng(
-            [seed, STREAM_POSITIVES, epoch, batch_index, qid])
-        p_hat = sample_ids(p_i, max_positives, rng_pos)
+        p_hat = sample_ids(p_i, max_positives, [seed, STREAM_POSITIVES, *key])
         sampled_pos.append(p_hat)
-        if max_negatives > 0:
-            rng_neg = np.random.default_rng(
-                [seed, STREAM_NEGATIVES, epoch, batch_index, qid])
-            sampled_neg.append(sample_ids(cache.negatives[qid],
-                                          max_negatives, rng_neg))
-        else:
-            sampled_neg.append(np.zeros(0, dtype=np.int64))
-        if extra_clf_positives > 0:
-            rest = np.setdiff1d(p_i, p_hat, assume_unique=True)
-            rng_extra = np.random.default_rng(
-                [seed, STREAM_EXTRA_POSITIVES, epoch, batch_index, qid])
-            extras.append(sample_ids(rest, extra_clf_positives, rng_extra))
-        else:
-            extras.append(np.zeros(0, dtype=np.int64))
+        sampled_neg.append(
+            sample_ids(cache.negatives[qid], max_negatives,
+                       [seed, STREAM_NEGATIVES, *key])
+            if max_negatives > 0 else empty)
+        extras.append(
+            sample_ids(np.setdiff1d(p_i, p_hat, assume_unique=True),
+                       extra_clf_positives, [seed, STREAM_EXTRA_POSITIVES, *key])
+            if extra_clf_positives > 0 else empty)
     return collate_from_samples(query_ids, dataset, sampled_pos, sampled_neg,
                                 extras)
 

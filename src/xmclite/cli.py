@@ -155,6 +155,9 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
 
 def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
+    if config.data_format == "xmc-sparse":
+        raise ConfigError("simulate-batches clusters query texts, which "
+                          "data_format=xmc-sparse does not carry")
     cfg = config.train
     if config.checkpoint_path:
         params, _ = _checked_params(config, explicit)
@@ -166,9 +169,11 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     num_batches = batch_count(dataset, cfg.batch_size)
     q_emb = forward(params, featurize_all(dataset.instance_texts, vocab),
                     mode="eval", heads=("de",)).de_out
-    l_emb = forward(params, featurize_all(dataset.label_texts, vocab),
-                    mode="eval", heads=("de",)).de_out
-    # Every cap pair shares one batch plan and one cache per cache size.
+    # Labels are embedded only to mine.  Every cap pair shares one batch plan
+    # and one cache per cache size.
+    l_emb = (forward(params, featurize_all(dataset.label_texts, vocab),
+                     mode="eval", heads=("de",)).de_out
+             if any(config.sim_negative_caps) else None)
     plan = cluster_queries(q_emb, num_batches, cfg.seed)
     mined = {}
 

@@ -6,7 +6,7 @@ Two on-disk formats are supported for the instance side:
   whitespace-separated field is a comma-separated list of positive label ids,
   optionally followed by ``feature:value`` pairs which are ignored.  The format
   carries no raw text, so instance texts load empty; such datasets serve
-  evaluation and batch simulation, not encoder training.
+  as evaluation ground truth, not for training or batch simulation.
 * ``jsonl``: one ``{"text": ..., "labels": [...]}`` object per line.
 
 Label texts always come from a separate file, one label per line.  A label
@@ -79,6 +79,25 @@ def featurize_all(texts: list[np.ndarray], vocab: Vocabulary,
     mat.sum_duplicates()
     mat.sort_indices()
     return mat
+
+
+def hit_matrix(ids, held, t_row, t_ids) -> np.ndarray:
+    """Which held entries of the 2-d ``ids`` are in their row's truth set.
+
+    Row r's truth set is ``t_ids[t_row == r]``.  Each (row, label) pair
+    becomes one integer key; ids outside the range the truth sets span are
+    misses without being keyed.
+    """
+    hit = np.zeros(held.shape, dtype=bool)
+    if t_ids.size == 0:
+        return hit
+    lo, span = t_ids.min(), t_ids.max() - t_ids.min() + 1
+    t_keys = np.sort(t_row * span + (t_ids - lo))
+    inside = held & (ids >= lo) & (ids < lo + span)
+    keys = np.nonzero(inside)[0] * span + (ids[inside] - lo)
+    pos = np.minimum(np.searchsorted(t_keys, keys), t_keys.size - 1)
+    hit[inside] = t_keys[pos] == keys
+    return hit
 
 
 @dataclass

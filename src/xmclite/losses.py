@@ -109,20 +109,18 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     logp = logits - lse
 
     # pos_w[i, p] = per-positive weight; doubles as the label-side indicator.
+    # A repeated positive is set once but counts in its anchor's size.
+    sizes = np.fromiter(map(len, positive_sets), dtype=np.int64, count=n)
+    rows = np.repeat(np.arange(n), sizes)
+    cols = np.concatenate(positive_sets).astype(np.int64, copy=False)
+    active = sizes > 0
     pos_w = np.zeros((n, m))
-    coef = np.zeros(n)                # multiplier on the softmax term
-    active = np.zeros(n, dtype=bool)
-    for i, pos in enumerate(positive_sets):
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.size == 0:
-            continue
-        active[i] = True
-        if positive_reduction == "mean":
-            pos_w[i, pos] = 1.0 / pos.size
-            coef[i] = 1.0
-        else:
-            pos_w[i, pos] = 1.0
-            coef[i] = float(pos.size)
+    if positive_reduction == "mean":
+        pos_w[rows, cols] = 1.0 / sizes[rows]
+        coef = active.astype(np.float64)      # multiplier on the softmax term
+    else:
+        pos_w[rows, cols] = 1.0
+        coef = sizes.astype(np.float64)
 
     per_anchor = -(pos_w * logp).sum(axis=1)
     n_active = int(active.sum())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import hit_matrix
 from .errors import ConfigError
 
 DEFAULT_A = 0.55
@@ -57,24 +58,6 @@ def _id_matrix(predictions, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, held
 
 
-def _hit_matrix(ids, held, t_row, t_ids) -> np.ndarray:
-    """Which held entries of ``ids`` are in their row's truth set.
-
-    Each (row, label) pair becomes one integer key; ids outside the range the
-    truth sets span are misses without being keyed.
-    """
-    hit = np.zeros(held.shape, dtype=bool)
-    if t_ids.size == 0:
-        return hit
-    lo, span = t_ids.min(), t_ids.max() - t_ids.min() + 1
-    t_keys = np.sort(t_row * span + (t_ids - lo))
-    inside = held & (ids >= lo) & (ids < lo + span)
-    keys = np.nonzero(inside)[0] * span + (ids[inside] - lo)
-    pos = np.minimum(np.searchsorted(t_keys, keys), t_keys.size - 1)
-    hit[inside] = t_keys[pos] == keys
-    return hit
-
-
 def _scores_at_k(predictions, truth_sets: list, k_list,
                  propensities=None) -> tuple[dict, dict]:
     """``({k: P@k}, {k: PSP@k})`` for every k in ``k_list`` in one pass.
@@ -97,7 +80,7 @@ def _scores_at_k(predictions, truth_sets: list, k_list,
     t_ids = np.concatenate(truth) if n else np.zeros(0, dtype=np.int64)
     t_row = np.repeat(np.arange(n), t_len)
     ids, held = _id_matrix(predictions, k_max)
-    hit = _hit_matrix(ids, held, t_row, t_ids)
+    hit = hit_matrix(ids, held, t_row, t_ids)
     hits_at = np.cumsum(hit, axis=1)
     precision = {k: float(np.cumsum(hits_at[:, k - 1] / k)[-1] / n)
                  if n else 0.0 for k in k_list}

@@ -72,6 +72,67 @@ def bf_collate(query_ids, positive_map, sampled_pos, sampled_neg):
     return pool, pb, pl
 
 
+def loop_pool_membership(query_ids, pool, dataset):
+    """``batching._pool_membership`` as a per-query loop: one
+    ``np.intersect1d`` per query, and the transpose built label by label in
+    Python lists.  The vectorised membership must equal it exactly, dtypes
+    included.
+    """
+    pb_ids, pb_idx = [], []
+    pl_idx = [[] for _ in range(pool.size)]
+    for qpos, qid in enumerate(query_ids):
+        inter = np.intersect1d(dataset.positives(int(qid)), pool,
+                               assume_unique=True)
+        pb_ids.append(inter)
+        idx = np.searchsorted(pool, inter)
+        pb_idx.append(idx)
+        for j in idx:
+            pl_idx[j].append(qpos)
+    pl_idx = [np.asarray(v, dtype=np.int64) for v in pl_idx]
+    pl_ids = [query_ids[v] for v in pl_idx]
+    return pb_ids, pb_idx, pl_ids, pl_idx
+
+
+def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
+                             positive_reduction="mean",
+                             batch_reduction="mean"):
+    """``losses.pooled_softmax_loss`` with its positive weights set anchor by
+    anchor.  Returns ``(value, per_anchor, d_anchors, d_targets)``; every
+    array operation is the package's, so the results must equal it bitwise.
+    """
+    n, m = anchors.shape[0], targets.shape[0]
+    if n == 0 or m == 0:
+        return 0.0, np.zeros(n), np.zeros_like(anchors), np.zeros_like(targets)
+    logits = (anchors @ targets.T) / temperature
+    row_max = logits.max(axis=1, keepdims=True)
+    lse = row_max + np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
+    logp = logits - lse
+    pos_w = np.zeros((n, m))
+    coef = np.zeros(n)
+    active = np.zeros(n, dtype=bool)
+    for i, pos in enumerate(positive_sets):
+        pos = np.asarray(pos, dtype=np.int64)
+        if pos.size == 0:
+            continue
+        active[i] = True
+        if positive_reduction == "mean":
+            pos_w[i, pos] = 1.0 / pos.size
+            coef[i] = 1.0
+        else:
+            pos_w[i, pos] = 1.0
+            coef[i] = float(pos.size)
+    per_anchor = -(pos_w * logp).sum(axis=1)
+    n_active = int(active.sum())
+    if n_active == 0:
+        return 0.0, per_anchor, np.zeros_like(anchors), np.zeros_like(targets)
+    weight = 1.0 / n_active if batch_reduction == "mean" else 1.0
+    value = float(per_anchor[active].sum() * weight)
+    d_logits = weight * (coef[:, None] * np.exp(logp) - pos_w)
+    d_logits[~active] = 0.0
+    return (value, per_anchor, (d_logits @ targets) / temperature,
+            (d_logits.T @ anchors) / temperature)
+
+
 def bf_top_k(scores, k):
     """Ranked indices, highest score first, ties toward the lower index."""
     order = sorted(range(len(scores)), key=lambda j: (-float(scores[j]), j))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xmclite import (ConfigError, batch_stats, cluster_queries, collate_batch,
                      collate_from_samples, make_dataset, mine_hard_negatives,
@@ -10,7 +12,7 @@ from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.data import Vocabulary
 
 from conftest import id_dataset, unit_rows
-from oracles import bf_collate
+from oracles import bf_collate, loop_pool_membership
 
 
 def _arr(xs):
@@ -105,6 +107,31 @@ def test_sample_positives_inclusion_is_uniform():
         assert abs(hits[int(p)] / trials - 0.5) < 0.01
 
 
+def test_sample_ids_builds_a_generator_only_to_draw(monkeypatch):
+    built = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        built.append(seed)
+        return real(seed)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    ids = _arr([7, 3, 5])
+    for cap in (0, 3, 4):
+        sample_ids(ids, cap, [1, 2, 3])
+    sample_ids(_arr([]), 2, [1, 2, 3])
+    assert built == []
+    got = sample_ids(ids, 2, [1, 2, 3])
+    assert built == [[1, 2, 3]]
+    # a key and the generator it seeds draw the same sample
+    assert np.array_equal(got, sample_ids(ids, 2, real([1, 2, 3])))
+    # collation makes no generator when no query has more ids than its cap
+    built.clear()
+    ds = _dataset_from_sets([[0, 1], [2], []], 3)
+    collate_batch(_arr([0, 1, 2]), ds, None, max_positives=2,
+                  max_negatives=0, seed=0, extra_clf_positives=1)
+    assert built == []
+
+
 # ------------------------------------------------------------------ collation
 
 def _dataset_from_sets(sets, num_labels):
@@ -143,6 +170,64 @@ def test_anothers_hard_negative_counts_as_positive():
     assert batch.pb_ids[0].tolist() == [0, 1]   # label 1 arrived via query 1
     assert batch.pb_ids[1].tolist() == [2]
     assert [v.tolist() for v in batch.pl_idx] == [[0], [0], [1]]
+
+
+def _case(truth, num_labels, query_ids, pos, neg, extras=None):
+    """A collation input: dataset, query ids, samples and extras."""
+    return (_dataset_from_sets(truth, num_labels), _arr(query_ids),
+            [_arr(p) for p in pos], [_arr(h) for h in neg],
+            None if extras is None else [_arr(e) for e in extras])
+
+
+@st.composite
+def _collation_cases(draw):
+    """Datasets with empty truth rows, batches with repeated query ids or
+    none, samples that leave the pool empty or bring in labels no query
+    has, and extra classifier positives (none, all empty, or some)."""
+    num_labels = draw(st.integers(1, 10))
+    label = st.integers(0, num_labels - 1)
+    n = draw(st.integers(1, 8))
+    truth = [sorted(draw(st.sets(label, max_size=6))) for _ in range(n)]
+    query_ids = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    ids = st.sets(label, max_size=3).map(sorted)
+    pos = [draw(ids) for _ in query_ids]
+    neg = [draw(ids) for _ in query_ids]
+    extras = [draw(ids) for _ in query_ids] if draw(st.booleans()) else None
+    return _case(truth, num_labels, query_ids, pos, neg, extras)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_collation_cases())
+# an empty pool, and a pool label (3) in no truth set next to an empty row
+@example(_case([[0, 1], []], 3, [0, 1], [[], []], [[], []], [[], []]))
+@example(_case([[0, 2], [], [1, 2]], 4, [2, 0, 1], [[2], [], [1]],
+               [[3], [1], []], [[1], [], [2]]))
+def test_collate_from_samples_equals_the_per_query_loop(case):
+    ds, query_ids, pos, neg, extras = case
+    batch = collate_from_samples(query_ids, ds, pos, neg, extras)
+    pool = np.unique(np.concatenate([_arr([])] + pos + neg))
+    assert np.array_equal(batch.label_pool, pool)
+    want = loop_pool_membership(query_ids, pool, ds)
+    for got, w in zip((batch.pb_ids, batch.pb_idx, batch.pl_ids,
+                       batch.pl_idx), want):
+        _assert_same_arrays(got, w)
+    if extras is None or not any(e.size for e in extras):
+        assert batch.clf_pool is batch.label_pool
+        assert batch.clf_pb_idx is batch.pb_idx
+        assert batch.clf_pl_idx is batch.pl_idx
+        return
+    clf_pool = np.unique(np.concatenate([pool] + extras))
+    assert np.array_equal(batch.clf_pool, clf_pool)
+    _, pb_idx, _, pl_idx = loop_pool_membership(query_ids, clf_pool, ds)
+    _assert_same_arrays(batch.clf_pb_idx, pb_idx)
+    _assert_same_arrays(batch.clf_pl_idx, pl_idx)
 
 
 def test_collate_batch_matches_brute_force_definitions():

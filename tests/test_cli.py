@@ -318,7 +318,7 @@ def test_simulate_batches_without_checkpoint(tmp_path):
 
 def test_simulate_batches_clusters_once_and_mines_once_per_cache_size(
         workspace, tmp_path, monkeypatch):
-    calls = {"cluster_queries": 0, "mine_hard_negatives": 0}
+    calls = {"cluster_queries": 0, "mine_hard_negatives": 0, "forward": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -335,18 +335,42 @@ def test_simulate_batches_clusters_once_and_mines_once_per_cache_size(
         "--sim-positive-caps", "1,2,3", "--sim-negative-caps", "0,2",
         "--batch-size", "8"])
     assert rc == 0 and len(out.splitlines()) == 1 + 6
-    assert calls == {"cluster_queries": 1, "mine_hard_negatives": 1}
+    # one forward over the queries, one over the labels for the one cache
+    assert calls == {"cluster_queries": 1, "mine_hard_negatives": 1,
+                     "forward": 2}
     # With refresh_interval 2, negative caps 2 and 3 resolve to cache sizes
     # 4 and 6; with cache_size 5 both resolve to 5 and share one cache.
-    for extra, mined in ((["--refresh-interval", "2"], 2),
-                         (["--cache-size", "5"], 1)):
-        calls.update(cluster_queries=0, mine_hard_negatives=0)
+    # With every negative cap 0 nothing is mined and no label is embedded.
+    for caps, extra, mined in (("2,3,0", ["--refresh-interval", "2"], 2),
+                               ("2,3,0", ["--cache-size", "5"], 1),
+                               ("0,0", [], 0)):
+        calls.update(cluster_queries=0, mine_hard_negatives=0, forward=0)
         rc, _ = _run(["simulate-batches"] + workspace["common"] + [
             "--checkpoint-path", workspace["ckpt"], "--out-dir", str(tmp_path),
-            "--sim-positive-caps", "1,2", "--sim-negative-caps", "2,3,0",
+            "--sim-positive-caps", "1,2", "--sim-negative-caps", caps,
             "--batch-size", "8"] + extra)
         assert rc == 0
-        assert calls == {"cluster_queries": 1, "mine_hard_negatives": mined}
+        assert calls == {"cluster_queries": 1, "mine_hard_negatives": mined,
+                         "forward": 1 + (mined > 0)}
+
+
+@pytest.mark.parametrize("with_checkpoint", [False, True])
+def test_simulate_batches_rejects_xmc_sparse_queries(workspace, tmp_path,
+                                                     capsys, with_checkpoint):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("3 8\n0,1 5:1.0\n2\n3,7\n", encoding="utf-8")
+    out = tmp_path / "run"
+    argv = ["simulate-batches", "--queries-path", str(queries),
+            "--labels-path", workspace["labels"], "--data-format",
+            "xmc-sparse", "--out-dir", str(out), "--batch-size", "2"
+            ] + SMALL_DIMS
+    if with_checkpoint:
+        argv += ["--checkpoint-path", workspace["ckpt"]]
+    rc, stdout = _run(argv)
+    assert rc == 2 and stdout == ""
+    err = capsys.readouterr().err
+    assert "xmc-sparse" in err and "clusters query texts" in err
+    assert not (out / "batch_stats.csv").exists()
 
 
 @pytest.mark.parametrize("argv,key", [

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xmclite import (ConfigError, LossConfig, classifier_loss, combined_loss,
                      pooled_softmax_loss, retrieval_loss, symmetric_pool_loss)
 
 from conftest import random_positive_sets, unit_rows
 from oracles import (bf_pool_loss, bf_symmetric_loss, finite_difference,
-                     max_relative_error)
+                     loop_pooled_softmax_loss, max_relative_error)
 
 LN2 = 0.6931471805599453
 LN3 = 1.0986122886681098
@@ -137,6 +139,41 @@ def test_pool_loss_matches_brute_force_on_random_instances():
                                           p_red, b_red).value
                 want = bf_pool_loss(anchors, targets, pos, temp, p_red, b_red)
                 assert got == pytest.approx(want, abs=1e-10)
+
+
+@st.composite
+def _pool_loss_cases(draw):
+    """Anchors, targets and positive sets that between them hold empty
+    anchor or target sets, anchors with no positives, repeated positives,
+    and sets given as Python lists or as int64 arrays."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 4))
+    sets = [draw(st.lists(st.integers(0, m - 1), max_size=5)) if m else []
+            for _ in range(n)]
+    if draw(st.booleans()):
+        sets = [np.asarray(s, dtype=np.int64) for s in sets]
+    temp = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    return rng.normal(size=(n, d)), rng.normal(size=(m, d)), sets, temp
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pool_loss_cases())
+@example((np.array([[1.0, 0.0], [0.5, 0.5]]), np.eye(2)[[0, 1, 1]],
+          [[2, 2, 0], []], 0.3))
+def test_pool_loss_equals_the_per_anchor_loop_bitwise(case):
+    anchors, targets, sets, temp = case
+    for p_red in ("mean", "sum"):
+        for b_red in ("mean", "sum"):
+            got = pooled_softmax_loss(anchors, targets, sets, temp,
+                                      p_red, b_red)
+            value, per_anchor, d_anchors, d_targets = \
+                loop_pooled_softmax_loss(anchors, targets, sets, temp,
+                                         p_red, b_red)
+            assert got.value == value
+            assert np.array_equal(got.per_anchor, per_anchor)
+            assert np.array_equal(got.d_anchors, d_anchors)
+            assert np.array_equal(got.d_targets, d_targets)
 
 
 def test_pool_loss_gradients_match_finite_differences():
