@@ -27,6 +27,7 @@ from .errors import ConfigError, DegenerateEmbeddingError
 from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"XMCLITE1"
+ROW_TABLES = ("embed", "classifiers")  # lookup tables with row-sparse grads
 
 
 @dataclass
@@ -109,10 +110,8 @@ class ForwardTrace:
 
     feats: sp.csr_matrix              # row-normalized features
     enc: np.ndarray
-    mode: str
     de_act: np.ndarray | None = None  # tanh output, pre-dropout
     de_mask: np.ndarray | None = None
-    de_kept: np.ndarray | None = None  # post-dropout, pre-normalization
     de_norm: np.ndarray | None = None  # (n, 1) row norms
     de_out: np.ndarray | None = None   # unit rows
     clf_mask: np.ndarray | None = None
@@ -140,7 +139,7 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     norm_feats = mean_normalize(feats)
     enc = np.asarray(norm_feats @ params.embed)
-    trace = ForwardTrace(feats=norm_feats, enc=enc, mode=mode)
+    trace = ForwardTrace(feats=norm_feats, enc=enc)
     train = mode == "train" and params.dropout > 0.0
 
     if "de" in heads:
@@ -160,7 +159,6 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
         if bad.size:
             raise DegenerateEmbeddingError(
                 f"zero-norm vector before normalization at rows {bad.tolist()}")
-        trace.de_kept = kept
         trace.de_norm = norms
         trace.de_out = kept / norms
 
@@ -170,8 +168,7 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
             if clf_mask is None:
                 if rng is None:
                     raise ValueError("train-mode forward needs an rng or masks")
-            clf_mask = (clf_mask if clf_mask is not None
-                        else _dropout_mask(pre.shape, params.dropout, rng))
+                clf_mask = _dropout_mask(pre.shape, params.dropout, rng)
             trace.clf_mask = clf_mask
             trace.clf_out = pre * clf_mask
         else:
@@ -184,9 +181,9 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
 class Grads:
     """Parameter gradients.
 
-    ``embed`` is row-sparse: a ``(row_ids, rows)`` pair of sorted unique int64
-    row ids and their ``(len(row_ids), encoder_dim)`` gradient rows.  Rows it
-    does not name have zero gradient.  The other groups are dense arrays.
+    The lookup tables ``embed`` and ``classifiers`` are row-sparse: each is a
+    ``(row_ids, rows)`` pair of sorted unique int64 row ids and their gradient
+    rows; rows it does not name have zero gradient.  Head groups are dense.
     """
 
     embed: tuple
@@ -194,21 +191,24 @@ class Grads:
     de_b: np.ndarray
     clf_w: np.ndarray
     clf_b: np.ndarray
-    classifiers: np.ndarray
+    classifiers: tuple
     hash_dim: int
+    num_labels: int
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Gradient values by group; ``embed`` gives only its named rows."""
+        """Gradient values by group; the row tables give only their rows."""
         return {"embed": self.embed[1], "de_w": self.de_w, "de_b": self.de_b,
                 "clf_w": self.clf_w, "clf_b": self.clf_b,
-                "classifiers": self.classifiers}
+                "classifiers": self.classifiers[1]}
 
     def dense(self) -> dict[str, np.ndarray]:
-        """Like ``arrays`` but with ``embed`` as a full ``hash_dim`` table."""
-        row_ids, rows = self.embed
-        embed = np.zeros((self.hash_dim, rows.shape[1]), dtype=rows.dtype)
-        embed[row_ids] = rows
-        return {**self.arrays(), "embed": embed}
+        """Like ``arrays`` but with the row tables expanded to full tables."""
+        full = self.arrays()
+        for name, size in zip(ROW_TABLES, (self.hash_dim, self.num_labels)):
+            row_ids, rows = getattr(self, name)
+            full[name] = np.zeros((size, rows.shape[1]), dtype=rows.dtype)
+            full[name][row_ids] = rows
+        return full
 
     def scale_(self, factor: float) -> "Grads":
         for v in self.arrays().values():
@@ -223,24 +223,26 @@ class Grads:
 def merge_rows(a: tuple, b: tuple) -> tuple:
     """Sum of two ``(row_ids, rows)`` blocks over the union of their ids.
 
-    Each row is computed as ``(0 + a) + b``, the order in which ``+=`` into a
-    zeroed dense table would add them, so the sum is bitwise the dense one.
+    Ids may repeat.  Each row adds ``a``'s rows, then ``b``'s, to zero in the
+    order given, as ``np.add.at`` into a zeroed dense table would, so the sum
+    is bitwise the dense one.
     """
     row_ids = np.union1d(a[0], b[0])
-    rows = np.zeros((row_ids.size, a[1].shape[1]),
-                    dtype=np.result_type(a[1], b[1]))
-    rows[np.searchsorted(row_ids, a[0])] += a[1]
-    rows[np.searchsorted(row_ids, b[0])] += b[1]
+    width = a[1].shape[1]
+    rows = np.zeros((row_ids.size, width), dtype=np.result_type(a[1], b[1]))
+    for ids, vals in (a, b):
+        # flat element indices: np.add.at on 2-D rows is several times slower
+        flat = np.searchsorted(row_ids, ids)[:, None] * width + np.arange(width)
+        np.add.at(rows.reshape(-1), flat.reshape(-1), vals.reshape(-1))
     return row_ids, rows
 
 
 def zero_grads(params: ModelParams) -> Grads:
-    """Empty embedding rows and zeroed dense groups."""
-    dense = {k: np.zeros_like(v) for k, v in params.arrays().items()
-             if k != "embed"}
-    embed = (np.empty(0, dtype=np.int64),
-             np.empty((0, params.encoder_dim), dtype=params.embed.dtype))
-    return Grads(embed=embed, **dense, hash_dim=params.hash_dim)
+    """Empty row-table pairs and zeroed head groups."""
+    groups = {k: (np.zeros(0, np.int64), v[:0].copy()) if k in ROW_TABLES
+              else np.zeros_like(v) for k, v in params.arrays().items()}
+    return Grads(**groups, hash_dim=params.hash_dim,
+                 num_labels=params.num_labels)
 
 
 def backward(params: ModelParams, trace: ForwardTrace,
@@ -253,12 +255,11 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
     ``d_de`` / ``d_clf`` are loss gradients w.r.t. the head outputs;
     ``d_classifier_rows`` are gradients w.r.t. the classifier-table rows named
-    by ``classifier_ids``.  Rows/params not touched keep zero gradient; the
-    embedding gradient gains rows only for the trace's feature columns.
+    by ``classifier_ids`` (in ``[0, num_labels)``; repeats add up).  Untouched
+    rows/params keep zero gradient; embedding rows come from feature columns.
     """
     g = out if out is not None else zero_grads(params)
     d_enc = np.zeros_like(trace.enc)
-    touched = False
 
     if d_de is not None:
         if trace.de_out is None:
@@ -273,7 +274,6 @@ def backward(params: ModelParams, trace: ForwardTrace,
         g.de_w += trace.enc.T @ d_pre
         g.de_b += d_pre.sum(axis=0)
         d_enc += d_pre @ params.de_w.T
-        touched = True
 
     if d_clf is not None:
         if trace.clf_out is None:
@@ -284,9 +284,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
         g.clf_w += trace.enc.T @ d_pre
         g.clf_b += d_pre.sum(axis=0)
         d_enc += d_pre @ params.clf_w.T
-        touched = True
 
-    if touched:
+    if d_de is not None or d_clf is not None:
         # feats.T @ d_enc over the batch's feature columns only: the compact
         # matrix keeps each row's entry order, so every row sums its terms in
         # the same order as the full-width product.
@@ -303,7 +302,9 @@ def backward(params: ModelParams, trace: ForwardTrace,
         ids = np.asarray(classifier_ids)
         if d_classifier_rows.shape != (len(ids), params.search_dim):
             raise ValueError("classifier gradient shape mismatch")
-        np.add.at(g.classifiers, ids, d_classifier_rows)
+        if ids.size and not 0 <= ids.min() <= ids.max() < params.num_labels:
+            raise ValueError(f"classifier_ids outside [0, {params.num_labels})")
+        g.classifiers = merge_rows(g.classifiers, (ids, d_classifier_rows))
 
     return g
 

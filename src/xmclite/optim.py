@@ -2,10 +2,10 @@
 
 Three groups: the token-embedding table, the two projection heads, and the
 classifier table.  The update is dense Adam's: a row whose gradient is zero on
-some step still drifts while its first moment decays.  The embedding gradient
-arrives row-sparse, so the embedding group is updated only on its active rows,
-the rows that have had a gradient on some step.  That is exact: a row that
-never had one keeps ``m = v = 0``, so dense Adam would move it by
+some step still drifts while its first moment decays.  Both lookup tables get
+row-sparse gradients, so each is updated only on its active rows, the rows
+that have had a gradient on some step.  That is exact: a row that never had
+one keeps ``m = v = 0``, so dense Adam would move it by
 ``lr * 0 / (0 + eps) = 0``, and ``x - 0.0 == x`` bitwise.  Active rows get the
 same elementwise expressions, in the same order, as the dense update.
 """
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingAbort
-from .model import Grads, ModelParams
+from .model import ROW_TABLES, Grads, ModelParams
 
-# Active embedding rows updated per block.  Whole-set temporaries (about ten
-# arrays of active rows x encoder_dim) left tens of MB of freed heap resident
-# after training; blocks of 256 rows keep each one at 128 KB (encoder_dim 64)
-# and run faster than larger blocks.
+# Active rows of a lookup table updated per block.  Whole-set temporaries
+# (about ten arrays of active rows x row width) left tens of MB of freed heap
+# resident after training; blocks of 256 rows keep each one at 128 KB (width
+# 64) and run faster than larger blocks.
 _ROW_BLOCK = 256
 
 _GROUP_OF = {"embed": "encoder", "de_w": "heads", "de_b": "heads",
@@ -40,20 +40,21 @@ class Adam:
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    # sorted ids of the embedding rows that have had a gradient
-    active: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
+    # per lookup table, the sorted ids of the rows that have had a gradient
+    active: dict = field(default_factory=lambda: {
+        name: np.empty(0, dtype=np.int64) for name in ROW_TABLES})
 
     def _lr(self, name: str) -> float:
         return {"encoder": self.lr_encoder, "heads": self.lr_heads,
                 "classifiers": self.lr_classifiers}[_GROUP_OF[name]]
 
-    def _update(self, m, v, x, g, lr: float, bc1: float, bc2: float) -> None:
+    def _update(self, m, v, x, g, lr: float, bc1: float, bc2: float) -> bool:
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         x -= lr * ((m / bc1) / (np.sqrt(v / bc2) + self.eps))
+        return bool(np.all(np.isfinite(x)))
 
     def step(self, params: ModelParams, grads: Grads,
              grad_clip: float = 0.0) -> None:
@@ -78,35 +79,33 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(x)
                 self.v[name] = np.zeros_like(x)
-            if name == "embed":
-                finite[name] = self._step_embed(grads.embed, x, bc1, bc2)
+            if name in ROW_TABLES:
+                finite[name] = self._step_rows(name, grads, x, bc1, bc2)
             else:
-                self._update(self.m[name], self.v[name], x, g,
-                             self._lr(name), bc1, bc2)
-                finite[name] = bool(np.all(np.isfinite(x)))
+                finite[name] = self._update(self.m[name], self.v[name], x, g,
+                                            self._lr(name), bc1, bc2)
         for name, ok in finite.items():
             if not ok:
                 raise TrainingAbort(
                     f"non-finite values in {name} after step {t}")
 
-    def _step_embed(self, grad: tuple, table: np.ndarray, bc1: float,
-                    bc2: float) -> bool:
-        """Update the active rows of ``table``; True if they stay finite.
+    def _step_rows(self, name: str, grads: Grads, table: np.ndarray,
+                   bc1: float, bc2: float) -> bool:
+        """Update the active rows of lookup table ``name``; True if finite.
 
         Only these rows can change, so only they are checked.
         """
-        row_ids, rows = grad
-        self.active = np.union1d(self.active, row_ids)
-        pos = np.searchsorted(self.active, row_ids)
-        m_all, v_all = self.m["embed"], self.v["embed"]
-        lr, finite = self._lr("embed"), True
-        for start in range(0, self.active.size, _ROW_BLOCK):
-            idx = self.active[start:start + _ROW_BLOCK]
+        row_ids, rows = getattr(grads, name)
+        active = self.active[name] = np.union1d(self.active[name], row_ids)
+        pos = np.searchsorted(active, row_ids)
+        m_all, v_all = self.m[name], self.v[name]
+        lr, finite = self._lr(name), True
+        for start in range(0, active.size, _ROW_BLOCK):
+            idx = active[start:start + _ROW_BLOCK]
             lo, hi = np.searchsorted(pos, [start, start + idx.size])
             g = np.zeros((idx.size, table.shape[1]), dtype=rows.dtype)
             g[pos[lo:hi] - start] = rows[lo:hi]
             m, v, x = m_all[idx], v_all[idx], table[idx]
-            self._update(m, v, x, g, lr, bc1, bc2)
+            finite &= self._update(m, v, x, g, lr, bc1, bc2)
             m_all[idx], v_all[idx], table[idx] = m, v, x
-            finite = finite and bool(np.all(np.isfinite(x)))
         return finite

@@ -217,12 +217,16 @@ def test_backward_matches_finite_differences():
 def test_backward_accumulates_repeated_classifier_ids():
     p = init_params(4, 2, 2, 5, seed=0)
     trace = forward(p, sp.csr_matrix(np.ones((1, 4))))
-    rows = np.ones((3, 2))
-    g = backward(p, trace, d_classifier_rows=rows,
-                 classifier_ids=np.array([1, 1, 3]))
-    assert np.array_equal(g.classifiers[1], [2.0, 2.0])
-    assert np.array_equal(g.classifiers[3], [1.0, 1.0])
-    assert np.all(g.classifiers[[0, 2, 4]] == 0.0)
+    ids = np.array([3, 1, 1, 3, 0, 1])
+    rows = np.random.default_rng(5).normal(size=(ids.size, 2))
+    g = backward(p, trace, d_classifier_rows=rows, classifier_ids=ids)
+    dense = np.zeros_like(p.classifiers)
+    np.add.at(dense, ids, rows)
+    row_ids, got = g.classifiers
+    assert row_ids.dtype == np.int64
+    assert row_ids.tolist() == [0, 1, 3]
+    assert np.array_equal(got, dense[row_ids])
+    assert np.array_equal(g.dense()["classifiers"], dense)
     assert np.all(g.dense()["embed"] == 0.0)  # no head gradients were given
 
 
@@ -257,6 +261,10 @@ def test_backward_validates_inputs():
         backward(p, trace, d_clf=np.zeros((2, 2)))  # wrong shape
     with pytest.raises(ValueError):
         backward(p, trace, d_classifier_rows=np.zeros((1, 2)))  # no ids
+    for bad_id in (-1, 5):  # outside [0, num_labels)
+        with pytest.raises(ValueError, match="classifier_ids"):
+            backward(p, trace, d_classifier_rows=np.zeros((2, 2)),
+                     classifier_ids=np.array([0, bad_id]))
 
 
 def test_grads_arithmetic_and_norm():

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import BfDenseAdam
 from xmclite import Adam, TrainingAbort, init_params, optim, zero_grads
+from xmclite.model import ROW_TABLES
 
 # scalar trajectory under constant gradient 1.0 at lr=0.1 (frozen from an
 # independent stdlib computation)
@@ -23,11 +24,11 @@ def test_first_two_steps_match_frozen_values():
     p = _zeroed_params()
     opt = Adam(lr_classifiers=0.1)
     g = zero_grads(p)
-    g.classifiers[0, 0] = 1.0
+    g.classifiers = (np.array([0]), np.array([[1.0]]))
     opt.step(p, g)
     assert p.classifiers[0, 0] == pytest.approx(STEP_1, abs=1e-16)
     g2 = zero_grads(p)
-    g2.classifiers[0, 0] = 1.0
+    g2.classifiers = (np.array([0]), np.array([[1.0]]))
     opt.step(p, g2)
     assert p.classifiers[0, 0] == pytest.approx(STEP_1 + STEP_2, abs=1e-15)
     assert opt.step_count == 2
@@ -38,7 +39,7 @@ def test_zero_gradient_entries_never_move():
     opt = Adam(lr_classifiers=0.1)
     for _ in range(3):
         g = zero_grads(p)
-        g.classifiers[0, 0] = 1.0
+        g.classifiers = (np.array([0]), np.array([[1.0]]))
         opt.step(p, g)
     # the sibling row and all other groups saw only zero gradients
     assert p.classifiers[1, 0] == 0.0
@@ -52,7 +53,7 @@ def test_touched_entries_drift_on_later_zero_gradient_steps():
     p = _zeroed_params()
     opt = Adam(lr_classifiers=0.1)
     g = zero_grads(p)
-    g.classifiers[0, 0] = 1.0
+    g.classifiers = (np.array([0]), np.array([[1.0]]))
     opt.step(p, g)
     before = p.classifiers[0, 0]
     opt.step(p, zero_grads(p))
@@ -66,6 +67,7 @@ def test_learning_rates_are_per_group():
     for arr in g.arrays().values():
         arr[:] = 1.0
     g.embed = (np.arange(4), np.ones((4, 2)))
+    g.classifiers = (np.arange(2), np.ones((2, 1)))
     opt.step(p, g)
     unit = STEP_1 / 0.1  # shared update direction for a unit gradient
     assert np.allclose(p.embed, 1e-4 * unit, rtol=1e-12)
@@ -82,7 +84,7 @@ def test_gradient_clipping_matches_manual_prescaling():
         opt = Adam()
         g = zero_grads(p)
         g.embed = (np.arange(4), np.full((4, 2), 3.0))
-        g.classifiers[:] = -2.0
+        g.classifiers = (np.arange(2), np.full((2, 1), -2.0))
         if scale is not None:
             g.scale_(scale)
         opt.step(p, g, grad_clip=clip)
@@ -117,11 +119,24 @@ def test_non_finite_gradients_abort_before_updating():
         opt.step(p, g)
 
 
+@pytest.mark.parametrize("name", ["embed", "classifiers"])
+def test_update_that_overflows_a_row_aborts(name):
+    p = _zeroed_params()
+    table = p.arrays()[name]
+    table[0] = -1e308
+    opt = Adam(lr_encoder=1e308, lr_classifiers=1e308)
+    g = zero_grads(p)
+    setattr(g, name, (np.array([0]), np.ones((1, table.shape[1]))))
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingAbort, match=f"non-finite values in {name} after step 1"):
+        opt.step(p, g)
+
+
 def test_moments_are_kept_per_parameter():
     p = _zeroed_params()
     opt = Adam(lr_classifiers=0.1, lr_heads=0.1)
     g = zero_grads(p)
-    g.classifiers[0, 0] = 1.0
+    g.classifiers = (np.array([0]), np.array([[1.0]]))
     opt.step(p, g)
     # a fresh parameter touched on step 2 still gets full bias correction
     g2 = zero_grads(p)
@@ -136,42 +151,49 @@ def test_moments_are_kept_per_parameter():
 @pytest.mark.parametrize("row_block", [256, 3])
 def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
     monkeypatch.setattr(optim, "_ROW_BLOCK", row_block)
-    p = init_params(8, 3, 2, 4, seed=1)
+    p = init_params(8, 3, 2, 6, seed=1)
     ref = p.copy()
     opt = Adam(lr_encoder=0.01, lr_heads=0.02, lr_classifiers=0.05)
     lrs = {"embed": 0.01, "de_w": 0.02, "de_b": 0.02, "clf_w": 0.02,
            "clf_b": 0.02, "classifiers": 0.05}
     oracle = BfDenseAdam(lrs)
     rng = np.random.default_rng(4)
-    # rows 1 and 2 are touched, skipped, then touched again; row 5 is
-    # touched once and then only decays
-    embed_rows = [[1, 2], [5], [], [1, 6], [0, 2, 3, 4, 7], [2]]
-    for step, rows in enumerate(embed_rows, start=1):
+    # In both lookup tables, rows 1 and 2 are touched, skipped, then touched
+    # again; row 5 (embed) and row 4 (classifiers) are touched once and then
+    # only decay; classifier rows 0, 3 and 5 are never touched.
+    rows = {"embed": [[1, 2], [5], [], [1, 6], [0, 2, 3, 4, 7], [2]],
+            "classifiers": [[1, 2], [4], [], [1, 2], [2], [1]]}
+    for step, touched in enumerate(zip(*rows.values()), start=1):
         g = zero_grads(p)
         for name, arr in g.arrays().items():
-            if name != "embed":
+            if name not in ROW_TABLES:
                 arr[:] = rng.normal(size=arr.shape)
-        g.embed = (np.array(rows, dtype=np.int64),
-                   rng.normal(size=(len(rows), 3)))
+        for name, ids in zip(rows, touched):
+            width = p.arrays()[name].shape[1]
+            setattr(g, name, (np.array(ids, dtype=np.int64),
+                              rng.normal(size=(len(ids), width))))
         oracle.step(ref.arrays(), g.dense())
         opt.step(p, g)
         for name, arr in p.arrays().items():
             assert np.array_equal(arr, ref.arrays()[name]), (step, name)
             assert np.array_equal(opt.m[name], oracle.m[name]), (step, name)
             assert np.array_equal(opt.v[name], oracle.v[name]), (step, name)
-    assert opt.active.tolist() == list(range(8))
+    assert opt.active["embed"].tolist() == list(range(8))
+    assert opt.active["classifiers"].tolist() == [1, 2, 4]
 
-    # a non-finite embedding row aborts before anything moves
+    # a non-finite row of either lookup table aborts before anything moves
     before = p.copy()
     moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in opt.m}
-    g = zero_grads(p)
-    g.de_w[:] = 1.0
-    g.embed = (np.array([3, 5]), np.array([[0.5, 0.5, 0.5],
-                                           [0.5, np.nan, 0.5]]))
-    with pytest.raises(TrainingAbort, match="embed"):
-        opt.step(p, g)
-    assert opt.step_count == len(embed_rows)
-    for name, arr in p.arrays().items():
-        assert np.array_equal(arr, before.arrays()[name]), name
-        assert np.array_equal(opt.m[name], moments[name][0]), name
-        assert np.array_equal(opt.v[name], moments[name][1]), name
+    for name in ROW_TABLES:
+        g = zero_grads(p)
+        g.de_w[:] = 1.0
+        bad = np.full((2, p.arrays()[name].shape[1]), 0.5)
+        bad[1, 1] = np.nan
+        setattr(g, name, (np.array([3, 5]), bad))
+        with pytest.raises(TrainingAbort, match=name):
+            opt.step(p, g)
+        assert opt.step_count == len(rows["embed"])
+        for key, arr in p.arrays().items():
+            assert np.array_equal(arr, before.arrays()[key]), (name, key)
+            assert np.array_equal(opt.m[key], moments[key][0]), (name, key)
+            assert np.array_equal(opt.v[key], moments[key][1]), (name, key)
