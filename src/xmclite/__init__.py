@@ -10,8 +10,8 @@ bounded memory.
 
 from .batching import (BatchPlan, CollatedBatch, batch_stats, cluster_queries,
                        collate_batch, collate_from_samples, sample_ids)
-from .data import (Dataset, Vocabulary, featurize, featurize_all,
-                   load_dataset, make_dataset, save_sparse, synth_dataset)
+from .data import (Dataset, Vocabulary, featurize_all, load_dataset,
+                   make_dataset, save_sparse, synth_dataset)
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
                      TrainingAbort, XmcliteError)
 from .infer import (LabelIndex, build_index, label_vectors, predict,

@@ -19,8 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .batching import (BATCH_STATS_HEADER, batch_count, batch_stats,
-                       cluster_queries)
+from .batching import BATCH_STATS_HEADER, batch_count, batch_stats
 from .config import KEYS, RunConfig, build_config, parse_config_file
 from .data import Dataset, Vocabulary, featurize_all, load_dataset
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
@@ -28,9 +27,9 @@ from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
 from .fileio import atomic_open
 from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
-from .model import forward, init_params, load_checkpoint
-from .negatives import mine_hard_negatives
-from .train import train
+from .model import init_params, load_checkpoint
+from .negatives import HardNegativeCache
+from .train import refresh, train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -167,30 +166,22 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     vocab = Vocabulary(params.hash_dim)
     dataset = _load(config, config.queries_path, vocab)
     num_batches = batch_count(dataset, cfg.batch_size)
-    q_emb = forward(params, featurize_all(dataset.instance_texts, vocab),
-                    mode="eval", heads=("de",)).de_out
-    # Labels are embedded only to mine.  Every cap pair shares one batch plan
-    # and one cache per cache size.
-    l_emb = (forward(params, featurize_all(dataset.label_texts, vocab),
-                     mode="eval", heads=("de",)).de_out
-             if any(config.sim_negative_caps) else None)
-    plan = cluster_queries(q_emb, num_batches, cfg.seed)
-    mined = {}
-
-    def cache_for(neg_cap: int):
-        if neg_cap == 0:
-            return None
-        size = replace(cfg, hard_negatives_per_query=neg_cap
-                       ).resolved_cache_size()
-        if size not in mined:
-            mined[size] = mine_hard_negatives(q_emb, l_emb,
-                                              dataset.positive_sets(), size)
-        return mined[size]
+    # One refresh for every cap pair.  Mining ranks by (score, id), a total
+    # order, so each smaller cache is the head of the largest one's lists.
+    sizes = {cap: replace(cfg, hard_negatives_per_query=cap
+                          ).resolved_cache_size()
+             for cap in config.sim_negative_caps if cap > 0}
+    plan, cache = refresh(params, featurize_all(dataset.instance_texts, vocab),
+                          featurize_all(dataset.label_texts, vocab),
+                          dataset.positive_sets(), num_batches, cfg.seed, 0,
+                          max(sizes.values(), default=0))
+    caches = {cap: HardNegativeCache([n[:size] for n in cache.negatives])
+              for cap, size in sizes.items()}
 
     lines = [BATCH_STATS_HEADER]
     for pos_cap in config.sim_positive_caps:
         for neg_cap in config.sim_negative_caps:
-            stats = batch_stats(dataset, plan, cache_for(neg_cap), pos_cap,
+            stats = batch_stats(dataset, plan, caches.get(neg_cap), pos_cap,
                                 neg_cap, cfg.seed)
             lines.append(stats.csv_row())
     out = _out_path(config, "", "batch_stats.csv")

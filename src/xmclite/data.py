@@ -1,4 +1,5 @@
-"""Multi-label dataset loading, validation, featurization, and synthesis.
+"""Multi-label dataset loading, validation, featurization into the
+encoder's row-normalized input, and synthesis.
 
 Two on-disk formats are supported for the instance side:
 
@@ -60,25 +61,23 @@ class Vocabulary:
         return np.asarray(ids, dtype=np.int64)
 
 
-def featurize(token_ids: np.ndarray, vocab: Vocabulary) -> sp.csr_matrix:
-    """Token-id sequence -> 1 x hash_dim sparse count vector."""
-    return featurize_all([token_ids], vocab)
-
-
-def featurize_all(texts: list[np.ndarray], vocab: Vocabulary,
-                  dtype=np.float64) -> sp.csr_matrix:
-    """Stack count vectors for many texts into an (n, hash_dim) CSR matrix."""
+def featurize_all(texts: list[np.ndarray], vocab: Vocabulary) -> sp.csr_matrix:
+    """The encoder's (n, hash_dim) input rows: token counts scaled to sum 1
+    (empty texts give zero rows).  The scaling product leaves each row's
+    indices in an order of its own, which the encoder's sums follow and
+    row slices keep, so slices need no renormalizing."""
     rows = np.concatenate(
         [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(texts)]
     ) if texts else np.zeros(0, dtype=np.int64)
     cols = (np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
             if texts else np.zeros(0, dtype=np.int64))
-    data = np.ones(len(cols), dtype=dtype)
-    mat = sp.coo_matrix((data, (rows, cols)),
-                        shape=(len(texts), vocab.hash_dim)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    counts = sp.coo_matrix((np.ones(len(cols)), (rows, cols)),
+                           shape=(len(texts), vocab.hash_dim)).tocsr()
+    counts.sum_duplicates()
+    counts.sort_indices()
+    sums = np.asarray(counts.sum(axis=1)).ravel()
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+    return sp.diags(scale).dot(counts).tocsr()
 
 
 def hit_matrix(ids, held, t_row, t_ids) -> np.ndarray:
@@ -130,10 +129,12 @@ class Dataset:
         idx = self.relevance.indices
         if idx.size and (idx.min() < 0 or idx.max() >= l):
             raise ValueError("relevance references a label id outside [0, L)")
-        for i in range(n):
-            p = self.positives(i)
-            if np.any(np.diff(p) <= 0):
-                raise ValueError(f"positives of instance {i} not strictly sorted")
+        # an id not above the one before it in the same row
+        row = np.repeat(np.arange(n), np.diff(self.relevance.indptr))
+        bad = (np.diff(idx) <= 0) & (row[1:] == row[:-1])
+        if bad.any():
+            i = int(row[np.argmax(bad)])
+            raise ValueError(f"positives of instance {i} not strictly sorted")
         freq = np.bincount(idx, minlength=l).astype(np.int64)
         if not np.array_equal(freq, self.label_frequencies):
             raise ValueError("stored label_frequencies disagree with matrix")

@@ -1,7 +1,8 @@
 """Bag-of-tokens encoder with two heads and a per-label classifier table.
 
-The shared encoder is a token-embedding mean: for count features ``c`` the
-encoding is ``(c / c.sum()) @ embed``.  Two heads project encodings into the
+The shared encoder is a token-embedding mean: its input rows are token
+counts already scaled to sum 1 (``data.featurize_all``), so the encoding of a
+row ``x`` is ``x @ embed``.  Two heads project encodings into the
 retrieval space: the retrieval head applies ``tanh(enc @ de_w + de_b)``,
 dropout (train mode), then L2 normalization; the classifier head applies
 ``enc @ clf_w + clf_b`` and dropout with no normalization.  A separate
@@ -96,19 +97,11 @@ def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
     )
 
 
-def mean_normalize(feats: sp.csr_matrix) -> sp.csr_matrix:
-    """Scale each count row to sum 1 (all-zero rows stay zero)."""
-    sums = np.asarray(feats.sum(axis=1)).ravel()
-    scale = np.divide(1.0, sums, out=np.zeros_like(sums, dtype=np.float64),
-                      where=sums > 0)
-    return sp.diags(scale).dot(feats).tocsr()
-
-
 @dataclass
 class ForwardTrace:
     """Cached activations from one forward pass (inputs to ``backward``)."""
 
-    feats: sp.csr_matrix              # row-normalized features
+    feats: sp.csr_matrix              # input rows, as ``featurize_all`` gives
     enc: np.ndarray
     de_act: np.ndarray | None = None  # tanh output, pre-dropout
     de_mask: np.ndarray | None = None
@@ -125,35 +118,40 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+def _dropout(x: np.ndarray, train: bool, mask: np.ndarray | None,
+             rate: float, rng: np.random.Generator | None):
+    """``(x * mask, mask)``, drawing the mask unless given; ``(x, None)``
+    outside train mode."""
+    if not train:
+        return x, None
+    if mask is None:
+        if rng is None:
+            raise ValueError("train-mode forward needs an rng or masks")
+        mask = _dropout_mask(x.shape, rate, rng)
+    return x * mask, mask
+
+
 def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
             rng: np.random.Generator | None = None,
             heads: tuple = ("de", "clf"),
             de_mask: np.ndarray | None = None,
             clf_mask: np.ndarray | None = None) -> ForwardTrace:
-    """Run encoder + requested heads over an (n, hash_dim) feature block.
+    """Run encoder + requested heads over an (n, hash_dim) block of input
+    rows (``featurize_all`` rows, or slices of them).
 
     In train mode, dropout masks are drawn from ``rng`` (retrieval head first,
     then classifier head) unless explicit masks are given.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    norm_feats = mean_normalize(feats)
-    enc = np.asarray(norm_feats @ params.embed)
-    trace = ForwardTrace(feats=norm_feats, enc=enc)
+    enc = np.asarray(feats @ params.embed)
+    trace = ForwardTrace(feats=feats, enc=enc)
     train = mode == "train" and params.dropout > 0.0
 
     if "de" in heads:
         act = np.tanh(enc @ params.de_w + params.de_b)
         trace.de_act = act
-        if train:
-            if de_mask is None:
-                if rng is None:
-                    raise ValueError("train-mode forward needs an rng or masks")
-                de_mask = _dropout_mask(act.shape, params.dropout, rng)
-            trace.de_mask = de_mask
-            kept = act * de_mask
-        else:
-            kept = act
+        kept, trace.de_mask = _dropout(act, train, de_mask, params.dropout, rng)
         norms = np.linalg.norm(kept, axis=-1, keepdims=True)
         bad = np.flatnonzero(norms.ravel() == 0.0)
         if bad.size:
@@ -163,16 +161,9 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
         trace.de_out = kept / norms
 
     if "clf" in heads:
-        pre = enc @ params.clf_w + params.clf_b
-        if train:
-            if clf_mask is None:
-                if rng is None:
-                    raise ValueError("train-mode forward needs an rng or masks")
-                clf_mask = _dropout_mask(pre.shape, params.dropout, rng)
-            trace.clf_mask = clf_mask
-            trace.clf_out = pre * clf_mask
-        else:
-            trace.clf_out = pre
+        trace.clf_out, trace.clf_mask = _dropout(
+            enc @ params.clf_w + params.clf_b, train, clf_mask, params.dropout,
+            rng)
 
     return trace
 
@@ -293,8 +284,9 @@ def backward(params: ModelParams, trace: ForwardTrace,
         cols, local = np.unique(feats.indices, return_inverse=True)
         compact = sp.csr_matrix((feats.data, local, feats.indptr),
                                 shape=(feats.shape[0], cols.size))
-        g.embed = merge_rows(g.embed, (cols.astype(np.int64),
-                                       np.asarray(compact.T @ d_enc)))
+        block = (cols.astype(np.int64), np.asarray(compact.T @ d_enc))
+        # ``cols`` is sorted and unique: an empty pair needs no merge
+        g.embed = merge_rows(g.embed, block) if g.embed[0].size else block
 
     if d_classifier_rows is not None:
         if classifier_ids is None:

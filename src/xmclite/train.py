@@ -1,12 +1,13 @@
 """Joint training loop: scheduled re-clustering + cache refresh, per-batch
 collation, dual-head forward, combined loss, exact backward, Adam step.
 
-Every ``refresh_interval`` epochs (including epoch 0, which bootstraps from
-the untrained model) the loop re-embeds all queries and labels in eval mode,
-rebuilds the balanced batch plan from the query embeddings, and re-mines the
-hard-negative cache.  Within an epoch, each batch encodes its queries through
-both heads and its pool label texts through the retrieval head, gathers
-classifier rows for the pool, and steps on
+Texts are featurized once; batches slice those rows.  Every
+``refresh_interval`` epochs (including epoch 0, which bootstraps from the
+untrained model) ``refresh`` re-embeds the queries, rebuilds the balanced
+batch plan from them, and re-embeds the labels to re-mine the hard-negative
+cache.  Within an epoch, each batch encodes its queries through both heads
+and its pool label texts through the retrieval head, gathers classifier rows
+for the pool, and steps on
 ``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss``.
 
 Single-threaded and fully deterministic for a fixed config and seed: the
@@ -21,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .batching import (STREAM_DROPOUT, batch_count, cluster_queries,
-                       collate_batch)
+from .batching import (STREAM_DROPOUT, BatchPlan, batch_count,
+                       cluster_queries, collate_batch)
 from .data import Dataset, featurize_all
 from .errors import ConfigError, TrainingAbort
 # build_index, query_vectors and predict_vectors are unused here but stay
@@ -34,7 +35,7 @@ from .losses import LossConfig, classifier_loss, combined_loss, retrieval_loss
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
-from .negatives import mine_hard_negatives
+from .negatives import HardNegativeCache, mine_hard_negatives
 from .optim import Adam
 
 
@@ -150,6 +151,20 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
     return out
 
 
+def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
+            num_batches: int, seed: int, epoch: int, cache_size: int
+            ) -> tuple[BatchPlan, HardNegativeCache | None]:
+    """Batch plan for ``epoch`` from eval-mode query embeddings, and the
+    top-``cache_size`` hard-negative cache (None when ``cache_size`` is 0).
+    Used by ``train`` and by ``simulate-batches``."""
+    q_emb = forward(params, q_feats, mode="eval", heads=("de",)).de_out
+    plan = cluster_queries(q_emb, num_batches, seed, epoch=epoch)
+    if cache_size <= 0:
+        return plan, None
+    l_emb = forward(params, l_feats, mode="eval", heads=("de",)).de_out
+    return plan, mine_hard_negatives(q_emb, l_emb, positive_sets, cache_size)
+
+
 def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
           checkpoint_path: str | None = None,
           eval_dataset: Dataset | None = None) -> tuple[ModelParams, TrainReport]:
@@ -174,24 +189,17 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
         params.classifiers = forward(params, l_feats, mode="eval",
                                      heads=("de",)).de_out.copy()
     opt = Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers)
-    cache_size = cfg.resolved_cache_size()
+    cache_size = cfg.resolved_cache_size() if neg_cap > 0 else 0
     plan, cache = None, None
     report = TrainReport()
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
 
     try:
         for epoch in range(cfg.epochs):
-            refreshed = False
-            if epoch % cfg.refresh_interval == 0:
-                q_emb = forward(params, q_feats, mode="eval",
-                                heads=("de",)).de_out
-                plan = cluster_queries(q_emb, num_batches, seed, epoch=epoch)
-                if neg_cap > 0:
-                    l_emb = forward(params, l_feats, mode="eval",
-                                    heads=("de",)).de_out
-                    cache = mine_hard_negatives(q_emb, l_emb, positive_sets,
-                                                cache_size)
-                refreshed = True
+            refreshed = epoch % cfg.refresh_interval == 0
+            if refreshed:
+                plan, cache = refresh(params, q_feats, l_feats, positive_sets,
+                                      num_batches, seed, epoch, cache_size)
 
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,
                     "clf_l2q": 0.0}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,9 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import write_text_dataset
-from xmclite import METRICS_SCHEMA, cli, read_predictions
+from xmclite import METRICS_SCHEMA, read_predictions
 from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.cli import main
+
+# the package's ``train`` attribute is the function, not the module
+train_module = importlib.import_module("xmclite.train")
 
 SMALL_DIMS = ["--hash-dim", "1024", "--encoder-dim", "16",
               "--search-dim", "8"]
@@ -316,8 +320,10 @@ def test_simulate_batches_without_checkpoint(tmp_path):
     assert len(lines) == 2  # default single cap combination
 
 
-def test_simulate_batches_clusters_once_and_mines_once_per_cache_size(
+def test_simulate_batches_clusters_once_and_mines_at_most_once(
         workspace, tmp_path, monkeypatch):
+    # simulate-batches refreshes through train.refresh, which looks these
+    # names up in the train module
     calls = {"cluster_queries": 0, "mine_hard_negatives": 0, "forward": 0}
 
     def counted(module, name):
@@ -329,7 +335,7 @@ def test_simulate_batches_clusters_once_and_mines_once_per_cache_size(
         monkeypatch.setattr(module, name, wrapper)
 
     for name in calls:
-        counted(cli, name)
+        counted(train_module, name)
     rc, out = _run(["simulate-batches"] + workspace["common"] + [
         "--checkpoint-path", workspace["ckpt"], "--out-dir", str(tmp_path),
         "--sim-positive-caps", "1,2,3", "--sim-negative-caps", "0,2",
@@ -339,9 +345,10 @@ def test_simulate_batches_clusters_once_and_mines_once_per_cache_size(
     assert calls == {"cluster_queries": 1, "mine_hard_negatives": 1,
                      "forward": 2}
     # With refresh_interval 2, negative caps 2 and 3 resolve to cache sizes
-    # 4 and 6; with cache_size 5 both resolve to 5 and share one cache.
+    # 4 and 6, with cache_size 5 both to 5: either way one cache is mined,
+    # at the largest size, and the smaller size takes each list's prefix.
     # With every negative cap 0 nothing is mined and no label is embedded.
-    for caps, extra, mined in (("2,3,0", ["--refresh-interval", "2"], 2),
+    for caps, extra, mined in (("2,3,0", ["--refresh-interval", "2"], 1),
                                ("2,3,0", ["--cache-size", "5"], 1),
                                ("0,0", [], 0)):
         calls.update(cluster_queries=0, mine_hard_negatives=0, forward=0)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from xmclite import (DatasetFormatError, Vocabulary, featurize, featurize_all,
+import scipy.sparse as sp
+
+from xmclite import (Dataset, DatasetFormatError, Vocabulary, featurize_all,
                      load_dataset, make_dataset, save_sparse, synth_dataset)
 from xmclite.data import load_label_texts
 
@@ -44,10 +46,19 @@ def test_hash_dim_must_be_positive():
 
 def test_featurize_counts_duplicates():
     v = Vocabulary()
-    vec = featurize(v.tokenize("red red shoe"), v).toarray().ravel()
-    assert vec.sum() == 3.0
-    assert vec[v.token_id("red")] == 2.0
-    assert vec[v.token_id("shoe")] == 1.0
+    vec = featurize_all([v.tokenize("red red shoe")], v).toarray().ravel()
+    assert np.count_nonzero(vec) == 2
+    assert vec[v.token_id("red")] == 2 * vec[v.token_id("shoe")]
+    assert vec[v.token_id("shoe")] == pytest.approx(1 / 3, abs=1e-15)
+
+
+def test_featurize_all_rows_sum_to_one():
+    rng = np.random.default_rng(0)
+    v = Vocabulary(12)
+    texts = [rng.integers(0, 12, size=int(rng.integers(1, 6)))
+             for _ in range(6)] + [np.zeros(0, dtype=np.int64)]
+    sums = np.asarray(featurize_all(texts, v).sum(axis=1)).ravel()
+    assert np.allclose(sums, [1.0] * 6 + [0.0], atol=1e-12)
 
 
 def test_featurize_all_shapes_and_rows():
@@ -56,14 +67,14 @@ def test_featurize_all_shapes_and_rows():
     mat = featurize_all(texts, v)
     assert mat.shape == (3, 128)
     assert mat[1].nnz == 0
-    single = featurize(texts[2], v)
+    single = featurize_all([texts[2]], v)
     assert np.array_equal(mat[2].toarray(), single.toarray())
 
 
 def test_identical_token_multisets_featurize_identically():
     v = Vocabulary()
-    a = featurize(v.tokenize("blue shoe blue"), v)
-    b = featurize(v.tokenize("shoe BLUE; blue"), v)
+    a = featurize_all([v.tokenize("blue shoe blue")], v)
+    b = featurize_all([v.tokenize("shoe BLUE; blue")], v)
     assert np.array_equal(a.toarray(), b.toarray())
 
 
@@ -82,6 +93,43 @@ def test_dataset_validate_catches_bad_frequencies():
     ds.label_frequencies = np.array([7], dtype=np.int64)
     with pytest.raises(ValueError):
         ds.validate()
+
+
+def _dataset_with_rows(rows, num_labels=8):
+    v = Vocabulary(32)
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    indices = np.array([i for r in rows for i in r], dtype=np.int32)
+    rel = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                        shape=(len(rows), num_labels))
+    return Dataset(len(rows), num_labels, [v.tokenize("x")] * len(rows),
+                   [v.tokenize("l")] * num_labels, rel,
+                   np.bincount(indices, minlength=num_labels).astype(np.int64),
+                   v)
+
+
+def test_dataset_validate_names_the_first_unsorted_row():
+    # Row boundaries step down (5 -> 0) or repeat (4 -> 4, 3 -> 3); only
+    # ids inside one row must rise, so those rows are fine.
+    good = [[1, 4], [4, 5], [], [0, 3], [3, 6]]
+    _dataset_with_rows(good).validate()
+    for bad_row in ([6, 2], [2, 2]):
+        ds = _dataset_with_rows(good + [bad_row, [7, 1]])
+        with pytest.raises(ValueError, match="instance 5 not strictly sorted"):
+            ds.validate()
+    # against the per-row loop, on rows with random ids
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        rows = [rng.integers(0, 8, size=int(rng.integers(0, 4))).tolist()
+                for _ in range(6)]
+        first = next((i for i, r in enumerate(rows)
+                      if np.any(np.diff(r) <= 0)), None)
+        ds = _dataset_with_rows(rows)
+        if first is None:
+            ds.validate()
+        else:
+            with pytest.raises(ValueError,
+                               match=f"instance {first} not strictly"):
+                ds.validate()
 
 
 def test_synth_dataset_is_deterministic_and_separable():

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
-                     Vocabulary, backward, featurize, forward, init_params,
+                     Vocabulary, backward, featurize_all, forward, init_params,
                      load_checkpoint, save_checkpoint, zero_grads)
-from xmclite.model import _dropout_mask, mean_normalize
+from xmclite.model import _dropout_mask
 
 from conftest import unit_rows
 from oracles import finite_difference, max_relative_error
@@ -79,9 +79,8 @@ def test_encode_single_token_selects_embedding_row():
 
 def test_encode_is_count_weighted_mean():
     p = init_params(8, 4, 2, 3, seed=0)
-    row = np.zeros(8)
-    row[1], row[5] = 2.0, 1.0
-    got = forward(p, sp.csr_matrix(row[None]), heads=()).enc
+    feats = featurize_all([np.array([1, 5, 1])], Vocabulary(8))
+    got = forward(p, feats, heads=()).enc
     want = (2 * p.embed[1] + p.embed[5]) / 3
     assert np.allclose(got, want, atol=1e-15)
 
@@ -91,11 +90,20 @@ def test_encode_zero_row_is_zero():
     assert np.all(forward(p, sp.csr_matrix((1, 8)), heads=()).enc == 0.0)
 
 
-def test_mean_normalize_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    feats = _random_feats(rng, 6, 12)
-    sums = np.asarray(mean_normalize(feats).sum(axis=1)).ravel()
-    assert np.allclose(sums, 1.0, atol=1e-12)
+def test_forward_on_sliced_rows_equals_forward_on_those_texts():
+    # Rows are normalized once for the whole matrix; a slice of it must
+    # encode bitwise as featurizing just the sliced texts would.
+    rng = np.random.default_rng(8)
+    vocab = Vocabulary(64)
+    texts = [rng.integers(0, 64, size=int(rng.integers(2, 12)))
+             for _ in range(20)]
+    texts[3] = np.array([7, 7, 7, 2, 7, 40, 2])
+    p = init_params(64, 6, 4, 3, seed=1)
+    ids = np.array([3, 17, 0, 3, 9, 12])
+    got = forward(p, featurize_all(texts, vocab)[ids])
+    want = forward(p, featurize_all([texts[i] for i in ids], vocab))
+    for name in ("enc", "de_out", "clf_out"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_retrieval_head_frozen_example():

@@ -37,6 +37,19 @@ def test_mining_ranks_by_score_with_stable_ties():
     assert cache.negatives[0].tolist() == [1, 3, 0]
 
 
+def test_smaller_cache_is_a_prefix_of_a_larger_one():
+    # small-integer vectors tie often, at and across every cut-off
+    rng = np.random.default_rng(3)
+    q = rng.integers(-2, 3, size=(30, 3)).astype(np.float64)
+    l = rng.integers(-2, 3, size=(40, 3)).astype(np.float64)
+    sets = random_positive_sets(rng, 30, 40, max_pos=6)
+    big = mine_hard_negatives(q, l, sets, cache_size=12)
+    for size in range(1, 12):
+        small = mine_hard_negatives(q, l, sets, cache_size=size)
+        for i in range(30):
+            assert np.array_equal(big.negatives[i][:size], small.negatives[i])
+
+
 def test_mining_truncates_and_handles_saturated_queries():
     rng = np.random.default_rng(2)
     q, l = unit_rows(rng, 1, 4), unit_rows(rng, 5, 4)
