@@ -149,8 +149,9 @@ class CollatedBatch:
 
 
 def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """``values`` cut into consecutive pieces of the given lengths."""
-    return np.split(values, np.cumsum(counts))[:-1]
+    """``values`` cut into consecutive pieces (views) of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [values[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _pool_membership(query_ids: np.ndarray, pool: np.ndarray,

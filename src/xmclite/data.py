@@ -66,9 +66,8 @@ def featurize_all(texts: list[np.ndarray], vocab: Vocabulary) -> sp.csr_matrix:
     (empty texts give zero rows).  The scaling product leaves each row's
     indices in an order of its own, which the encoder's sums follow and
     row slices keep, so slices need no renormalizing."""
-    rows = np.concatenate(
-        [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(texts)]
-    ) if texts else np.zeros(0, dtype=np.int64)
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    rows = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
     cols = (np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
             if texts else np.zeros(0, dtype=np.int64))
     counts = sp.coo_matrix((np.ones(len(cols)), (rows, cols)),

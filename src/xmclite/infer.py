@@ -169,10 +169,15 @@ def write_predictions(path: str, results: list,
                       query_ids: list | None = None) -> None:
     """TSV rows: query_id, rank (1-based), label_id, score; replaced atomically."""
     ids = query_ids if query_ids is not None else range(len(results))
+    lines = []
+    for qid, (labels, scores) in zip(ids, results):
+        # Python ints and floats print as the numpy scalars do, only faster
+        pairs = zip(np.asarray(labels).tolist(),
+                    np.asarray(scores, dtype=np.float64).tolist())
+        lines += [f"{qid}\t{rank}\t{lab}\t{sc!r}\n"
+                  for rank, (lab, sc) in enumerate(pairs, start=1)]
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        for qid, (labels, scores) in zip(ids, results):
-            for rank, (lab, sc) in enumerate(zip(labels, scores), start=1):
-                fh.write(f"{qid}\t{rank}\t{lab}\t{float(sc)!r}\n")
+        fh.write("".join(lines))
 
 
 def read_predictions(path: str) -> dict[int, list[tuple[int, float]]]:

@@ -222,9 +222,15 @@ def merge_rows(a: tuple, b: tuple) -> tuple:
     width = a[1].shape[1]
     rows = np.zeros((row_ids.size, width), dtype=np.result_type(a[1], b[1]))
     for ids, vals in (a, b):
-        # flat element indices: np.add.at on 2-D rows is several times slower
-        flat = np.searchsorted(row_ids, ids)[:, None] * width + np.arange(width)
-        np.add.at(rows.reshape(-1), flat.reshape(-1), vals.reshape(-1))
+        pos = np.searchsorted(row_ids, ids)
+        if np.all(ids[1:] > ids[:-1]):
+            # strictly increasing ids: one addition per element, as add.at
+            rows[pos] += vals
+        else:
+            # flat element indices: np.add.at on 2-D rows is several times
+            # slower
+            flat = pos[:, None] * width + np.arange(width)
+            np.add.at(rows.reshape(-1), flat.reshape(-1), vals.reshape(-1))
     return row_ids, rows
 
 

@@ -8,6 +8,14 @@ that have had a gradient on some step.  That is exact: a row that never had
 one keeps ``m = v = 0``, so dense Adam would move it by
 ``lr * 0 / (0 + eps) = 0``, and ``x - 0.0 == x`` bitwise.  Active rows get the
 same elementwise expressions, in the same order, as the dense update.
+
+A lookup table's moments are kept in activation order: a row takes the next
+free slot of ``m`` and ``v`` on the first step that gives it a gradient, and
+keeps it.  ``slots[name][row]`` is that slot (-1 before), ``active[name]``
+lists the rows by slot, and ``m[name][slots[name][row]]`` equals dense Adam's
+``m[row]``.  The moments fill from the front, so a step updates them as
+contiguous slices, and their pages past the active rows are never touched:
+resident optimizer memory follows the active rows, not the table size.
 """
 
 from __future__ import annotations
@@ -40,9 +48,12 @@ class Adam:
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    # per lookup table, the sorted ids of the rows that have had a gradient
+    # per lookup table, the ids of the rows that have had a gradient, in the
+    # order of their first one (slot order)
     active: dict = field(default_factory=lambda: {
         name: np.empty(0, dtype=np.int64) for name in ROW_TABLES})
+    # per lookup table, each row's slot in ``active`` and the moments, or -1
+    slots: dict = field(default_factory=dict)
 
     def _lr(self, name: str) -> float:
         return {"encoder": self.lr_encoder, "heads": self.lr_heads,
@@ -77,8 +88,12 @@ class Adam:
         for name, g in arrays.items():
             x = targets[name]
             if name not in self.m:
-                self.m[name] = np.zeros_like(x)
-                self.v[name] = np.zeros_like(x)
+                # np.zeros maps its pages lazily (np.zeros_like writes them),
+                # so a lookup table's unused slots never become resident
+                self.m[name] = np.zeros(x.shape, dtype=x.dtype)
+                self.v[name] = np.zeros(x.shape, dtype=x.dtype)
+                if name in ROW_TABLES:
+                    self.slots[name] = np.full(x.shape[0], -1, dtype=np.int64)
             if name in ROW_TABLES:
                 finite[name] = self._step_rows(name, grads, x, bc1, bc2)
             else:
@@ -96,16 +111,28 @@ class Adam:
         Only these rows can change, so only they are checked.
         """
         row_ids, rows = getattr(grads, name)
-        active = self.active[name] = np.union1d(self.active[name], row_ids)
-        pos = np.searchsorted(active, row_ids)
+        slots = self.slots[name]
+        pos = slots[row_ids]
+        new = row_ids[pos < 0]
+        if new.size:
+            n = self.active[name].size
+            slots[new] = np.arange(n, n + new.size)
+            self.active[name] = np.concatenate([self.active[name], new])
+            pos = slots[row_ids]
+        active = self.active[name]
+        # the gradient rows in slot order
+        by_slot = np.argsort(pos)
+        pos = pos[by_slot]
         m_all, v_all = self.m[name], self.v[name]
         lr, finite = self._lr(name), True
         for start in range(0, active.size, _ROW_BLOCK):
-            idx = active[start:start + _ROW_BLOCK]
-            lo, hi = np.searchsorted(pos, [start, start + idx.size])
-            g = np.zeros((idx.size, table.shape[1]), dtype=rows.dtype)
-            g[pos[lo:hi] - start] = rows[lo:hi]
-            m, v, x = m_all[idx], v_all[idx], table[idx]
-            finite &= self._update(m, v, x, g, lr, bc1, bc2)
-            m_all[idx], v_all[idx], table[idx] = m, v, x
+            stop = min(start + _ROW_BLOCK, active.size)
+            lo, hi = np.searchsorted(pos, [start, stop])
+            g = np.zeros((stop - start, table.shape[1]), dtype=rows.dtype)
+            g[pos[lo:hi] - start] = rows[by_slot[lo:hi]]
+            idx = active[start:stop]
+            x = table[idx]
+            finite &= self._update(m_all[start:stop], v_all[start:stop], x, g,
+                                   lr, bc1, bc2)
+            table[idx] = x
         return finite

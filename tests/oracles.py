@@ -93,6 +93,36 @@ def loop_pool_membership(query_ids, pool, dataset):
     return pb_ids, pb_idx, pl_ids, pl_idx
 
 
+def loop_featurize_all(texts, hash_dim):
+    """``data.featurize_all`` with its row ids built by one ``np.full`` per
+    text.  The vectorised rows must give the same indptr, indices and data.
+    """
+    import scipy.sparse as sp
+
+    rows = np.concatenate(
+        [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(texts)]
+    ) if texts else np.zeros(0, dtype=np.int64)
+    cols = (np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
+            if texts else np.zeros(0, dtype=np.int64))
+    counts = sp.coo_matrix((np.ones(len(cols)), (rows, cols)),
+                           shape=(len(texts), hash_dim)).tocsr()
+    counts.sum_duplicates()
+    counts.sort_indices()
+    sums = np.asarray(counts.sum(axis=1)).ravel()
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+    return sp.diags(scale).dot(counts).tocsr()
+
+
+def loop_predictions_tsv(results, query_ids=None):
+    """``infer.write_predictions``'s text, one numpy scalar at a time."""
+    ids = query_ids if query_ids is not None else range(len(results))
+    out = []
+    for qid, (labels, scores) in zip(ids, results):
+        for rank, (lab, sc) in enumerate(zip(labels, scores), start=1):
+            out.append(f"{qid}\t{rank}\t{lab}\t{float(sc)!r}\n")
+    return "".join(out)
+
+
 def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
                              positive_reduction="mean",
                              batch_reduction="mean"):

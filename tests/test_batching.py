@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from xmclite import (ConfigError, batch_stats, cluster_queries, collate_batch,
                      collate_from_samples, make_dataset, mine_hard_negatives,
                      sample_ids, synth_dataset)
-from xmclite.batching import BATCH_STATS_HEADER
+from xmclite.batching import BATCH_STATS_HEADER, _split
 from xmclite.data import Vocabulary
 
 from conftest import id_dataset, unit_rows
@@ -228,6 +228,18 @@ def test_collate_from_samples_equals_the_per_query_loop(case):
     _, pb_idx, _, pl_idx = loop_pool_membership(query_ids, clf_pool, ds)
     _assert_same_arrays(batch.clf_pb_idx, pb_idx)
     _assert_same_arrays(batch.clf_pl_idx, pl_idx)
+
+
+@pytest.mark.parametrize("counts", [[], [0], [0, 0], [2, 0, 3, 1, 0],
+                                    [6]])
+def test_split_equals_np_split(counts):
+    values = np.arange(10, 10 + sum(counts), dtype=np.int64)
+    got = _split(values, np.asarray(counts, dtype=np.int64))
+    want = np.split(values, np.cumsum(counts))[:-1]
+    assert len(got) == len(want) == len(counts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert g.base is values  # views, as np.split gives
 
 
 def test_collate_batch_matches_brute_force_definitions():

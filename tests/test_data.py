@@ -9,6 +9,8 @@ from xmclite import (Dataset, DatasetFormatError, Vocabulary, featurize_all,
                      load_dataset, make_dataset, save_sparse, synth_dataset)
 from xmclite.data import load_label_texts
 
+from oracles import loop_featurize_all
+
 
 def test_tokenize_lowercases_and_splits_on_non_alphanumerics():
     v = Vocabulary()
@@ -69,6 +71,19 @@ def test_featurize_all_shapes_and_rows():
     assert mat[1].nnz == 0
     single = featurize_all([texts[2]], v)
     assert np.array_equal(mat[2].toarray(), single.toarray())
+
+
+@pytest.mark.parametrize("lengths", [[], [0], [0, 0], [3, 0, 5, 1, 0],
+                                     [2, 7, 0, 4, 4, 1]])
+def test_featurize_all_matches_per_text_rows(lengths):
+    rng = np.random.default_rng(len(lengths))
+    v = Vocabulary(16)
+    texts = [rng.integers(0, 16, size=n) for n in lengths]
+    got, want = featurize_all(texts, v), loop_featurize_all(texts, 16)
+    assert got.shape == want.shape == (len(lengths), 16)
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
 
 
 def test_identical_token_multisets_featurize_identically():

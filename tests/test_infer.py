@@ -12,7 +12,7 @@ from xmclite import infer
 from xmclite.infer import topk
 
 from conftest import random_positive_sets
-from oracles import bf_hard_negatives, bf_top_k
+from oracles import bf_hard_negatives, bf_top_k, loop_predictions_tsv
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,21 @@ def test_predictions_tsv_roundtrip(tmp_path):
                                  (np.array([3]), ["not a score"])])
     assert (tmp_path / "p.tsv").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.tsv"]
+
+
+@pytest.mark.parametrize("query_ids", [None, [7, np.int64(3), 12, 0]])
+def test_predictions_tsv_equals_per_scalar_text(tmp_path, query_ids):
+    results = [(np.array([4, 1, 9]), np.array([1e-05, -0.0, 1e16])),
+               (np.array([], dtype=np.int64), np.array([])),
+               (np.array([0], dtype=np.int32),
+                np.array([1 / 3], dtype=np.float32)),
+               (np.array([2, 5]), np.array([-1e-300, 0.1]))]
+    path = tmp_path / "p.tsv"
+    write_predictions(str(path), results, query_ids=query_ids)
+    want = loop_predictions_tsv(results, query_ids).encode("utf-8")
+    assert path.read_bytes() == want
+    assert b"\t1e-05\n" in want and b"\t-0.0\n" in want
+    assert b"\t1e+16\n" in want
 
 
 def test_read_predictions_restores_rank_order(tmp_path):

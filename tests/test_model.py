@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
                      Vocabulary, backward, featurize_all, forward, init_params,
                      load_checkpoint, save_checkpoint, zero_grads)
-from xmclite.model import _dropout_mask
+from xmclite.model import _dropout_mask, merge_rows
 
 from conftest import unit_rows
 from oracles import finite_difference, max_relative_error
@@ -236,6 +236,33 @@ def test_backward_accumulates_repeated_classifier_ids():
     assert np.array_equal(got, dense[row_ids])
     assert np.array_equal(g.dense()["classifiers"], dense)
     assert np.all(g.dense()["embed"] == 0.0)  # no head gradients were given
+
+
+@pytest.mark.parametrize("a_ids,b_ids", [
+    ([], []), ([], [0, 2, 5]), ([1, 4], []),       # empty blocks
+    ([0, 2, 5], [1, 2, 6]),                        # both strictly increasing
+    ([5, 2, 2, 0], [1, 2, 6]),                     # repeated, unsorted a
+    ([0, 2, 5], [6, 1, 1, 6, 2]),                  # repeated, unsorted b
+    ([3, 3], [3, 3, 3])])
+def test_merge_rows_equals_add_at_into_a_zeroed_table(a_ids, b_ids):
+    rng = np.random.default_rng(len(a_ids) * 10 + len(b_ids))
+    width = 3
+
+    def block(ids):
+        vals = rng.normal(size=(len(ids), width))
+        vals[::2, 0] = -0.0          # -0.0 + 0.0 is +0.0 on both paths
+        vals[1::3] = -0.0
+        return np.array(ids, dtype=np.int64), vals
+
+    a, b = block(a_ids), block(b_ids)
+    row_ids, rows = merge_rows(a, b)
+    dense = np.zeros((7, width))
+    np.add.at(dense, a[0], a[1])
+    np.add.at(dense, b[0], b[1])
+    assert np.array_equal(row_ids, np.union1d(a_ids, b_ids))
+    assert rows.shape == (row_ids.size, width)
+    # bitwise, signed zeros included
+    assert np.array_equal(rows.view(np.int64), dense[row_ids].view(np.int64))
 
 
 def test_embedding_gradient_rows_equal_dense_product_bitwise():

@@ -176,14 +176,21 @@ def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
         opt.step(p, g)
         for name, arr in p.arrays().items():
             assert np.array_equal(arr, ref.arrays()[name]), (step, name)
-            assert np.array_equal(opt.m[name], oracle.m[name]), (step, name)
-            assert np.array_equal(opt.v[name], oracle.v[name]), (step, name)
-    assert opt.active["embed"].tolist() == list(range(8))
-    assert opt.active["classifiers"].tolist() == [1, 2, 4]
+            # a lookup table keeps row active[s]'s moments in row s
+            rows_of = (opt.active[name] if name in ROW_TABLES
+                       else slice(None))
+            k = len(oracle.m[name][rows_of])
+            for got, want in ((opt.m, oracle.m), (opt.v, oracle.v)):
+                assert np.array_equal(got[name][:k], want[name][rows_of]), (
+                    step, name)
+                assert not got[name][k:].any(), (step, name)
+    assert sorted(opt.active["embed"].tolist()) == list(range(8))
+    assert sorted(opt.active["classifiers"].tolist()) == [1, 2, 4]
 
     # a non-finite row of either lookup table aborts before anything moves
     before = p.copy()
     moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in opt.m}
+    slots = {k: (opt.slots[k].copy(), opt.active[k].copy()) for k in ROW_TABLES}
     for name in ROW_TABLES:
         g = zero_grads(p)
         g.de_w[:] = 1.0
@@ -197,3 +204,47 @@ def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
             assert np.array_equal(arr, before.arrays()[key]), (name, key)
             assert np.array_equal(opt.m[key], moments[key][0]), (name, key)
             assert np.array_equal(opt.v[key], moments[key][1]), (name, key)
+        for key in ROW_TABLES:
+            assert np.array_equal(opt.slots[key], slots[key][0]), (name, key)
+            assert np.array_equal(opt.active[key], slots[key][1]), (name, key)
+
+
+def test_slots_follow_first_gradient_and_are_never_relaid():
+    p = init_params(8, 3, 2, 6, seed=1)
+    opt = Adam(lr_encoder=0.01, lr_classifiers=0.05)
+    rows = {"embed": [[2, 5], [5], [0, 1, 5, 7], [], [1, 3]],
+            "classifiers": [[4], [0, 4], [], [1, 3, 5], [2]]}
+    first = {"embed": [2, 5, 0, 1, 7, 3], "classifiers": [4, 0, 1, 3, 5, 2]}
+    rng = np.random.default_rng(7)
+    seen = {name: [] for name in ROW_TABLES}
+    stores = None
+    for touched in zip(*rows.values()):
+        g = zero_grads(p)
+        for name, ids in zip(rows, touched):
+            width = p.arrays()[name].shape[1]
+            setattr(g, name, (np.array(ids, dtype=np.int64),
+                              rng.normal(size=(len(ids), width))))
+            seen[name] += [i for i in ids if i not in seen[name]]
+        opt.step(p, g)
+        for name in ROW_TABLES:
+            active, slots = opt.active[name], opt.slots[name]
+            assert active.tolist() == seen[name]
+            assert slots[active].tolist() == list(range(active.size))
+            assert np.all(np.delete(slots, active) == -1)
+        # the moment arrays are updated in place, never replaced or re-laid
+        now = [opt.m[name] for name in ROW_TABLES] + [
+            opt.v[name] for name in ROW_TABLES]
+        assert stores is None or all(a is b for a, b in zip(now, stores))
+        stores = now
+    assert {k: v.tolist() for k, v in opt.active.items()} == first
+
+    # an aborted step assigns no slot, not even to its finite new rows
+    slots = {k: opt.slots[k].copy() for k in ROW_TABLES}
+    g = zero_grads(p)
+    g.embed = (np.array([4, 6]), np.ones((2, 3)))
+    g.classifiers = (np.array([0, 2]), np.array([[1.0, 1.0], [np.inf, 0.0]]))
+    with pytest.raises(TrainingAbort, match="classifiers"):
+        opt.step(p, g)
+    assert {k: v.tolist() for k, v in opt.active.items()} == first
+    for name in ROW_TABLES:
+        assert np.array_equal(opt.slots[name], slots[name]), name
