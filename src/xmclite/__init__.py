@@ -4,8 +4,8 @@ Trains a shared bag-of-tokens encoder with a dual-encoder retrieval head and
 a per-label classifier table in one loop: clustered negative-mining-aware
 batches, multi-positive softmax losses in both anchoring directions, mined
 hard negatives refreshed on a schedule, and exact top-k inference over dual,
-classifier, or concatenated label representations, scored in query blocks of
-bounded memory.
+classifier, or concatenated label representations, scored in (query block x
+label tile) pairs of bounded memory.
 """
 
 from .batching import (BatchPlan, CollatedBatch, batch_stats, cluster_queries,

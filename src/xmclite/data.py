@@ -57,8 +57,28 @@ class Vocabulary:
 
     def tokenize(self, text: str) -> np.ndarray:
         """Text -> array of token ids (may be empty)."""
-        ids = [self.token_id(t) for t in _SPLIT.split(text.lower()) if t]
-        return np.asarray(ids, dtype=np.int64)
+        return TokenIds(self).tokenize(text)
+
+
+class TokenIds(dict):
+    """``Vocabulary.token_id`` of each distinct token, hashed once.
+
+    A loader keeps one for the texts of one file, so the memo is dropped
+    with the call rather than keeping every token seen in the process.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        super().__init__()
+        self.vocab = vocab
+
+    def __missing__(self, token: str) -> int:
+        self[token] = token_id = self.vocab.token_id(token)
+        return token_id
+
+    def tokenize(self, text: str) -> np.ndarray:
+        """``Vocabulary.tokenize`` of ``text``, through the memo."""
+        return np.asarray([self[t] for t in _SPLIT.split(text.lower()) if t],
+                          dtype=np.int64)
 
 
 def featurize_all(texts: list[np.ndarray], vocab: Vocabulary) -> sp.csr_matrix:
@@ -68,7 +88,7 @@ def featurize_all(texts: list[np.ndarray], vocab: Vocabulary) -> sp.csr_matrix:
     row slices keep, so slices need no renormalizing."""
     lengths = np.array([len(t) for t in texts], dtype=np.int64)
     rows = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
-    cols = (np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
+    cols = (np.concatenate(texts).astype(np.int64, copy=False)
             if texts else np.zeros(0, dtype=np.int64))
     counts = sp.coo_matrix((np.ones(len(cols)), (rows, cols)),
                            shape=(len(texts), vocab.hash_dim)).tocsr()
@@ -173,11 +193,11 @@ def _read_lines(path: str) -> list[str]:
 
 def load_label_texts(path: str, vocab: Vocabulary) -> list[np.ndarray]:
     """One label text per line; a line without a token is a hard error."""
-    texts = []
+    texts, token_ids = [], TokenIds(vocab)
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             raise DatasetFormatError("empty label text", path, lineno)
-        tokens = vocab.tokenize(line)
+        tokens = token_ids.tokenize(line)
         if tokens.size == 0:
             raise DatasetFormatError(
                 "label text has no ASCII letter or digit to embed", path, lineno)
@@ -262,6 +282,7 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
                 vocab: Vocabulary) -> Dataset:
     l = len(label_texts)
     instance_texts, positive_sets, empties = [], [], 0
+    token_ids = TokenIds(vocab)
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
@@ -284,7 +305,7 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
             if lid < 0 or lid >= l:
                 raise DatasetFormatError("label id out of range", path, lineno)
             ids.append(lid)
-        tokens = vocab.tokenize(obj["text"])
+        tokens = token_ids.tokenize(obj["text"])
         if tokens.size == 0:
             raise DatasetFormatError(
                 "query text has no ASCII letter or digit to embed", path, lineno)

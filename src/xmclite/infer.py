@@ -7,9 +7,14 @@
   exactly its de score plus its clf score (rows have norm sqrt(2)).
 
 Prediction, evaluation and hard-negative mining all rank labels with
-``topk``, an exact scan that scores queries in blocks of bounded size, so
-memory does not grow with the number of queries.  Ties always resolve toward
-the lower label id.
+``topk``, an exact scan that scores (query block x label tile) pairs of
+bounded size, so memory grows with neither the number of queries nor the
+number of labels.  Labels are cut into tiles only where a block with every
+label would hold fewer than ``MIN_BLOCK_ROWS`` queries.  Within a tile, a
+row's k-th largest group maximum is a threshold at or below its k-th best
+score, so the few entries at or above it hold the exact top k; only those
+are sorted.  Scores must be finite (``exclude`` makes them -inf).  Ties
+always resolve toward the lower label id.
 """
 
 from __future__ import annotations
@@ -26,9 +31,20 @@ from .model import ModelParams, forward
 
 MODES = ("de", "clf", "concat")
 
-# Bytes of float64 scores one block of queries may hold in ``topk``.  The
-# block's argpartition needs an int64 index array of the same size again.
+# Bytes of float64 scores one (query block x label tile) of ``topk`` may
+# hold.  Its candidate mask takes a byte per score more.
 SCORE_BLOCK_BYTES = 2 << 20
+# Fewest query rows a block of ``topk`` keeps before the labels are cut into
+# tiles: a block of fewer rows turns the scoring GEMM into a matrix-vector
+# product that re-reads every label vector.  2 MB holds 64 rows of 4096
+# scores, so at L <= 4096 the blocks are the untiled ones and one tile.
+MIN_BLOCK_ROWS = 64
+# Column groups per wanted label in ``_select``: more groups give a tighter
+# threshold and fewer candidates, but cost a wider group-maximum matrix.
+GROUPS_PER_K = 8
+# A row with more than this many candidates per wanted label is ranked on
+# its own rather than widening the block's padded sort.
+MAX_CANDIDATES_PER_K = 4
 
 
 @dataclass
@@ -102,15 +118,65 @@ def query_vectors(params: ModelParams, texts: list, vocab: Vocabulary,
     return query_vectors_by_mode(params, texts, vocab, (mode,))[mode]
 
 
+def _select(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column ids and scores of each row's ``k`` best entries of the score
+    tile ``s`` (``k <= s.shape[1]``), by (score descending, column
+    ascending).
+
+    The columns fall into ``g`` groups, the residues mod ``g``, and ``t`` is
+    a row's k-th largest group maximum.  k different groups each hold a
+    score >= ``t``, so ``t`` is at most the row's k-th best score: every
+    entry of the exact top k, every tie at the k-th score included, is a
+    candidate ``s >= t``.  Candidates keep their column order, so a stable
+    sort of their negated scores ranks ties toward the lower column.
+    """
+    rows, width = s.shape
+    groups = min(GROUPS_PER_K * k, width // 2)
+    thresh = np.full(rows, -np.inf)
+    if groups > k:
+        full = width - width % groups
+        gmax = s[:, :full].reshape(rows, -1, groups).max(axis=1)
+        tail = gmax[:, :width - full]
+        np.maximum(tail, s[:, full:], out=tail)
+        thresh = np.partition(gmax, groups - k, axis=1)[:, groups - k]
+    flat = np.flatnonzero(s >= thresh[:, None])
+    row, col = np.divmod(flat, width)
+    counts = np.bincount(row, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    # A row of ties, or with fewer than k finite scores (t = -inf), keeps
+    # many candidates; it is ranked alone so the padded sort stays narrow.
+    alone = counts > MAX_CANDIDATES_PER_K * k
+    padded = ~alone[row]
+    pos = np.arange(flat.size) - np.repeat(starts, counts)
+    at = row[padded], pos[padded]
+    pad = max(k, int(counts[~alone].max(initial=0)))
+    neg = np.full((rows, pad), np.inf)
+    neg[at] = -s.ravel()[flat[padded]]
+    cols = np.zeros((rows, pad), dtype=np.int64)
+    cols[at] = col[padded]
+    order = np.argsort(neg, axis=1, kind="stable")[:, :k]
+    ids = np.take_along_axis(cols, order, axis=1)
+    for r in np.flatnonzero(alone):
+        cand = col[starts[r]:starts[r] + counts[r]]
+        ids[r] = cand[np.argsort(-s[r, cand], kind="stable")[:k]]
+    return ids, np.take_along_axis(s, ids, axis=1)
+
+
 def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
          exclude: sp.csr_matrix | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ids and scores of the ``min(k, L)`` best labels per query, best first.
 
-    Scores are inner products ``q_vecs @ l_vecs.T``; equal scores rank the
-    lower label id first, exactly as a stable argsort of each row would.
-    Where the (N, L) CSR mask ``exclude`` has an entry, the score is -inf.
+    Scores are inner products ``q_vecs @ l_vecs.T`` and must be finite;
+    where the (N, L) CSR mask ``exclude`` has an entry, the score is -inf.
+    Equal scores rank the lower label id first, exactly as a stable argsort
+    of each row would.
+
     Queries are scored in near-equal row blocks of at most about
-    ``SCORE_BLOCK_BYTES`` of scores each.
+    ``SCORE_BLOCK_BYTES`` of scores each.  When that would leave fewer than
+    ``MIN_BLOCK_ROWS`` rows per block, blocks keep that many rows and the
+    labels are cut into near-equal tiles whose scores fit the budget.  Each
+    tile's k best (see ``_select``) are merged in label order by one stable
+    sort per row, which with one tile is the identity.
     """
     n, num_labels = q_vecs.shape[0], l_vecs.shape[0]
     k = min(k, num_labels)
@@ -121,31 +187,34 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
     # Near-equal blocks rather than full blocks plus a small tail: a GEMM of
     # a few rows can round differently from the same rows inside a larger one.
     n_blocks = min(n, -(-n * num_labels * 8 // SCORE_BLOCK_BYTES))
+    n_tiles = 1
+    if n_blocks > 1 and n // n_blocks < MIN_BLOCK_ROWS:
+        n_blocks = -(-n // MIN_BLOCK_ROWS)
+        tile = max(1, SCORE_BLOCK_BYTES // (8 * -(-n // n_blocks)))
+        n_tiles = -(-num_labels // tile)
+    edges = np.arange(n_tiles + 1) * num_labels // n_tiles
     start = 0
     for block in np.array_split(q_vecs, n_blocks):
         stop = start + block.shape[0]
-        neg = block @ l_vecs.T
         if exclude is not None:
             ptr = exclude.indptr[start:stop + 1]
-            rows = np.repeat(np.arange(stop - start), np.diff(ptr))
-            neg[rows, exclude.indices[ptr[0]:ptr[-1]]] = -np.inf
-        np.negative(neg, out=neg)
-        if k < num_labels:
-            cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
-        else:
-            cand = np.broadcast_to(np.arange(num_labels), neg.shape)
-        vals = np.take_along_axis(neg, cand, axis=1)
-        order = np.lexsort((cand, vals), axis=1)
-        ids[start:stop] = np.take_along_axis(cand, order, axis=1)
-        scores[start:stop] = np.take_along_axis(vals, order, axis=1)
-        # A row with more entries tied at its k-th score than it kept may
-        # have kept a higher id than a stable sort would; rank it in full.
-        kth = scores[start:stop, k - 1:k]
-        for r in np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) > k):
-            best = np.argsort(neg[r], kind="stable")[:k]
-            ids[start + r], scores[start + r] = best, neg[r, best]
+            ex_rows = np.repeat(np.arange(stop - start), np.diff(ptr))
+            ex_cols = exclude.indices[ptr[0]:ptr[-1]]
+        parts = []
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            s = block @ l_vecs[lo:hi].T
+            if exclude is not None:
+                inside = (ex_cols >= lo) & (ex_cols < hi)
+                s[ex_rows[inside], ex_cols[inside] - lo] = -np.inf
+            tile_ids, tile_scores = _select(s, min(k, hi - lo))
+            parts.append((tile_ids + lo, tile_scores))
+        block_ids, block_scores = (np.hstack(p) for p in zip(*parts))
+        if n_tiles > 1:
+            order = np.argsort(-block_scores, axis=1, kind="stable")[:, :k]
+            block_ids = np.take_along_axis(block_ids, order, axis=1)
+            block_scores = np.take_along_axis(block_scores, order, axis=1)
+        ids[start:stop], scores[start:stop] = block_ids, block_scores
         start = stop
-    np.negative(scores, out=scores)
     return ids, scores
 
 

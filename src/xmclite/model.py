@@ -336,7 +336,8 @@ def save_checkpoint(path: str, params: ModelParams,
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Validate magic/dims and rebuild params; returns (params, sidecar)."""
+    """Validate magic, dims and finite values and rebuild params; returns
+    (params, sidecar)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -363,6 +364,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         count = math.prod(shape)
         fields[name] = np.frombuffer(
             blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        finite = np.isfinite(fields[name])
+        if not finite.all():
+            index = np.unravel_index(np.argmin(finite), shape)
+            raise ConfigError(f"{path}: non-finite {name} value at index "
+                              f"{tuple(int(i) for i in index)}")
         offset += 8 * count
     params = ModelParams(**fields, dropout=float(dropout))
     sidecar_path = path + ".json"

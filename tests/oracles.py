@@ -169,6 +169,58 @@ def bf_top_k(scores, k):
     return order[:k]
 
 
+def argpartition_topk(q_vecs, l_vecs, k, exclude=None,
+                      block_bytes=2 << 20):
+    """``infer.topk`` as it was before its threshold selection and label
+    tiles: ``argpartition`` on whole score rows, with a full stable argsort
+    of any row whose k-th score is tied beyond the kept entries.  The
+    current ``topk`` must equal it bitwise, ids and score bits alike.
+
+    Ids and scores of the ``min(k, L)`` best labels per query, best first.
+
+    Scores are inner products ``q_vecs @ l_vecs.T``; equal scores rank the
+    lower label id first, exactly as a stable argsort of each row would.
+    Where the (N, L) CSR mask ``exclude`` has an entry, the score is -inf.
+    Queries are scored in near-equal row blocks of at most about
+    ``block_bytes`` of scores each.
+    """
+    n, num_labels = q_vecs.shape[0], l_vecs.shape[0]
+    k = min(k, num_labels)
+    ids = np.zeros((n, k), dtype=np.int64)
+    scores = np.zeros((n, k))
+    if n == 0 or k == 0:
+        return ids, scores
+    # Near-equal blocks rather than full blocks plus a small tail: a GEMM of
+    # a few rows can round differently from the same rows inside a larger one.
+    n_blocks = min(n, -(-n * num_labels * 8 // block_bytes))
+    start = 0
+    for block in np.array_split(q_vecs, n_blocks):
+        stop = start + block.shape[0]
+        neg = block @ l_vecs.T
+        if exclude is not None:
+            ptr = exclude.indptr[start:stop + 1]
+            rows = np.repeat(np.arange(stop - start), np.diff(ptr))
+            neg[rows, exclude.indices[ptr[0]:ptr[-1]]] = -np.inf
+        np.negative(neg, out=neg)
+        if k < num_labels:
+            cand = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        else:
+            cand = np.broadcast_to(np.arange(num_labels), neg.shape)
+        vals = np.take_along_axis(neg, cand, axis=1)
+        order = np.lexsort((cand, vals), axis=1)
+        ids[start:stop] = np.take_along_axis(cand, order, axis=1)
+        scores[start:stop] = np.take_along_axis(vals, order, axis=1)
+        # A row with more entries tied at its k-th score than it kept may
+        # have kept a higher id than a stable sort would; rank it in full.
+        kth = scores[start:stop, k - 1:k]
+        for r in np.flatnonzero(np.count_nonzero(neg <= kth, axis=1) > k):
+            best = np.argsort(neg[r], kind="stable")[:k]
+            ids[start + r], scores[start + r] = best, neg[r, best]
+        start = stop
+    np.negative(scores, out=scores)
+    return ids, scores
+
+
 def bf_hard_negatives(score_row, positives, cache_size):
     banned = set(int(p) for p in positives)
     ranked = [j for j in bf_top_k(score_row, len(score_row))

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from xmclite import (Dataset, DatasetFormatError, Vocabulary, featurize_all,
                      load_dataset, make_dataset, save_sparse, synth_dataset)
-from xmclite.data import load_label_texts
+from xmclite.data import TokenIds, load_label_texts
 
 from oracles import loop_featurize_all
 
@@ -29,6 +29,22 @@ def test_tokenize_empty_and_punctuation_only():
     v = Vocabulary(64)
     assert v.tokenize("").size == 0
     assert v.tokenize("!!! ???").size == 0
+
+
+def test_memoized_token_ids_equal_token_id():
+    v = Vocabulary(97)
+    memo = TokenIds(v)
+    text = "Red shoe, red BLUE shoe z9 red"
+    assert memo.tokenize(text).tolist() == [
+        v.token_id(t) for t in ("red", "shoe", "red", "blue", "shoe", "z9",
+                                "red")]
+    assert sorted(memo) == ["blue", "red", "shoe", "z9"]
+    # a token the memo has not seen, beside one it has
+    assert memo.tokenize("green red").tolist() == [v.token_id("green"),
+                                                   v.token_id("red")]
+    assert memo.tokenize(text).tolist() == v.tokenize(text).tolist()
+    empty = memo.tokenize("!!")
+    assert empty.dtype == np.int64 and empty.size == 0
 
 
 def test_token_ids_stay_in_range():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xmclite import (ConfigError, DegenerateEmbeddingError, LabelIndex,
                      build_index, init_params, label_vectors, predict,
@@ -12,7 +14,8 @@ from xmclite import infer
 from xmclite.infer import topk
 
 from conftest import random_positive_sets
-from oracles import bf_hard_negatives, bf_top_k, loop_predictions_tsv
+from oracles import (argpartition_topk, bf_hard_negatives, bf_top_k,
+                     loop_predictions_tsv)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +120,90 @@ def test_topk_matches_brute_force_with_ties_and_exclusions(monkeypatch,
             kept = ids[i][np.isfinite(vals[i])]
             assert kept.tolist() == bf_hard_negatives(scores[i], sets[i], k)
         assert all(np.isfinite(vals[i]).sum() == min(k, 3) for i in range(3))
+
+
+TOPK_CASES = settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _draw_vectors(data, n, num_labels):
+    """Query and label vectors whose products are exact, so any block or
+    tile shape gives the same score bits: small integers in up to 4 dims,
+    or a few arbitrary floats in 1 dim.  Both give many ties."""
+    if data.draw(st.booleans(), label="integer vectors"):
+        dim = data.draw(st.integers(1, 4), label="dim")
+        values = st.integers(-2, 2).map(float)
+    else:
+        dim = 1
+        values = st.sampled_from(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4),
+            label="float pool"))
+    rows = [[data.draw(values) for _ in range(dim)] for _ in range(n)]
+    cols = [[data.draw(values) for _ in range(dim)] for _ in range(num_labels)]
+    return (np.array(rows, dtype=np.float64).reshape(n, dim),
+            np.array(cols, dtype=np.float64).reshape(num_labels, dim))
+
+
+def _draw_exclusions(data, n, num_labels):
+    """None, or a CSR mask whose rows are random, leave one label or leave
+    none."""
+    if not data.draw(st.booleans(), label="exclude"):
+        return None
+    mask = np.zeros((n, num_labels), dtype=bool)
+    for i in range(n):
+        kind = data.draw(st.sampled_from(["random", "one left", "none left"]))
+        if kind == "random":
+            mask[i] = data.draw(st.lists(st.booleans(), min_size=num_labels,
+                                         max_size=num_labels))
+        else:
+            mask[i] = True
+            if kind == "one left":
+                mask[i, data.draw(st.integers(0, num_labels - 1))] = False
+    return sp.csr_matrix(mask, shape=(n, num_labels))
+
+
+@TOPK_CASES
+@given(data=st.data())
+def test_topk_equals_the_argpartition_oracle_bitwise(monkeypatch, data):
+    n = data.draw(st.integers(0, 12), label="n")
+    num_labels = data.draw(st.integers(1, 24), label="L")
+    q, l = _draw_vectors(data, n, num_labels)
+    exclude = _draw_exclusions(data, n, num_labels)
+    # A small budget splits the rows into blocks and the labels into tiles
+    # of as little as one label, so ties straddle tile borders.
+    block_bytes = data.draw(st.sampled_from(
+        [infer.SCORE_BLOCK_BYTES, 8, 24, 8 * num_labels, 8 * 3 * num_labels]),
+        label="block bytes")
+    monkeypatch.setattr(infer, "SCORE_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(infer, "MIN_BLOCK_ROWS",
+                        data.draw(st.sampled_from([64, 1, 2, 3]),
+                                  label="min block rows"))
+    tie_k = 1
+    if n:
+        row = np.sort(q[0] @ l.T)[::-1]
+        tied = np.flatnonzero(row[1:] == row[:-1])
+        tie_k = int(tied[0]) + 1 if tied.size else 1
+    k = data.draw(st.sampled_from(
+        [1, tie_k, num_labels - 1, num_labels, num_labels + 1]), label="k")
+    ids, scores = topk(q, l, k, exclude)
+    want_ids, want_scores = argpartition_topk(q, l, k, exclude, block_bytes)
+    assert ids.dtype == want_ids.dtype and scores.dtype == want_scores.dtype
+    assert np.array_equal(ids, want_ids)
+    assert scores.tobytes() == want_scores.tobytes()
+
+
+def test_topk_ranks_rows_of_ties_and_of_minus_inf_by_id():
+    # Every label of such a row is a candidate: ranked alone, by a stable
+    # sort, it keeps the lowest ids.
+    q = np.array([[1.0], [1.0], [0.0]])
+    l = np.full((100, 1), 2.0)
+    mask = np.zeros((3, 100), dtype=bool)
+    mask[1] = np.arange(100) != 70
+    ids, scores = topk(q, l, 6, sp.csr_matrix(mask))
+    assert ids.tolist() == [list(range(6)), [70, 0, 1, 2, 3, 4],
+                            list(range(6))]
+    assert scores.tolist() == [[2.0] * 6, [2.0] + [-np.inf] * 5, [0.0] * 6]
 
 
 def test_exact_prediction_matches_brute_force_scan():

@@ -5,11 +5,13 @@ Whatever the bytes, a reader either returns or raises a package error (or
 FileNotFoundError), which the CLI reports as a usage error, never a crash.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmclite import XmcliteError, init_params, load_dataset, read_predictions
+from xmclite import (ConfigError, XmcliteError, init_params, load_dataset,
+                     read_predictions)
 from xmclite.model import load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
@@ -36,11 +38,14 @@ def _reads_cleanly(read, path) -> None:
         pass
 
 
+_VALID = init_params(6, 3, 2, 4, seed=0)
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     ckpt = str(root / "ckpt.bin")
-    save_checkpoint(ckpt, init_params(6, 3, 2, 4, seed=0), extra={"epoch": 1})
+    save_checkpoint(ckpt, _VALID, extra={"epoch": 1})
     return {name: open(path, "rb").read() for name, path in
             (("ckpt", ckpt), ("sidecar", ckpt + ".json"))}
 
@@ -65,6 +70,23 @@ def test_fuzzed_checkpoint_sidecars_raise_package_errors(valid_files,
                                                          tmp_path, data):
     sidecar = data.draw(_corruptions(valid_files["sidecar"]))
     _check_checkpoint(tmp_path, valid_files["ckpt"], sidecar)
+
+
+@FUZZ
+@given(data=st.data())
+def test_non_finite_checkpoint_values_are_rejected_by_name(valid_files,
+                                                           tmp_path, data):
+    arrays = _VALID.arrays()    # in file order, after the 48-byte header
+    ends = np.cumsum([a.size for a in arrays.values()])
+    index = data.draw(st.integers(0, int(ends[-1]) - 1))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    blob, offset = valid_files["ckpt"], 48 + 8 * index
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(blob[:offset] + np.float64(bad).tobytes()
+                     + blob[offset + 8:])
+    name = list(arrays)[int(np.searchsorted(ends, index, side="right"))]
+    with pytest.raises(ConfigError, match=f"non-finite {name} value"):
+        load_checkpoint(str(path))
 
 
 _TSV_TEXT = st.text(alphabet=st.sampled_from("0123456789-.e+\t\n\r xnaif_"),

@@ -380,6 +380,17 @@ def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path):
             load_checkpoint(str(tmp_path / "zero.bin"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, bad):
+    p = init_params(8, 4, 2, 3, seed=0)
+    p.classifiers[2, 1] = bad
+    p.classifiers[1, 0] = bad       # the first bad index is reported
+    path = str(tmp_path / "m.bin")
+    save_checkpoint(path, p)
+    with pytest.raises(ConfigError, match=r"classifiers value at index \(1, 0\)"):
+        load_checkpoint(path)
+
+
 def test_params_copy_is_deep():
     p = init_params(8, 4, 2, 3, seed=0)
     q = p.copy()
