@@ -6,16 +6,17 @@ exact rebalance by assignment margin), so similar queries land together and
 their sampled positives act as informative in-batch negatives for each other.
 
 Collation then samples a capped number of positives and cached hard
-negatives per query, unions them into the batch label pool, and records, for
-every query, which pool labels are true positives (and the transpose view),
-with the metrics' one membership test, ``data.hit_matrix``.  Membership runs
-against the full ground truth, so a label brought in by one query also
-counts as a positive of any other query that truly has it.
+negatives per query, unions them into the batch label pool, and records which
+pool labels are true positives of which query as one boolean (queries x pool)
+mask, from the metrics' one membership test, ``data.hit_matrix``.  Its
+transpose is the label-anchored view.  Membership runs against the full
+ground truth, so a label brought in by one query also counts as a positive of
+any other query that truly has it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,69 +126,58 @@ def sample_ids(ids: np.ndarray, cap: int, seed) -> np.ndarray:
 
 @dataclass
 class CollatedBatch:
-    """One training batch with its label pool and positive bookkeeping.
+    """One training batch with its label pool and positive mask.
 
-    ``pb_idx``/``pl_idx`` hold positions (into ``label_pool`` and
-    ``query_ids`` respectively) ready for loss evaluation; the ``*_ids``
-    variants hold the underlying dataset ids.  The ``clf_*`` fields describe
-    the classifier-side pool, which can be a superset of ``label_pool`` when
-    extra classifier positives are sampled.
+    ``positives[i, j]`` is True when ``label_pool[j]`` is a ground-truth
+    label of ``query_ids[i]``.  ``clf_pool`` and ``clf_positives`` describe
+    the classifier-side pool, a superset of ``label_pool`` when extra
+    classifier positives are sampled and the very same objects otherwise.
     """
 
     query_ids: np.ndarray
     sampled_positives: list[np.ndarray]
     sampled_hard_negatives: list[np.ndarray]
+    extra_clf_positives: list[np.ndarray]
     label_pool: np.ndarray
-    pb_ids: list[np.ndarray]
-    pb_idx: list[np.ndarray]
-    pl_ids: list[np.ndarray]
-    pl_idx: list[np.ndarray]
-    extra_clf_positives: list[np.ndarray] = field(default_factory=list)
-    clf_pool: np.ndarray | None = None
-    clf_pb_idx: list[np.ndarray] | None = None
-    clf_pl_idx: list[np.ndarray] | None = None
+    positives: np.ndarray         # (queries, pool) bool
+    clf_pool: np.ndarray
+    clf_positives: np.ndarray     # (queries, clf_pool) bool
 
-
-def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """``values`` cut into consecutive pieces (views) of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [values[start:end] for start, end in zip([0] + ends, ends)]
+    @property
+    def pb_idx(self) -> list[np.ndarray]:
+        """Each query's positive pool positions.  Only the benchmark's
+        tracer reads it (``perfbench/tracer.py``, ``_on_collate``)."""
+        return [np.flatnonzero(row) for row in self.positives]
 
 
 def _pool_membership(query_ids: np.ndarray, pool: np.ndarray,
-                     dataset: Dataset):
-    """Each query's ground truth ∩ pool, as ids and pool positions, plus
-    the transpose, from one ``hit_matrix`` of the queries' relevance rows
-    against the sorted pool, whose row-major nonzeros come out sorted."""
+                     dataset: Dataset) -> np.ndarray:
+    """(queries x pool) mask of each query's ground truth in the sorted
+    pool, from one ``hit_matrix`` of the queries' relevance rows."""
     truth = dataset.relevance[query_ids]
     t_row = np.repeat(np.arange(query_ids.size), np.diff(truth.indptr))
     shape = (query_ids.size, pool.size)
-    hit = hit_matrix(np.broadcast_to(pool, shape), np.ones(shape, dtype=bool),
-                     t_row, truth.indices.astype(np.int64))
-    pb, pl = np.nonzero(hit)[1], np.nonzero(hit.T)[1]
-    pb_counts, pl_counts = hit.sum(axis=1), hit.sum(axis=0)
-    return (_split(pool[pb], pb_counts), _split(pb, pb_counts),
-            _split(query_ids[pl], pl_counts), _split(pl, pl_counts))
+    return hit_matrix(np.broadcast_to(pool, shape), np.ones(shape, dtype=bool),
+                      t_row, truth.indices.astype(np.int64))
 
 
 def collate_from_samples(query_ids: np.ndarray, dataset: Dataset,
                          sampled_pos: list, sampled_neg: list,
                          extras: list | None = None) -> CollatedBatch:
-    """Assemble pool and positive bookkeeping from already-drawn samples."""
+    """Assemble the pools and positive masks from already-drawn samples."""
     query_ids = np.asarray(query_ids, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     if extras is None:
         extras = [empty] * query_ids.size
     pool = np.unique(np.concatenate([empty] + sampled_pos + sampled_neg))
-    pb_ids, pb_idx, pl_ids, pl_idx = _pool_membership(query_ids, pool, dataset)
+    positives = _pool_membership(query_ids, pool, dataset)
     # without extras the classifier side aliases the retrieval pool
-    batch = CollatedBatch(query_ids, sampled_pos, sampled_neg, pool, pb_ids,
-                          pb_idx, pl_ids, pl_idx, extras, pool, pb_idx, pl_idx)
+    clf_pool, clf_positives = pool, positives
     if any(e.size for e in extras):
-        batch.clf_pool = np.unique(np.concatenate([pool] + extras))
-        _, batch.clf_pb_idx, _, batch.clf_pl_idx = _pool_membership(
-            query_ids, batch.clf_pool, dataset)
-    return batch
+        clf_pool = np.unique(np.concatenate([pool] + extras))
+        clf_positives = _pool_membership(query_ids, clf_pool, dataset)
+    return CollatedBatch(query_ids, sampled_pos, sampled_neg, extras, pool,
+                         positives, clf_pool, clf_positives)
 
 
 def collate_batch(query_ids: np.ndarray, dataset: Dataset,
@@ -254,12 +244,14 @@ def batch_stats(dataset: Dataset, plan: BatchPlan,
     for b, ids in enumerate(plan):
         batch = collate_batch(ids, dataset, cache, max_positives,
                               max_negatives, seed, epoch=0, batch_index=b)
-        pb_sizes.extend(len(p) for p in batch.pb_ids)
-        gains.extend(len(p) - len(s) for p, s in
-                     zip(batch.pb_ids, batch.sampled_positives))
+        pb = batch.positives.sum(axis=1)
+        pb_sizes.append(pb)
+        # every sampled positive is in the pool and true
+        gains.append(pb - np.fromiter(map(len, batch.sampled_positives),
+                                      dtype=np.int64, count=pb.size))
         pool_sizes.append(batch.label_pool.size)
     batch_size = max(len(ids) for ids in plan.batches)
     return BatchStats(max_positives, max_negatives, batch_size,
-                      np.asarray(pb_sizes, dtype=np.int64),
+                      np.concatenate(pb_sizes),
                       np.asarray(pool_sizes, dtype=np.int64),
-                      np.asarray(gains, dtype=np.int64))
+                      np.concatenate(gains))

@@ -30,7 +30,8 @@ class DatasetFormatError(XmcliteError):
 
 
 class DegenerateEmbeddingError(XmcliteError):
-    """A vector that must be normalized has zero norm (e.g. all-zero rows)."""
+    """A vector that must be normalized has zero norm (e.g. all-zero rows),
+    or a vector to be scored holds a NaN or an infinity."""
 
 
 class TrainingAbort(XmcliteError):

@@ -13,8 +13,9 @@ number of labels.  Labels are cut into tiles only where a block with every
 label would hold fewer than ``MIN_BLOCK_ROWS`` queries.  Within a tile, a
 row's k-th largest group maximum is a threshold at or below its k-th best
 score, so the few entries at or above it hold the exact top k; only those
-are sorted.  Scores must be finite (``exclude`` makes them -inf).  Ties
-always resolve toward the lower label id.
+are sorted.  Vectors must be finite, or ``topk`` raises; scores are
+finite unless ``exclude`` makes them -inf.  Ties always resolve toward the
+lower label id.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
          exclude: sp.csr_matrix | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ids and scores of the ``min(k, L)`` best labels per query, best first.
 
-    Scores are inner products ``q_vecs @ l_vecs.T`` and must be finite;
-    where the (N, L) CSR mask ``exclude`` has an entry, the score is -inf.
+    Scores are inner products ``q_vecs @ l_vecs.T``; where the (N, L) CSR
+    mask ``exclude`` has an entry, the score is -inf.  A row of either
+    matrix with a NaN or an infinity raises ``DegenerateEmbeddingError``.
     Equal scores rank the lower label id first, exactly as a stable argsort
     of each row would.
 
@@ -178,6 +180,11 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
     tile's k best (see ``_select``) are merged in label order by one stable
     sort per row, which with one tile is the identity.
     """
+    for what, vecs in (("query", q_vecs), ("label", l_vecs)):
+        bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+        if bad.size:
+            raise DegenerateEmbeddingError(
+                f"non-finite {what} vector in row {bad[0]}")
     n, num_labels = q_vecs.shape[0], l_vecs.shape[0]
     k = min(k, num_labels)
     ids = np.zeros((n, k), dtype=np.int64)

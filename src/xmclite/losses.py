@@ -1,11 +1,12 @@
 """Training objectives over a batch label pool, with exact gradients.
 
 The core objective is a temperature-scaled softmax cross-entropy where each
-anchor may have several positive targets inside the pool.  It is applied in
-two directions (queries scoring the label pool, and pool labels scoring the
-queries) and on two representation pairs (retrieval-head embeddings against
-label retrieval embeddings; classifier-head embeddings against classifier
-rows).
+anchor may have several positive targets inside the pool, given as one
+boolean (anchors x targets) mask.  It is applied in two directions (queries
+scoring the label pool with the batch's positive mask, and pool labels
+scoring the queries with its transpose) and on two representation pairs
+(retrieval-head embeddings against label retrieval embeddings;
+classifier-head embeddings against classifier rows).
 
 All losses return their gradients w.r.t. every input vector; no autodiff.
 """
@@ -71,15 +72,16 @@ class PoolLossResult:
 
 
 def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
-                        positive_sets: list, temperature: float,
+                        positives: np.ndarray, temperature: float,
                         positive_reduction: str = "mean",
                         batch_reduction: str = "mean",
                         with_grads: bool = True) -> PoolLossResult:
     """Multi-positive softmax cross-entropy of anchors against a target pool.
 
-    ``positive_sets[i]`` holds indices into ``targets`` that are positive for
-    anchor i; anchors with no positives contribute nothing (and do not count
-    toward the batch mean).  Log-sum-exp uses max subtraction.
+    ``positives`` is a boolean (anchors, targets) mask whose row i marks
+    the positives of anchor i; anchors with no positives contribute nothing
+    (and do not count toward the batch mean).  Log-sum-exp uses max
+    subtraction.
 
     Reference cases (any temperature):
 
@@ -96,8 +98,10 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     if positive_reduction not in _REDUCTIONS or batch_reduction not in _REDUCTIONS:
         raise ConfigError("reductions must be 'mean' or 'sum'")
     n, m = anchors.shape[0], targets.shape[0]
-    if len(positive_sets) != n:
-        raise ValueError(f"{len(positive_sets)} positive sets for {n} anchors")
+    positives = np.asarray(positives)
+    if positives.dtype != bool or positives.shape != (n, m):
+        raise ValueError(f"positives must be a boolean ({n}, {m}) mask, got "
+                         f"{positives.dtype} {positives.shape}")
     if n == 0 or m == 0:
         d_a = np.zeros_like(anchors) if with_grads else None
         d_t = np.zeros_like(targets) if with_grads else None
@@ -108,18 +112,15 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     lse = row_max + np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
     logp = logits - lse
 
-    # pos_w[i, p] = per-positive weight; doubles as the label-side indicator.
-    # A repeated positive is set once but counts in its anchor's size.
-    sizes = np.fromiter(map(len, positive_sets), dtype=np.int64, count=n)
-    rows = np.repeat(np.arange(n), sizes)
-    cols = np.concatenate(positive_sets).astype(np.int64, copy=False)
+    # pos_w[i, p] = per-positive weight; True / size is the float 1.0 / size
+    sizes = positives.sum(axis=1)
     active = sizes > 0
-    pos_w = np.zeros((n, m))
     if positive_reduction == "mean":
-        pos_w[rows, cols] = 1.0 / sizes[rows]
+        pos_w = np.divide(positives, sizes[:, None], out=np.zeros((n, m)),
+                          where=positives)
         coef = active.astype(np.float64)      # multiplier on the softmax term
     else:
-        pos_w[rows, cols] = 1.0
+        pos_w = positives.astype(np.float64)
         coef = sizes.astype(np.float64)
 
     per_anchor = -(pos_w * logp).sum(axis=1)
@@ -150,17 +151,19 @@ class SymmetricLossResult:
 
 
 def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
-                        positives_by_query: list, positives_by_target: list,
-                        temperature: float, q2l_weight: float,
+                        positives: np.ndarray, temperature: float,
+                        q2l_weight: float,
                         positive_reduction: str = "mean",
                         batch_reduction: str = "mean",
                         with_grads: bool = True) -> SymmetricLossResult:
-    """Convex mix of the two anchoring directions over one pool."""
+    """Convex mix of the two anchoring directions over one pool: queries
+    anchored with the (queries, targets) mask ``positives``, targets with its
+    transpose."""
     kw = dict(positive_reduction=positive_reduction,
               batch_reduction=batch_reduction, with_grads=with_grads)
-    fwd = pooled_softmax_loss(query_vecs, target_vecs, positives_by_query,
+    fwd = pooled_softmax_loss(query_vecs, target_vecs, positives,
                               temperature, **kw)
-    rev = pooled_softmax_loss(target_vecs, query_vecs, positives_by_target,
+    rev = pooled_softmax_loss(target_vecs, query_vecs, positives.T,
                               temperature, **kw)
     w = q2l_weight
     value = w * fwd.value + (1.0 - w) * rev.value
@@ -171,18 +174,16 @@ def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
     return SymmetricLossResult(value, fwd.value, rev.value, d_queries, d_targets)
 
 
-def retrieval_loss(query_de_vecs, label_de_vecs, positives_by_query,
-                   positives_by_label, cfg: LossConfig,
+def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: LossConfig,
                    with_grads: bool = True) -> SymmetricLossResult:
     """Symmetric pool loss on the (unit-norm) retrieval-head embeddings."""
     return symmetric_pool_loss(
-        query_de_vecs, label_de_vecs, positives_by_query, positives_by_label,
-        cfg.temperature, cfg.de_q2l_weight, cfg.positive_reduction,
-        cfg.batch_reduction, with_grads)
+        query_de_vecs, label_de_vecs, positives, cfg.temperature,
+        cfg.de_q2l_weight, cfg.positive_reduction, cfg.batch_reduction,
+        with_grads)
 
 
-def classifier_loss(query_clf_vecs, classifier_rows, positives_by_query,
-                    positives_by_label, cfg: LossConfig,
+def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: LossConfig,
                     with_grads: bool = True) -> SymmetricLossResult:
     """Symmetric pool loss on classifier-head outputs vs classifier rows.
 
@@ -190,9 +191,9 @@ def classifier_loss(query_clf_vecs, classifier_rows, positives_by_query,
     retrieval pool when extra classifier-side positives are configured.
     """
     return symmetric_pool_loss(
-        query_clf_vecs, classifier_rows, positives_by_query, positives_by_label,
-        cfg.temperature, cfg.clf_q2l_weight, cfg.positive_reduction,
-        cfg.batch_reduction, with_grads)
+        query_clf_vecs, classifier_rows, positives, cfg.temperature,
+        cfg.clf_q2l_weight, cfg.positive_reduction, cfg.batch_reduction,
+        with_grads)
 
 
 def combined_loss(retrieval_value: float, classifier_value: float,

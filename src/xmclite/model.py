@@ -66,11 +66,6 @@ class ModelParams:
         return ModelParams(**{k: v.copy() for k, v in self.arrays().items()},
                            dropout=self.dropout)
 
-    def assert_finite(self) -> None:
-        for name, arr in self.arrays().items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite values in {name}")
-
 
 def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
                 num_labels: int, seed: int = 0, dropout: float = 0.1,
@@ -183,23 +178,12 @@ class Grads:
     clf_w: np.ndarray
     clf_b: np.ndarray
     classifiers: tuple
-    hash_dim: int
-    num_labels: int
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Gradient values by group; the row tables give only their rows."""
         return {"embed": self.embed[1], "de_w": self.de_w, "de_b": self.de_b,
                 "clf_w": self.clf_w, "clf_b": self.clf_b,
                 "classifiers": self.classifiers[1]}
-
-    def dense(self) -> dict[str, np.ndarray]:
-        """Like ``arrays`` but with the row tables expanded to full tables."""
-        full = self.arrays()
-        for name, size in zip(ROW_TABLES, (self.hash_dim, self.num_labels)):
-            row_ids, rows = getattr(self, name)
-            full[name] = np.zeros((size, rows.shape[1]), dtype=rows.dtype)
-            full[name][row_ids] = rows
-        return full
 
     def scale_(self, factor: float) -> "Grads":
         for v in self.arrays().values():
@@ -238,8 +222,7 @@ def zero_grads(params: ModelParams) -> Grads:
     """Empty row-table pairs and zeroed head groups."""
     groups = {k: (np.zeros(0, np.int64), v[:0].copy()) if k in ROW_TABLES
               else np.zeros_like(v) for k, v in params.arrays().items()}
-    return Grads(**groups, hash_dim=params.hash_dim,
-                 num_labels=params.num_labels)
+    return Grads(**groups)
 
 
 def backward(params: ModelParams, trace: ForwardTrace,

@@ -213,12 +213,12 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                 l_trace = forward(params, l_feats[batch.label_pool],
                                   mode="train", rng=rng_drop, heads=("de",))
                 de_res = retrieval_loss(q_trace.de_out, l_trace.de_out,
-                                        batch.pb_idx, batch.pl_idx, cfg.loss,
+                                        batch.positives, cfg.loss,
                                         with_grads=de_w8 > 0)
                 clf_rows = params.classifiers[batch.clf_pool]
                 clf_res = classifier_loss(q_trace.clf_out, clf_rows,
-                                          batch.clf_pb_idx, batch.clf_pl_idx,
-                                          cfg.loss, with_grads=de_w8 < 1)
+                                          batch.clf_positives, cfg.loss,
+                                          with_grads=de_w8 < 1)
                 total = combined_loss(de_res.value, clf_res.value, de_w8)
                 if not np.isfinite(total):
                     raise TrainingAbort(

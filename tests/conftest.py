@@ -28,6 +28,20 @@ def random_positive_sets(rng: np.random.Generator, n: int, num_labels: int,
             for _ in range(n)]
 
 
+def mask_of(sets, num_targets: int) -> np.ndarray:
+    """Boolean (len(sets), num_targets) positive mask whose row i is True at
+    the ids in ``sets[i]``."""
+    mask = np.zeros((len(sets), num_targets), dtype=bool)
+    for i, ids in enumerate(sets):
+        mask[i, np.asarray(ids, dtype=np.int64)] = True
+    return mask
+
+
+def sets_of(mask: np.ndarray) -> list:
+    """Each row's True positions, as the list oracles take."""
+    return [np.flatnonzero(row) for row in mask]
+
+
 def id_dataset(rng: np.random.Generator, n: int, num_labels: int,
                max_pos: int = 4, allow_empty: bool = False,
                hash_dim: int = 64) -> Dataset:

@@ -163,6 +163,26 @@ def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
             (d_logits.T @ anchors) / temperature)
 
 
+def assert_finite(params):
+    """Raise ``FloatingPointError`` naming the first parameter group of a
+    ``ModelParams`` that holds a NaN or an infinity."""
+    for name, arr in params.arrays().items():
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(f"non-finite values in {name}")
+
+
+def dense_grads(grads, params):
+    """``grads.arrays()`` with both row-sparse lookup tables expanded to
+    full tables as tall as ``params``' ones; unnamed rows are zero."""
+    full = grads.arrays()
+    for name in ("embed", "classifiers"):
+        row_ids, rows = getattr(grads, name)
+        size = params.arrays()[name].shape[0]
+        full[name] = np.zeros((size, rows.shape[1]), dtype=rows.dtype)
+        full[name][row_ids] = rows
+    return full
+
+
 def bf_top_k(scores, k):
     """Ranked indices, highest score first, ties toward the lower index."""
     order = sorted(range(len(scores)), key=lambda j: (-float(scores[j]), j))

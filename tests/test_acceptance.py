@@ -14,11 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (id_dataset, random_positive_sets, text_dataset,
-                      unit_rows, write_text_dataset)
+from conftest import (id_dataset, mask_of, random_positive_sets, sets_of,
+                      text_dataset, unit_rows, write_text_dataset)
 from oracles import (bf_collate, bf_hard_negatives, bf_pool_loss,
                      bf_precision_at_k, bf_psp_at_k, bf_symmetric_loss,
-                     bf_top_k, finite_difference, max_relative_error)
+                     bf_top_k, dense_grads, finite_difference,
+                     max_relative_error)
 from xmclite import (LossConfig, TrainConfig, Vocabulary, evaluate_model,
                      make_dataset, synth_dataset, train)
 from xmclite.batching import collate_batch
@@ -72,11 +73,11 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
                        de_mask=qm.de_mask, clf_mask=qm.clf_mask)
         l_tr = forward(params, l_feats, mode="train", de_mask=lm.de_mask,
                        heads=("de",))
-        de_res = retrieval_loss(q_tr.de_out, l_tr.de_out, batch.pb_idx,
-                                batch.pl_idx, cfg, with_grads=with_grads)
+        de_res = retrieval_loss(q_tr.de_out, l_tr.de_out, batch.positives,
+                                cfg, with_grads=with_grads)
         clf_rows = params.classifiers[batch.clf_pool]
-        clf_res = classifier_loss(q_tr.clf_out, clf_rows, batch.clf_pb_idx,
-                                  batch.clf_pl_idx, cfg,
+        clf_res = classifier_loss(q_tr.clf_out, clf_rows,
+                                  batch.clf_positives, cfg,
                                   with_grads=with_grads)
         total = combined_loss(de_res.value, clf_res.value, cfg.de_weight)
         if not with_grads:
@@ -95,7 +96,7 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
     numeric = finite_difference(lambda: run(False),
                                 [params.arrays()[k] for k in names],
                                 step=1e-6)
-    analytic = [grads.dense()[k] for k in names]
+    analytic = [dense_grads(grads, params)[k] for k in names]
     err = max_relative_error(analytic, numeric)
     elapsed = time.perf_counter() - started
     _verdict("criterion 01 gradient check",
@@ -113,8 +114,7 @@ def test_criterion_02_losses_match_brute_force_oracles():
         anchors = rng.normal(size=(n, 5))
         targets = rng.normal(size=(m, 5))
         member = rng.random((n, m)) < 0.4
-        pos = [np.flatnonzero(member[i]) for i in range(n)]
-        pos_t = [np.flatnonzero(member[:, j]) for j in range(m)]
+        pos, pos_t = sets_of(member), sets_of(member.T)
         temp = float(rng.uniform(0.05, 1.0))
         pr = ("mean", "sum")[int(rng.integers(2))]
         br = ("mean", "sum")[int(rng.integers(2))]
@@ -123,19 +123,19 @@ def test_criterion_02_losses_match_brute_force_oracles():
                          clf_q2l_weight=1.0 - wd, positive_reduction=pr,
                          batch_reduction=br)
 
-        q2l = pooled_softmax_loss(anchors, targets, pos, temp, pr, br,
+        q2l = pooled_softmax_loss(anchors, targets, member, temp, pr, br,
                                   with_grads=False).value
         worst = max(worst, abs(q2l - bf_pool_loss(anchors, targets, pos,
                                                   temp, pr, br)))
-        l2q = pooled_softmax_loss(targets, anchors, pos_t, temp, pr, br,
+        l2q = pooled_softmax_loss(targets, anchors, member.T, temp, pr, br,
                                   with_grads=False).value
         worst = max(worst, abs(l2q - bf_pool_loss(targets, anchors, pos_t,
                                                   temp, pr, br)))
-        de = retrieval_loss(anchors, targets, pos, pos_t, cfg,
+        de = retrieval_loss(anchors, targets, member, cfg,
                             with_grads=False).value
         worst = max(worst, abs(de - bf_symmetric_loss(
             anchors, targets, pos, pos_t, temp, wd, pr, br)[0]))
-        clf = classifier_loss(anchors, targets, pos, pos_t, cfg,
+        clf = classifier_loss(anchors, targets, member, cfg,
                               with_grads=False).value
         worst = max(worst, abs(clf - bf_symmetric_loss(
             anchors, targets, pos, pos_t, temp, 1.0 - wd, pr, br)[0]))
@@ -147,11 +147,12 @@ def test_criterion_03_closed_form_reference_values():
     a = np.array([[1.0, 0.0]])
     two = np.array([[1.0, 0.0]] * 2)
     three = np.array([[1.0, 0.0]] * 3)
-    v2 = pooled_softmax_loss(a, two, [np.array([0])], 0.05,
+    v2 = pooled_softmax_loss(a, two, np.array([[True, False]]), 0.05,
                              with_grads=False).value
-    mean3 = pooled_softmax_loss(a, three, [np.array([0, 2])], 0.37, "mean",
+    pos3 = np.array([[True, False, True]])
+    mean3 = pooled_softmax_loss(a, three, pos3, 0.37, "mean",
                                 with_grads=False).value
-    sum3 = pooled_softmax_loss(a, three, [np.array([0, 2])], 0.37, "sum",
+    sum3 = pooled_softmax_loss(a, three, pos3, 0.37, "sum",
                                with_grads=False).value
     closed = max(abs(v2 - math.log(2.0)), abs(mean3 - math.log(3.0)),
                  abs(sum3 - 2.0 * math.log(3.0)))
@@ -162,9 +163,10 @@ def test_criterion_03_closed_form_reference_values():
     anchors = rng.normal(size=(6, 4))
     targets = rng.normal(size=(9, 4))
     pos = random_positive_sets(rng, 6, 9, max_pos=4)
-    res_mean = pooled_softmax_loss(anchors, targets, pos, 0.1, "mean", "mean",
-                                   with_grads=False)
-    res_sum = pooled_softmax_loss(anchors, targets, pos, 0.1, "sum", "mean",
+    mask = mask_of(pos, 9)
+    res_mean = pooled_softmax_loss(anchors, targets, mask, 0.1, "mean",
+                                   "mean", with_grads=False)
+    res_sum = pooled_softmax_loss(anchors, targets, mask, 0.1, "sum", "mean",
                                   with_grads=False)
     counts = np.array([len(p) for p in pos], dtype=np.float64)
     scale = float(np.max(np.abs(res_sum.per_anchor
@@ -199,22 +201,19 @@ def test_criterion_04_collation_matches_definitions():
         if not np.array_equal(batch.label_pool, np.asarray(pool)):
             ok, note = False, f"trial {trial}: pool mismatch"
             break
-        if not all(np.array_equal(batch.pb_ids[j], np.asarray(pb[qid]))
+        mask = batch.positives
+        # the label-anchored view is the transpose of the one mask
+        if mask.dtype != bool or mask.shape != (ids.size, len(pool)):
+            ok, note = False, f"trial {trial}: mask shape {mask.shape}"
+            break
+        if not all(np.array_equal(batch.label_pool[mask[j]],
+                                  np.asarray(pb[qid]))
                    for j, qid in enumerate(ids)):
             ok, note = False, f"trial {trial}: per-query positives mismatch"
             break
-        if not all(np.array_equal(ids[batch.pl_idx[c]], np.asarray(pl[lab]))
+        if not all(np.array_equal(ids[mask[:, c]], np.asarray(pl[lab]))
                    for c, lab in enumerate(pool)):
             ok, note = False, f"trial {trial}: per-label positives mismatch"
-            break
-        fwd = np.zeros((ids.size, len(pool)), dtype=bool)
-        rev = np.zeros_like(fwd)
-        for j in range(ids.size):
-            fwd[j, batch.pb_idx[j]] = True
-        for c in range(len(pool)):
-            rev[batch.pl_idx[c], c] = True
-        if not np.array_equal(fwd, rev):
-            ok, note = False, f"trial {trial}: duality violated"
             break
     _verdict("criterion 04 collation", ok, note)
 
@@ -230,8 +229,9 @@ def test_criterion_05_single_batch_reproduces_pooled_loss():
     union = np.unique(np.concatenate(ds.positive_sets()))
     mapped = [np.searchsorted(union, p) for p in ds.positive_sets()]
     want = bf_pool_loss(q_vecs, l_vecs[union], mapped, 0.1, "mean", "mean")
-    got = pooled_softmax_loss(q_vecs, l_vecs[batch.label_pool], batch.pb_idx,
-                              0.1, "mean", "mean", with_grads=False).value
+    got = pooled_softmax_loss(q_vecs, l_vecs[batch.label_pool],
+                              batch.positives, 0.1, "mean", "mean",
+                              with_grads=False).value
     diff = abs(got - want)
     _verdict("criterion 05 full-batch equivalence",
              bool(np.array_equal(batch.label_pool, union) and diff < 1e-10),

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from xmclite import (ConfigError, batch_stats, cluster_queries, collate_batch,
                      collate_from_samples, make_dataset, mine_hard_negatives,
                      sample_ids, synth_dataset)
-from xmclite.batching import BATCH_STATS_HEADER, _split
+from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.data import Vocabulary
 
-from conftest import id_dataset, unit_rows
+from conftest import id_dataset, sets_of, unit_rows
 from oracles import bf_collate, loop_pool_membership
 
 
@@ -149,16 +149,17 @@ def test_collate_from_samples_worked_example():
     assert batch.label_pool.tolist() == [0, 1, 3, 4]
     # each query's pool positives = sampled ones plus pool labels that are
     # true positives (label 1 reached the pool as query 1's hard negative)
-    assert batch.pb_ids[0].tolist() == [0, 1]
-    assert batch.pb_ids[1].tolist() == [1, 3]
-    assert batch.pb_idx[0].tolist() == [0, 1]
-    assert batch.pb_idx[1].tolist() == [1, 2]
+    assert batch.positives.tolist() == [[True, True, False, False],
+                                        [False, True, True, False]]
+    assert batch.label_pool[batch.positives[0]].tolist() == [0, 1]
+    assert batch.label_pool[batch.positives[1]].tolist() == [1, 3]
+    assert [v.tolist() for v in batch.pb_idx] == [[0, 1], [1, 2]]
     # transpose view, positions into the query list
-    assert [v.tolist() for v in batch.pl_idx] == [[0], [0, 1], [1], []]
-    assert [v.tolist() for v in batch.pl_ids] == [[0], [0, 1], [1], []]
+    assert [v.tolist() for v in sets_of(batch.positives.T)] == \
+        [[0], [0, 1], [1], []]
     # no extra classifier positives: classifier pool aliases the base pool
     assert batch.clf_pool is batch.label_pool
-    assert batch.clf_pb_idx is batch.pb_idx
+    assert batch.clf_positives is batch.positives
 
 
 def test_anothers_hard_negative_counts_as_positive():
@@ -167,9 +168,11 @@ def test_anothers_hard_negative_counts_as_positive():
                                  sampled_pos=[_arr([0]), _arr([2])],
                                  sampled_neg=[_arr([]), _arr([1])])
     assert batch.label_pool.tolist() == [0, 1, 2]
-    assert batch.pb_ids[0].tolist() == [0, 1]   # label 1 arrived via query 1
-    assert batch.pb_ids[1].tolist() == [2]
-    assert [v.tolist() for v in batch.pl_idx] == [[0], [0], [1]]
+    # label 1 arrived via query 1
+    assert batch.label_pool[batch.positives[0]].tolist() == [0, 1]
+    assert batch.label_pool[batch.positives[1]].tolist() == [2]
+    assert [v.tolist() for v in sets_of(batch.positives.T)] == \
+        [[0], [0], [1]]
 
 
 def _case(truth, num_labels, query_ids, pos, neg, extras=None):
@@ -203,6 +206,17 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(g, w)
 
 
+def _assert_membership(mask, query_ids, pool, ds):
+    """``mask`` is the (queries, pool) boolean mask whose rows and columns
+    give the per-query loop's ids and positions."""
+    assert mask.dtype == bool and mask.shape == (query_ids.size, pool.size)
+    pb_ids, pb_idx, pl_ids, pl_idx = loop_pool_membership(query_ids, pool, ds)
+    _assert_same_arrays([pool[row] for row in mask], pb_ids)
+    _assert_same_arrays(sets_of(mask), pb_idx)
+    _assert_same_arrays([query_ids[col] for col in mask.T], pl_ids)
+    _assert_same_arrays(sets_of(mask.T), pl_idx)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_collation_cases())
 # an empty pool, and a pool label (3) in no truth set next to an empty row
@@ -214,32 +228,14 @@ def test_collate_from_samples_equals_the_per_query_loop(case):
     batch = collate_from_samples(query_ids, ds, pos, neg, extras)
     pool = np.unique(np.concatenate([_arr([])] + pos + neg))
     assert np.array_equal(batch.label_pool, pool)
-    want = loop_pool_membership(query_ids, pool, ds)
-    for got, w in zip((batch.pb_ids, batch.pb_idx, batch.pl_ids,
-                       batch.pl_idx), want):
-        _assert_same_arrays(got, w)
+    _assert_membership(batch.positives, query_ids, pool, ds)
     if extras is None or not any(e.size for e in extras):
         assert batch.clf_pool is batch.label_pool
-        assert batch.clf_pb_idx is batch.pb_idx
-        assert batch.clf_pl_idx is batch.pl_idx
+        assert batch.clf_positives is batch.positives
         return
     clf_pool = np.unique(np.concatenate([pool] + extras))
     assert np.array_equal(batch.clf_pool, clf_pool)
-    _, pb_idx, _, pl_idx = loop_pool_membership(query_ids, clf_pool, ds)
-    _assert_same_arrays(batch.clf_pb_idx, pb_idx)
-    _assert_same_arrays(batch.clf_pl_idx, pl_idx)
-
-
-@pytest.mark.parametrize("counts", [[], [0], [0, 0], [2, 0, 3, 1, 0],
-                                    [6]])
-def test_split_equals_np_split(counts):
-    values = np.arange(10, 10 + sum(counts), dtype=np.int64)
-    got = _split(values, np.asarray(counts, dtype=np.int64))
-    want = np.split(values, np.cumsum(counts))[:-1]
-    assert len(got) == len(want) == len(counts)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert g.base is values  # views, as np.split gives
+    _assert_membership(batch.clf_positives, query_ids, clf_pool, ds)
 
 
 def test_collate_batch_matches_brute_force_definitions():
@@ -264,19 +260,18 @@ def test_collate_batch_matches_brute_force_definitions():
             batch.sampled_positives, batch.sampled_hard_negatives)
         assert batch.label_pool.tolist() == pool
         for i, qid in enumerate(query_ids):
-            assert batch.pb_ids[i].tolist() == pb[int(qid)]
+            pb_ids = batch.label_pool[batch.positives[i]]
+            assert pb_ids.tolist() == pb[int(qid)]
             # sampled positives are a subset; everything is ground truth
-            assert np.all(np.isin(batch.sampled_positives[i],
-                                  batch.pb_ids[i]))
-            assert np.all(np.isin(batch.pb_ids[i], ds.positives(int(qid))))
+            assert np.all(np.isin(batch.sampled_positives[i], pb_ids))
+            assert np.all(np.isin(pb_ids, ds.positives(int(qid))))
             # mined negatives never collide with the query's own truth
             assert not np.any(np.isin(batch.sampled_hard_negatives[i],
                                       ds.positives(int(qid))))
             assert batch.label_pool[batch.pb_idx[i]].tolist() == \
-                batch.pb_ids[i].tolist()
+                pb_ids.tolist()
         for j, lab in enumerate(batch.label_pool):
-            assert batch.pl_ids[j].tolist() == pl[int(lab)]
-            assert query_ids[batch.pl_idx[j]].tolist() == pl[int(lab)]
+            assert query_ids[batch.positives[:, j]].tolist() == pl[int(lab)]
 
 
 def test_collate_duality_between_query_and_label_views():
@@ -285,11 +280,14 @@ def test_collate_duality_between_query_and_label_views():
     cache = mine_hard_negatives(unit_rows(rng, 12, 4), unit_rows(rng, 20, 4),
                                 ds.positive_sets(), cache_size=6)
     batch = collate_batch(np.arange(12), ds, cache, max_positives=2, max_negatives=2, seed=0)
+    # the positions ``pb_idx`` lists per query and the mask's columns per
+    # label are the same pairs
+    pl_idx = sets_of(batch.positives.T)
     for qpos in range(12):
         for j in batch.pb_idx[qpos]:
-            assert qpos in batch.pl_idx[j].tolist()
+            assert qpos in pl_idx[j].tolist()
     for j in range(batch.label_pool.size):
-        for qpos in batch.pl_idx[j]:
+        for qpos in pl_idx[j]:
             assert j in batch.pb_idx[qpos].tolist()
 
 
@@ -338,7 +336,7 @@ def test_extra_classifier_positives_extend_only_the_classifier_pool():
         assert np.all(np.isin(e, ds.positives(i)))
         assert e.size <= 2
         grew = grew or e.size > 0
-        assert extra.clf_pool[extra.clf_pb_idx[i]].tolist() == \
+        assert extra.clf_pool[extra.clf_positives[i]].tolist() == \
             np.intersect1d(ds.positives(i), extra.clf_pool).tolist()
     assert grew  # with up to 6 positives and max_positives=1 some query has leftovers
 
@@ -371,7 +369,8 @@ def test_batch_stats_agrees_with_manual_recount():
     for b, ids in enumerate(plan):
         batch = collate_batch(ids, ds, cache, 2, 3, seed=5, epoch=0,
                               batch_index=b)
-        manual.extend(len(p) for p in batch.pb_ids)
+        manual.extend(np.intersect1d(ds.positives(int(q)),
+                                     batch.label_pool).size for q in ids)
     assert stats.pb_sizes.tolist() == manual
     assert stats.pool_sizes.size == 4
 

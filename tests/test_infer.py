@@ -206,6 +206,16 @@ def test_topk_ranks_rows_of_ties_and_of_minus_inf_by_id():
     assert scores.tolist() == [[2.0] * 6, [2.0] + [-np.inf] * 5, [0.0] * 6]
 
 
+def test_topk_rejects_non_finite_vectors_naming_the_first_bad_row():
+    # unchecked, a NaN row's selection threshold is NaN and it ranks [0, 0]
+    q = np.array([[1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(DegenerateEmbeddingError, match="query vector in row 1"):
+        topk(q, np.eye(2), 2)
+    l = np.array([[1.0, 0.0], [np.inf, 1.0], [-np.inf, 0.0]])
+    with pytest.raises(DegenerateEmbeddingError, match="label vector in row 1"):
+        topk(np.eye(2), l, 1)
+
+
 def test_exact_prediction_matches_brute_force_scan():
     rng = np.random.default_rng(1)
     # small integer coordinates: scores are exact and ties are plentiful

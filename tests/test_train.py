@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import text_dataset
-from oracles import loop_metrics_report
+from oracles import assert_finite, loop_metrics_report
 from xmclite import (ConfigError, DegenerateEmbeddingError, LossConfig,
                      TrainConfig, TrainingAbort, Vocabulary, build_index,
                      evaluate_model, featurize_all, forward, init_params,
@@ -95,7 +95,7 @@ def test_refresh_schedule_stamps(logged_run):
 def test_first_epoch_always_refreshes_even_with_long_interval():
     params, report = train(_ds(), _cfg(epochs=2, refresh_interval=50))
     assert [r["refreshed"] for r in report.records] == [True, False]
-    params.assert_finite()
+    assert_finite(params)
 
 
 def test_epoch_records_decompose_exactly(logged_run):
@@ -280,7 +280,7 @@ def test_cache_size_resolution():
 
 def test_training_without_hard_negatives():
     params, report = train(_ds(), _cfg(hard_negatives_per_query=0))
-    params.assert_finite()
+    assert_finite(params)
     assert all(np.isfinite(r["total"]) for r in report.records)
 
 
