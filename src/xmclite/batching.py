@@ -33,6 +33,8 @@ STREAM_NEGATIVES = 3
 STREAM_DROPOUT = 4
 STREAM_EXTRA_POSITIVES = 5
 
+LLOYD_ITERS = 10  # Lloyd iterations per 2-means split
+
 
 @dataclass
 class BatchPlan:
@@ -46,12 +48,12 @@ class BatchPlan:
 
 
 def _two_means_split(points: np.ndarray, n_left: int,
-                     rng: np.random.Generator, iters: int = 10) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Boolean mask of the ``n_left`` points assigned to the left half."""
     n = points.shape[0]
     seeds = rng.choice(n, size=2, replace=False)
     centroids = points[seeds].copy()
-    for _ in range(iters):
+    for _ in range(LLOYD_ITERS):
         scores = points @ centroids.T            # (n, 2) cosine, points unit
         assign = scores[:, 0] >= scores[:, 1]    # ties toward the left
         new = np.zeros_like(centroids)
@@ -76,7 +78,7 @@ def _two_means_split(points: np.ndarray, n_left: int,
 
 
 def cluster_queries(embeddings: np.ndarray, num_batches: int, seed: int,
-                    epoch: int = 0, lloyd_iters: int = 10) -> BatchPlan:
+                    epoch: int = 0) -> BatchPlan:
     """Recursive balanced 2-means; leaf sizes differ by at most one."""
     n = embeddings.shape[0]
     if num_batches < 1:
@@ -93,7 +95,7 @@ def cluster_queries(embeddings: np.ndarray, num_batches: int, seed: int,
         kl = (len(sizes) + 1) // 2
         n_left = sum(sizes[:kl])
         rng = np.random.default_rng([seed, STREAM_CLUSTER, epoch, node])
-        mask = _two_means_split(embeddings[ids], n_left, rng, lloyd_iters)
+        mask = _two_means_split(embeddings[ids], n_left, rng)
         split(ids[mask], sizes[:kl], 2 * node)
         split(ids[~mask], sizes[kl:], 2 * node + 1)
 

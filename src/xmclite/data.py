@@ -161,7 +161,7 @@ class Dataset:
 
 def make_dataset(instance_texts: list[np.ndarray], label_texts: list[np.ndarray],
                  positive_sets: list, num_labels: int,
-                 vocab: Vocabulary, empty_row_count: int | None = None) -> Dataset:
+                 vocab: Vocabulary) -> Dataset:
     """Assemble and validate a Dataset from per-instance positive-id lists."""
     n = len(instance_texts)
     cleaned = [np.unique(np.asarray(p, dtype=np.int64)) for p in positive_sets]
@@ -171,8 +171,7 @@ def make_dataset(instance_texts: list[np.ndarray], label_texts: list[np.ndarray]
     data = np.ones(len(indices), dtype=np.int8)
     rel = sp.csr_matrix((data, indices, indptr), shape=(n, num_labels))
     freq = np.bincount(indices, minlength=num_labels).astype(np.int64)
-    if empty_row_count is None:
-        empty_row_count = sum(1 for p in cleaned if len(p) == 0)
+    empty_row_count = sum(1 for p in cleaned if len(p) == 0)
     ds = Dataset(n, num_labels, instance_texts, label_texts, rel, freq,
                  vocab, empty_row_count)
     ds.validate()
@@ -261,27 +260,22 @@ def _load_sparse(path: str, label_texts: list[np.ndarray],
         raise DatasetFormatError(
             f"header declares N={n} rows but body has {len(body)}",
             path, len(lines))
-    positive_sets, empties = [], 0
+    positive_sets = []
     for off, line in enumerate(body):
         lineno = off + 2
         fields = line.split()
         if not fields or ":" in fields[0]:
             positive_sets.append([])
-            empties += 1
             continue
-        ids = _parse_label_field(fields[0], l, path, lineno)
-        if not ids:
-            empties += 1
-        positive_sets.append(ids)
+        positive_sets.append(_parse_label_field(fields[0], l, path, lineno))
     instance_texts = [np.zeros(0, dtype=np.int64)] * n
-    return make_dataset(instance_texts, label_texts, positive_sets, l,
-                        vocab, empty_row_count=empties)
+    return make_dataset(instance_texts, label_texts, positive_sets, l, vocab)
 
 
 def _load_jsonl(path: str, label_texts: list[np.ndarray],
                 vocab: Vocabulary) -> Dataset:
     l = len(label_texts)
-    instance_texts, positive_sets, empties = [], [], 0
+    instance_texts, positive_sets = [], []
     token_ids = TokenIds(vocab)
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
@@ -309,12 +303,9 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
         if tokens.size == 0:
             raise DatasetFormatError(
                 "query text has no ASCII letter or digit to embed", path, lineno)
-        if not ids:
-            empties += 1
         instance_texts.append(tokens)
         positive_sets.append(ids)
-    return make_dataset(instance_texts, label_texts, positive_sets, l,
-                        vocab, empty_row_count=empties)
+    return make_dataset(instance_texts, label_texts, positive_sets, l, vocab)
 
 
 def save_sparse(dataset: Dataset, path: str) -> None:

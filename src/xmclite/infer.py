@@ -61,11 +61,14 @@ def _check_modes(modes) -> None:
 
 
 def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
-    """Rows of ``x`` scaled to unit norm; zero rows raise, naming ``what``."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    bad = np.flatnonzero(norms.ravel() == 0.0)
+    """Rows of ``x`` scaled to unit norm.  Rows whose norm is zero or not
+    finite (say it overflowed) raise, naming ``what``."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(norms.ravel()) & (norms.ravel() > 0.0)))
     if bad.size:
-        raise DegenerateEmbeddingError(f"zero-norm {what} {bad.tolist()}")
+        raise DegenerateEmbeddingError(
+            f"zero or non-finite norm in {what} {bad.tolist()}")
     return x / norms
 
 

@@ -10,8 +10,9 @@ dropout (train mode), then L2 normalization; the classifier head applies
 
 Everything is float64 by default so analytic gradients can be validated with
 central finite differences.  ``forward`` caches all intermediates needed by
-``backward``; in train mode, dropout masks are recorded so a pass can be
-replayed bit-identically (required for finite-difference checks).
+``backward``, the train-mode dropout masks among them.  Masks are drawn only
+from the pass's rng, so a generator seeded alike replays a pass
+bit-identically (as finite-difference checks need).
 """
 
 from __future__ import annotations
@@ -113,29 +114,26 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def _dropout(x: np.ndarray, train: bool, mask: np.ndarray | None,
-             rate: float, rng: np.random.Generator | None):
-    """``(x * mask, mask)``, drawing the mask unless given; ``(x, None)``
+def _dropout(x: np.ndarray, train: bool, rate: float,
+             rng: np.random.Generator | None):
+    """``(x * mask, mask)`` with the mask drawn from ``rng``; ``(x, None)``
     outside train mode."""
     if not train:
         return x, None
-    if mask is None:
-        if rng is None:
-            raise ValueError("train-mode forward needs an rng or masks")
-        mask = _dropout_mask(x.shape, rate, rng)
+    if rng is None:
+        raise ValueError("train-mode forward needs an rng")
+    mask = _dropout_mask(x.shape, rate, rng)
     return x * mask, mask
 
 
 def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
             rng: np.random.Generator | None = None,
-            heads: tuple = ("de", "clf"),
-            de_mask: np.ndarray | None = None,
-            clf_mask: np.ndarray | None = None) -> ForwardTrace:
+            heads: tuple = ("de", "clf")) -> ForwardTrace:
     """Run encoder + requested heads over an (n, hash_dim) block of input
     rows (``featurize_all`` rows, or slices of them).
 
-    In train mode, dropout masks are drawn from ``rng`` (retrieval head first,
-    then classifier head) unless explicit masks are given.
+    In train mode, dropout masks are drawn from ``rng``, retrieval head first,
+    then classifier head.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -146,7 +144,7 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
     if "de" in heads:
         act = np.tanh(enc @ params.de_w + params.de_b)
         trace.de_act = act
-        kept, trace.de_mask = _dropout(act, train, de_mask, params.dropout, rng)
+        kept, trace.de_mask = _dropout(act, train, params.dropout, rng)
         norms = np.linalg.norm(kept, axis=-1, keepdims=True)
         bad = np.flatnonzero(norms.ravel() == 0.0)
         if bad.size:
@@ -157,8 +155,7 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
 
     if "clf" in heads:
         trace.clf_out, trace.clf_mask = _dropout(
-            enc @ params.clf_w + params.clf_b, train, clf_mask, params.dropout,
-            rng)
+            enc @ params.clf_w + params.clf_b, train, params.dropout, rng)
 
     return trace
 
@@ -198,23 +195,15 @@ class Grads:
 def merge_rows(a: tuple, b: tuple) -> tuple:
     """Sum of two ``(row_ids, rows)`` blocks over the union of their ids.
 
-    Ids may repeat.  Each row adds ``a``'s rows, then ``b``'s, to zero in the
-    order given, as ``np.add.at`` into a zeroed dense table would, so the sum
-    is bitwise the dense one.
+    Each block's ids must be sorted and unique.  Each row adds ``a``'s row,
+    then ``b``'s, to zero, as adding both blocks into a zeroed dense table
+    would, so the sum is bitwise the dense one.
     """
     row_ids = np.union1d(a[0], b[0])
-    width = a[1].shape[1]
-    rows = np.zeros((row_ids.size, width), dtype=np.result_type(a[1], b[1]))
+    rows = np.zeros((row_ids.size, a[1].shape[1]),
+                    dtype=np.result_type(a[1], b[1]))
     for ids, vals in (a, b):
-        pos = np.searchsorted(row_ids, ids)
-        if np.all(ids[1:] > ids[:-1]):
-            # strictly increasing ids: one addition per element, as add.at
-            rows[pos] += vals
-        else:
-            # flat element indices: np.add.at on 2-D rows is several times
-            # slower
-            flat = pos[:, None] * width + np.arange(width)
-            np.add.at(rows.reshape(-1), flat.reshape(-1), vals.reshape(-1))
+        rows[np.searchsorted(row_ids, ids)] += vals
     return row_ids, rows
 
 
@@ -228,15 +217,14 @@ def zero_grads(params: ModelParams) -> Grads:
 def backward(params: ModelParams, trace: ForwardTrace,
              d_de: np.ndarray | None = None,
              d_clf: np.ndarray | None = None,
-             d_classifier_rows: np.ndarray | None = None,
-             classifier_ids: np.ndarray | None = None,
              out: Grads | None = None) -> Grads:
     """Accumulate exact parameter gradients for one forward trace.
 
-    ``d_de`` / ``d_clf`` are loss gradients w.r.t. the head outputs;
-    ``d_classifier_rows`` are gradients w.r.t. the classifier-table rows named
-    by ``classifier_ids`` (in ``[0, num_labels)``; repeats add up).  Untouched
-    rows/params keep zero gradient; embedding rows come from feature columns.
+    ``d_de`` / ``d_clf`` are loss gradients w.r.t. the head outputs.  Only
+    the embedding table and the heads get gradients; embedding rows come from
+    feature columns, and untouched rows/params keep zero gradient.  The
+    classifier table is not part of the trace: its gradient rows are the
+    classifier loss's, and the training step sets them itself.
     """
     g = out if out is not None else zero_grads(params)
     d_enc = np.zeros_like(trace.enc)
@@ -276,16 +264,6 @@ def backward(params: ModelParams, trace: ForwardTrace,
         block = (cols.astype(np.int64), np.asarray(compact.T @ d_enc))
         # ``cols`` is sorted and unique: an empty pair needs no merge
         g.embed = merge_rows(g.embed, block) if g.embed[0].size else block
-
-    if d_classifier_rows is not None:
-        if classifier_ids is None:
-            raise ValueError("classifier gradients need classifier_ids")
-        ids = np.asarray(classifier_ids)
-        if d_classifier_rows.shape != (len(ids), params.search_dim):
-            raise ValueError("classifier gradient shape mismatch")
-        if ids.size and not 0 <= ids.min() <= ids.max() < params.num_labels:
-            raise ValueError(f"classifier_ids outside [0, {params.num_labels})")
-        g.classifiers = merge_rows(g.classifiers, (ids, d_classifier_rows))
 
     return g
 

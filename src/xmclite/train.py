@@ -233,10 +233,11 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                          out=grads)
                 backward(params, l_trace,
                          d_de=de_w8 * de_res.d_targets if de_w8 > 0 else None,
-                         d_classifier_rows=((1 - de_w8) * clf_res.d_targets
-                                            if de_w8 < 1 else None),
-                         classifier_ids=batch.clf_pool if de_w8 < 1 else None,
                          out=grads)
+                if de_w8 < 1:
+                    # clf_pool comes from np.unique: sorted unique row ids
+                    grads.classifiers = (batch.clf_pool,
+                                         (1 - de_w8) * clf_res.d_targets)
                 opt.step(params, grads, cfg.grad_clip)
 
                 sums["de_q2l"] += de_res.q2l_value

@@ -62,17 +62,12 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
     batch = collate_batch(np.arange(3), ds, cache, 2, 1, 0)
     l_feats = l_feats_all[batch.label_pool]
 
-    # freeze one draw of dropout masks so the loss is a plain function of
-    # the parameters during probing
-    rng = np.random.default_rng([1, 4, 0, 0])
-    qm = forward(params, q_feats, mode="train", rng=rng)
-    lm = forward(params, l_feats, mode="train", rng=rng, heads=("de",))
-
     def run(with_grads):
-        q_tr = forward(params, q_feats, mode="train",
-                       de_mask=qm.de_mask, clf_mask=qm.clf_mask)
-        l_tr = forward(params, l_feats, mode="train", de_mask=lm.de_mask,
-                       heads=("de",))
+        # re-seeded per call, so every probe draws the same dropout masks and
+        # the loss is a plain function of the parameters
+        rng = np.random.default_rng([1, 4, 0, 0])
+        q_tr = forward(params, q_feats, mode="train", rng=rng)
+        l_tr = forward(params, l_feats, mode="train", rng=rng, heads=("de",))
         de_res = retrieval_loss(q_tr.de_out, l_tr.de_out, batch.positives,
                                 cfg, with_grads=with_grads)
         clf_rows = params.classifiers[batch.clf_pool]
@@ -86,9 +81,9 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
         w = cfg.de_weight
         backward(params, q_tr, d_de=w * de_res.d_queries,
                  d_clf=(1.0 - w) * clf_res.d_queries, out=grads)
-        backward(params, l_tr, d_de=w * de_res.d_targets,
-                 d_classifier_rows=(1.0 - w) * clf_res.d_targets,
-                 classifier_ids=batch.clf_pool, out=grads)
+        backward(params, l_tr, d_de=w * de_res.d_targets, out=grads)
+        # the classifier rows' gradient, paired with the pool as train() does
+        grads.classifiers = (batch.clf_pool, (1.0 - w) * clf_res.d_targets)
         return total, grads
 
     _, grads = run(True)

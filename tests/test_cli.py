@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -175,7 +176,7 @@ def test_removed_search_and_mining_keys_are_rejected(tmp_path, capsys, key):
 
 
 def test_corrupt_checkpoint_is_a_usage_error(workspace, tmp_path, capsys):
-    blob = open(workspace["ckpt"], "rb").read()
+    blob = Path(workspace["ckpt"]).read_bytes()
     for size in (20, 47, len(blob) - 1):
         path = tmp_path / f"cut{size}.bin"
         path.write_bytes(blob[:size])

@@ -50,6 +50,24 @@ def test_zero_classifier_row_is_rejected(setup):
     label_vectors(broken, ds, "de")  # retrieval side is unaffected
 
 
+def test_overflowing_norms_are_rejected_naming_the_rows(setup):
+    # finite values whose squares overflow: dividing by an inf norm would
+    # give all-zero unit vectors, and clf scores would rank by label id
+    ds, params = setup
+    broken = params.copy()
+    broken.classifiers[[1, 4]] *= 1e200
+    with pytest.raises(DegenerateEmbeddingError, match=r"labels \[1, 4\]"):
+        infer.label_vectors_by_mode(broken, ds, ("clf",))
+    broken = params.copy()
+    broken.clf_w *= 1e200
+    texts = ds.instance_texts[:3]
+    with pytest.raises(DegenerateEmbeddingError,
+                       match=r"queries \[0, 1, 2\]"):
+        infer.query_vectors_by_mode(broken, texts, ds.vocab, ("clf",))
+    # the retrieval side does not read the broken parameters
+    infer.query_vectors_by_mode(broken, texts, ds.vocab, ("de",))
+
+
 def test_query_vectors_norms_and_consistency(setup):
     ds, params = setup
     texts = ds.instance_texts[:6]

@@ -5,6 +5,8 @@ Whatever the bytes, a reader either returns or raises a package error (or
 FileNotFoundError), which the CLI reports as a usage error, never a crash.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +48,7 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     ckpt = str(root / "ckpt.bin")
     save_checkpoint(ckpt, _VALID, extra={"epoch": 1})
-    return {name: open(path, "rb").read() for name, path in
+    return {name: Path(path).read_bytes() for name, path in
             (("ckpt", ckpt), ("sidecar", ckpt + ".json"))}
 
 

@@ -10,12 +10,16 @@ import pytest
 
 from conftest import text_dataset
 from oracles import assert_finite, loop_metrics_report
-from xmclite import (ConfigError, DegenerateEmbeddingError, LossConfig,
-                     TrainConfig, TrainingAbort, Vocabulary, build_index,
+from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
+                     TrainConfig, TrainingAbort, Vocabulary, backward,
+                     build_index, classifier_loss, collate_batch,
                      evaluate_model, featurize_all, forward, init_params,
                      load_checkpoint, make_dataset, predict_vectors,
-                     propensity, query_vectors, train)
+                     propensity, query_vectors, retrieval_loss, train,
+                     zero_grads)
+from xmclite.batching import STREAM_DROPOUT
 from xmclite.infer import MODES
+from xmclite.train import refresh
 
 HASH = 512
 
@@ -84,6 +88,50 @@ def test_warm_start_copies_label_embeddings_into_classifiers():
     feats = featurize_all(ds.label_texts, ds.vocab)
     expected = forward(ref, feats, mode="eval", heads=("de",)).de_out
     assert np.array_equal(params.classifiers, expected)
+
+
+def test_one_batch_epoch_equals_one_hand_run_step():
+    # one epoch of one batch: train() must give bitwise the parameters of
+    # the step assembled here from its parts.  de_weight is not 0.5, so the
+    # two loss weights differ, and extra classifier positives make the
+    # classifier pool differ from the retrieval pool.
+    ds = _ds(num_labels=120)
+    cfg = _cfg(epochs=1, batch_size=ds.num_instances,
+               loss=LossConfig(de_weight=0.25, extra_clf_positives=1))
+    got, _ = train(ds, cfg)
+
+    seed, w = cfg.seed, cfg.loss.de_weight
+    q_feats = featurize_all(ds.instance_texts, ds.vocab)
+    l_feats = featurize_all(ds.label_texts, ds.vocab)
+    params = _reference_init(cfg, ds.num_labels)
+    params.classifiers = forward(params, l_feats, heads=("de",)).de_out.copy()
+    plan, cache = refresh(params, q_feats, l_feats, ds.positive_sets(), 1,
+                          seed, 0, cfg.resolved_cache_size())
+    (ids,) = plan.batches
+    batch = collate_batch(ids, ds, cache, cfg.positives_per_query,
+                          cfg.hard_negatives_per_query, seed, 0, 0,
+                          cfg.loss.extra_clf_positives)
+    assert batch.clf_pool.size > batch.label_pool.size
+    rng = np.random.default_rng([seed, STREAM_DROPOUT, 0, 0])
+    q_trace = forward(params, q_feats[ids], mode="train", rng=rng)
+    l_trace = forward(params, l_feats[batch.label_pool], mode="train",
+                      rng=rng, heads=("de",))
+    de_res = retrieval_loss(q_trace.de_out, l_trace.de_out, batch.positives,
+                            cfg.loss)
+    clf_res = classifier_loss(q_trace.clf_out,
+                              params.classifiers[batch.clf_pool],
+                              batch.clf_positives, cfg.loss)
+    grads = zero_grads(params)
+    backward(params, q_trace, d_de=w * de_res.d_queries,
+             d_clf=(1 - w) * clf_res.d_queries, out=grads)
+    backward(params, l_trace, d_de=w * de_res.d_targets, out=grads)
+    grads.classifiers = (batch.clf_pool, (1 - w) * clf_res.d_targets)
+    Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers).step(
+        params, grads, cfg.grad_clip)
+
+    for name, want in params.arrays().items():
+        assert np.array_equal(got.arrays()[name].view(np.int64),
+                              want.view(np.int64)), name
 
 
 def test_refresh_schedule_stamps(logged_run):
