@@ -8,10 +8,10 @@ classifier, or concatenated label representations, scored in (query block x
 label tile) pairs of bounded memory.
 """
 
-from .batching import (BatchPlan, CollatedBatch, batch_stats, cluster_queries,
+from .batching import (CollatedBatch, batch_stats, cluster_queries,
                        collate_batch, collate_from_samples, sample_ids)
 from .data import (Dataset, Vocabulary, featurize_all, load_dataset,
-                   make_dataset, save_sparse, synth_dataset)
+                   make_dataset, synth_dataset)
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
                      TrainingAbort, XmcliteError)
 from .infer import (LabelIndex, build_index, label_vectors, predict,

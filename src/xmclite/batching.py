@@ -36,17 +36,6 @@ STREAM_EXTRA_POSITIVES = 5
 LLOYD_ITERS = 10  # Lloyd iterations per 2-means split
 
 
-@dataclass
-class BatchPlan:
-    batches: list[np.ndarray]     # sorted query-id arrays, disjoint cover of [N]
-
-    def __iter__(self):
-        return iter(self.batches)
-
-    def __len__(self) -> int:
-        return len(self.batches)
-
-
 def _two_means_split(points: np.ndarray, n_left: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Boolean mask of the ``n_left`` points assigned to the left half."""
@@ -78,8 +67,9 @@ def _two_means_split(points: np.ndarray, n_left: int,
 
 
 def cluster_queries(embeddings: np.ndarray, num_batches: int, seed: int,
-                    epoch: int = 0) -> BatchPlan:
-    """Recursive balanced 2-means; leaf sizes differ by at most one."""
+                    epoch: int = 0) -> list[np.ndarray]:
+    """Recursive balanced 2-means: sorted query-id arrays that cover
+    ``range(N)`` disjointly, with sizes that differ by at most one."""
     n = embeddings.shape[0]
     if num_batches < 1:
         raise ConfigError(f"num_batches must be >= 1, got {num_batches}")
@@ -100,7 +90,7 @@ def cluster_queries(embeddings: np.ndarray, num_batches: int, seed: int,
         split(ids[~mask], sizes[kl:], 2 * node + 1)
 
     split(np.arange(n, dtype=np.int64), sizes, node=1)
-    return BatchPlan(leaves)
+    return leaves
 
 
 def batch_count(dataset: Dataset, batch_size: int) -> int:
@@ -235,7 +225,7 @@ BATCH_STATS_HEADER = ("positive_cap,negative_cap,batch_size,"
                       "mean_pb,p50_pb,p95_pb,mean_pool")
 
 
-def batch_stats(dataset: Dataset, plan: BatchPlan,
+def batch_stats(dataset: Dataset, plan: list[np.ndarray],
                 cache: HardNegativeCache | None, max_positives: int,
                 max_negatives: int, seed: int) -> BatchStats:
     """Collate the batches of ``plan`` at epoch 0 and report pool sizes.
@@ -252,7 +242,7 @@ def batch_stats(dataset: Dataset, plan: BatchPlan,
         gains.append(pb - np.fromiter(map(len, batch.sampled_positives),
                                       dtype=np.int64, count=pb.size))
         pool_sizes.append(batch.label_pool.size)
-    batch_size = max(len(ids) for ids in plan.batches)
+    batch_size = max(len(ids) for ids in plan)
     return BatchStats(max_positives, max_negatives, batch_size,
                       np.concatenate(pb_sizes),
                       np.asarray(pool_sizes, dtype=np.int64),

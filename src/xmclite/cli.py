@@ -57,8 +57,7 @@ def _require(config: RunConfig, *keys: str) -> None:
 
 
 def _load(config: RunConfig, queries_path: str, vocab: Vocabulary) -> Dataset:
-    return load_dataset(queries_path, config.labels_path,
-                        format=config.data_format, vocab=vocab)
+    return load_dataset(queries_path, config.labels_path, vocab=vocab)
 
 
 def _out_path(config: RunConfig, explicit: str, default_name: str) -> str:
@@ -154,9 +153,6 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
 
 def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
-    if config.data_format == "xmc-sparse":
-        raise ConfigError("simulate-batches clusters query texts, which "
-                          "data_format=xmc-sparse does not carry")
     cfg = config.train
     if config.checkpoint_path:
         params, _ = _checked_params(config, explicit)
@@ -213,6 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
+    try:
+        return _dispatch(argv)
+    except BrokenPipeError:
+        # The reader of stdout left early (``| head``).  Point the descriptor
+        # at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _dispatch(argv: list | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,13 +1,13 @@
 """One run configuration, declared once.
 
 ``RunConfig`` owns only the keys no library dataclass owns (paths, the
-input format, the inference mode, ``top_k`` and the ``simulate-batches``
-sweeps) and nests ``TrainConfig``, which nests ``LossConfig``.  Every leaf
-field of that tree is one flat key, named after the field: the config-file
-key, and the ``--key-name`` flag with ``_`` spelled ``-``.  The field's
-type says how a value is parsed (``tuple`` is a comma list of integers) and
-its ``metadata["help"]`` is the help text.  Key names are unique across
-the tree.
+inference mode, ``top_k`` and the ``simulate-batches`` sweeps) and nests
+``TrainConfig``, which nests ``LossConfig``.  Every leaf field of that
+tree is one flat key, named after the field: the config-file key, and the
+``--key-name`` flag with ``_`` spelled ``-``.  The field's type says how a
+value is parsed (``tuple`` is a comma list of integers) and its
+``metadata["help"]`` is the help text.  Key names are unique across the
+tree.
 
 Precedence is command line > config file > built-in defaults.  Unknown keys
 and unparsable or invalid values are rejected by name (``ConfigError``).
@@ -19,7 +19,6 @@ import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .data import FORMATS
 from .errors import ConfigError
 from .infer import MODES
 from .train import TrainConfig
@@ -28,11 +27,9 @@ from .train import TrainConfig
 @dataclass
 class RunConfig:
     queries_path: str = field(default="", metadata={
-        "help": "instance file: JSONL rows or xmc-sparse matrix"})
+        "help": "instance file: JSONL rows of text and label ids"})
     labels_path: str = field(default="", metadata={
         "help": "label text file, one label per line"})
-    data_format: str = field(default="jsonl", metadata={
-        "help": "instance file format: jsonl or xmc-sparse"})
     eval_queries_path: str = field(default="", metadata={
         "help": "optional held-out instance file for evaluation"})
     mode: str = field(default="concat", metadata={
@@ -59,8 +56,6 @@ class RunConfig:
 
     def validate(self) -> None:
         checks = [
-            (self.data_format in FORMATS,
-             f"data_format must be one of {FORMATS}, got {self.data_format!r}"),
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
             (self.top_k >= 1, "top_k must be >= 1"),
             (len(self.sim_positive_caps) > 0

@@ -1,18 +1,10 @@
 """Multi-label dataset loading, validation, featurization into the
 encoder's row-normalized input, and synthesis.
 
-Two on-disk formats are supported for the instance side:
-
-* ``xmc-sparse``: header line ``"N L"`` followed by N rows whose first
-  whitespace-separated field is a comma-separated list of positive label ids,
-  optionally followed by ``feature:value`` pairs which are ignored.  The format
-  carries no raw text, so instance texts load empty; such datasets serve
-  as evaluation ground truth, not for training or batch simulation.
-* ``jsonl``: one ``{"text": ..., "labels": [...]}`` object per line.
-
-Label texts always come from a separate file, one label per line.  A label
-line, or a jsonl query text, with no ASCII letter or digit is a hard error,
-because every label and every query with text must be embeddable.
+Instances are read from JSONL, one ``{"text": ..., "labels": [...]}``
+object per line; label texts come from a separate file, one label per
+line.  A label line or a query text with no ASCII letter or digit is a
+hard error, because every label and every query must be embeddable.
 """
 
 from __future__ import annotations
@@ -26,9 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DatasetFormatError
-from .fileio import atomic_open
 
-FORMATS = ("jsonl", "xmc-sparse")
 _SPLIT = re.compile(r"[^0-9a-z]+")
 
 
@@ -129,7 +119,6 @@ class Dataset:
     relevance: sp.csr_matrix          # (N, L) binary, rows sorted
     label_frequencies: np.ndarray     # (L,) positive count per label
     vocab: Vocabulary = field(default_factory=Vocabulary)
-    empty_row_count: int = 0          # instances loaded with no positives
 
     def positives(self, i: int) -> np.ndarray:
         """Sorted positive label ids of instance i (a view, do not mutate)."""
@@ -171,9 +160,7 @@ def make_dataset(instance_texts: list[np.ndarray], label_texts: list[np.ndarray]
     data = np.ones(len(indices), dtype=np.int8)
     rel = sp.csr_matrix((data, indices, indptr), shape=(n, num_labels))
     freq = np.bincount(indices, minlength=num_labels).astype(np.int64)
-    empty_row_count = sum(1 for p in cleaned if len(p) == 0)
-    ds = Dataset(n, num_labels, instance_texts, label_texts, rel, freq,
-                 vocab, empty_row_count)
+    ds = Dataset(n, num_labels, instance_texts, label_texts, rel, freq, vocab)
     ds.validate()
     return ds
 
@@ -204,72 +191,12 @@ def load_label_texts(path: str, vocab: Vocabulary) -> list[np.ndarray]:
     return texts
 
 
-def _parse_label_field(raw: str, num_labels: int, path: str, lineno: int) -> list[int]:
-    ids = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            lid = int(part)
-        except ValueError as exc:
-            raise DatasetFormatError(
-                f"malformed label list {raw!r}", path, lineno) from exc
-        if lid < 0 or lid >= num_labels:
-            raise DatasetFormatError("label id out of range", path, lineno)
-        ids.append(lid)
-    return ids
-
-
-def load_dataset(queries_path: str, labels_path: str, format: str = "jsonl",
+def load_dataset(queries_path: str, labels_path: str,
                  vocab: Vocabulary | None = None) -> Dataset:
-    """Load instance rows plus the label-text file and cross-validate counts."""
+    """Load JSONL instance rows plus the label-text file they index."""
     vocab = vocab if vocab is not None else Vocabulary()
-    label_texts = load_label_texts(labels_path, vocab)
-    if format == "xmc-sparse":
-        return _load_sparse(queries_path, label_texts, vocab)
-    if format == "jsonl":
-        return _load_jsonl(queries_path, label_texts, vocab)
-    raise DatasetFormatError(f"unknown dataset format {format!r}", queries_path)
-
-
-def _load_sparse(path: str, label_texts: list[np.ndarray],
-                 vocab: Vocabulary) -> Dataset:
-    lines = _read_lines(path)
-    if not lines:
-        raise DatasetFormatError("empty file, expected 'N L' header", path, 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise DatasetFormatError(f"malformed header {lines[0]!r}", path, 1)
-    try:
-        n, l = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise DatasetFormatError(f"malformed header {lines[0]!r}", path, 1) from exc
-    if n < 0 or l < 0:
-        raise DatasetFormatError(f"negative counts in header {lines[0]!r}", path, 1)
-    if len(label_texts) != l:
-        raise DatasetFormatError(
-            f"label file has {len(label_texts)} lines but header declares L={l}",
-            path, 1)
-    body = lines[1:]
-    # Trailing all-blank lines are tolerated; blanks inside the body are rows
-    # with no positives.
-    while len(body) > n and not body[-1].strip():
-        body.pop()
-    if len(body) != n:
-        raise DatasetFormatError(
-            f"header declares N={n} rows but body has {len(body)}",
-            path, len(lines))
-    positive_sets = []
-    for off, line in enumerate(body):
-        lineno = off + 2
-        fields = line.split()
-        if not fields or ":" in fields[0]:
-            positive_sets.append([])
-            continue
-        positive_sets.append(_parse_label_field(fields[0], l, path, lineno))
-    instance_texts = [np.zeros(0, dtype=np.int64)] * n
-    return make_dataset(instance_texts, label_texts, positive_sets, l, vocab)
+    return _load_jsonl(queries_path, load_label_texts(labels_path, vocab),
+                       vocab)
 
 
 def _load_jsonl(path: str, label_texts: list[np.ndarray],
@@ -306,14 +233,6 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
         instance_texts.append(tokens)
         positive_sets.append(ids)
     return make_dataset(instance_texts, label_texts, positive_sets, l, vocab)
-
-
-def save_sparse(dataset: Dataset, path: str) -> None:
-    """Write the relevance matrix in the xmc-sparse format (labels only)."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{dataset.num_instances} {dataset.num_labels}\n")
-        for i in range(dataset.num_instances):
-            fh.write(",".join(str(x) for x in dataset.positives(i)) + "\n")
 
 
 def synth_dataset(num_instances: int, num_labels: int, seed: int = 0,

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .batching import (STREAM_DROPOUT, BatchPlan, batch_count,
-                       cluster_queries, collate_batch)
+from .batching import (STREAM_DROPOUT, batch_count, cluster_queries,
+                       collate_batch)
 from .data import Dataset, featurize_all
 from .errors import ConfigError, TrainingAbort
 # build_index, query_vectors and predict_vectors are unused here but stay
@@ -153,7 +153,7 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
 
 def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
             num_batches: int, seed: int, epoch: int, cache_size: int
-            ) -> tuple[BatchPlan, HardNegativeCache | None]:
+            ) -> tuple[list[np.ndarray], HardNegativeCache | None]:
     """Batch plan for ``epoch`` from eval-mode query embeddings, and the
     top-``cache_size`` hard-negative cache (None when ``cache_size`` is 0).
     Used by ``train`` and by ``simulate-batches``."""

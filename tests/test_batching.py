@@ -29,7 +29,7 @@ def test_batch_plan_partitions_all_queries_evenly(n, k):
     sizes = [len(ids) for ids in plan]
     assert len(plan) == min(k, n)
     assert max(sizes) - min(sizes) <= 1
-    merged = np.concatenate(plan.batches)
+    merged = np.concatenate(plan)
     assert np.array_equal(np.sort(merged), np.arange(n))
     for ids in plan:
         assert np.all(np.diff(ids) > 0)  # each batch is sorted
@@ -38,7 +38,7 @@ def test_batch_plan_partitions_all_queries_evenly(n, k):
 def test_single_batch_and_singletons():
     rng = np.random.default_rng(0)
     points = unit_rows(rng, 6, 4)
-    assert np.array_equal(cluster_queries(points, 1, 0).batches[0],
+    assert np.array_equal(cluster_queries(points, 1, 0)[0],
                           np.arange(6))
     singles = cluster_queries(points, 6, 0)
     assert sorted(int(ids[0]) for ids in singles) == list(range(6))
@@ -69,9 +69,9 @@ def test_clustering_is_deterministic_and_epoch_dependent():
     points = unit_rows(rng, 40, 6)
     a = cluster_queries(points, 4, seed=9, epoch=1)
     b = cluster_queries(points, 4, seed=9, epoch=1)
-    assert all(np.array_equal(x, y) for x, y in zip(a.batches, b.batches))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = cluster_queries(points, 4, seed=9, epoch=2)
-    assert not all(np.array_equal(x, y) for x, y in zip(a.batches, c.batches))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_cluster_queries_rejects_bad_batch_count():

@@ -155,7 +155,8 @@ def test_unknown_search_backend_is_rejected(workspace, capsys):
     assert not (workspace["out"] / "exakt.tsv").exists()
 
 
-@pytest.mark.parametrize("argv", [["--search", "16"], ["--mining", "exact"]])
+@pytest.mark.parametrize("argv", [["--search", "16"], ["--mining", "exact"],
+                                  ["--data-format", "xmc-sparse"]])
 def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
     # "--search" must not be taken as an abbreviation of "--search-dim"
     rc, _ = _run(["predict"] + workspace["common"] + [
@@ -166,7 +167,7 @@ def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
     assert not (workspace["out"] / "removed.tsv").exists()
 
 
-@pytest.mark.parametrize("key", ["search", "mining"])
+@pytest.mark.parametrize("key", ["search", "mining", "data_format"])
 def test_removed_search_and_mining_keys_are_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}=exact\n")
@@ -362,23 +363,35 @@ def test_simulate_batches_clusters_once_and_mines_at_most_once(
                          "forward": 1 + (mined > 0)}
 
 
-@pytest.mark.parametrize("with_checkpoint", [False, True])
-def test_simulate_batches_rejects_xmc_sparse_queries(workspace, tmp_path,
-                                                     capsys, with_checkpoint):
-    queries = tmp_path / "queries.txt"
-    queries.write_text("3 8\n0,1 5:1.0\n2\n3,7\n", encoding="utf-8")
-    out = tmp_path / "run"
-    argv = ["simulate-batches", "--queries-path", str(queries),
-            "--labels-path", workspace["labels"], "--data-format",
-            "xmc-sparse", "--out-dir", str(out), "--batch-size", "2"
-            ] + SMALL_DIMS
-    if with_checkpoint:
-        argv += ["--checkpoint-path", workspace["ckpt"]]
-    rc, stdout = _run(argv)
-    assert rc == 2 and stdout == ""
-    err = capsys.readouterr().err
-    assert "xmc-sparse" in err and "clusters query texts" in err
-    assert not (out / "batch_stats.csv").exists()
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as behind ``| head -1``: every write
+    raises, and its descriptor is the one given."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_without_a_traceback(workspace, tmp_path,
+                                                   capsys):
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh, contextlib.redirect_stdout(
+            _ClosedPipe(fh.fileno())):
+        rc = main(["simulate-batches"] + workspace["common"] + [
+            "--out-dir", str(tmp_path), "--batch-size", "8"])
+        # the interpreter's final flush of stdout now goes to devnull
+        os.write(fh.fileno(), b"flushed at exit")
+    assert rc == 1
+    assert capsys.readouterr().err == ""
+    assert sink.read_bytes() == b""
+    lines = (tmp_path / "batch_stats.csv").read_text().splitlines()
+    assert lines[0] == BATCH_STATS_HEADER
 
 
 @pytest.mark.parametrize("argv,key", [

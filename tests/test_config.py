@@ -17,9 +17,9 @@ from xmclite.cli import build_parser, resolve_config
 from xmclite.config import KEYS, RunConfig, build_config, parse_config_file
 
 # The 41 keys of the flat RunConfig this schema replaced, minus the unused
-# ``triplet_margin``.
+# ``triplet_margin`` and the removed ``data_format``.
 PINNED_KEYS = {
-    "queries_path", "labels_path", "data_format", "eval_queries_path",
+    "queries_path", "labels_path", "eval_queries_path",
     "hash_dim", "encoder_dim", "search_dim", "dropout",
     "warm_start_classifiers", "epochs", "batch_size", "refresh_interval",
     "positives_per_query", "hard_negatives_per_query", "extra_clf_positives",
@@ -32,8 +32,8 @@ PINNED_KEYS = {
 }
 
 # A valid non-default value for every key whose type alone does not give one.
-_CHOICES = {"data_format": "xmc-sparse", "mode": "de",
-            "positive_reduction": "sum", "batch_reduction": "sum"}
+_CHOICES = {"mode": "de", "positive_reduction": "sum",
+            "batch_reduction": "sum"}
 
 
 def _leaf_fields():
@@ -69,7 +69,7 @@ def _other_value(key):
 
 def test_flat_key_set_is_pinned():
     assert set(KEYS) == PINNED_KEYS
-    assert len(KEYS) == 40
+    assert len(KEYS) == 39
 
 
 def test_keys_are_unique_across_dataclasses_and_documented():
@@ -109,7 +109,7 @@ def test_values_round_trip_through_file_and_flag(tmp_path, name):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"top_k": "0"}, {"mode": "dense"}, {"data_format": "csv"},
+    {"top_k": "0"}, {"mode": "dense"}, {"lr_heads": "0"},
     {"sim_positive_caps": "0"}, {"sim_negative_caps": "1,-1"},
     {"sim_positive_caps": ""}, {"propensity_b": "0"}, {"eval_k": "1,x"},
     {"temperature": "nan"}, {"dropout": "inf"}, {"de_weight": "2"},

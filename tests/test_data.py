@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from xmclite import (Dataset, DatasetFormatError, Vocabulary, featurize_all,
-                     load_dataset, make_dataset, save_sparse, synth_dataset)
+                     load_dataset, make_dataset, synth_dataset)
 from xmclite.data import TokenIds, load_label_texts
 
 from oracles import loop_featurize_all
@@ -206,11 +206,11 @@ def test_load_jsonl_roundtrip(tmp_path):
                '\n'
                '{"text": "blue hat", "labels": []}\n')
     l = _write(tmp_path / "l.txt", "shoes\nhats\n")
-    ds = load_dataset(q, l, format="jsonl")
+    ds = load_dataset(q, l)
     assert (ds.num_instances, ds.num_labels) == (2, 2)
     assert ds.positives(0).tolist() == [0, 1]
     assert ds.positives(1).tolist() == []
-    assert ds.empty_row_count == 1
+    assert np.count_nonzero(np.diff(ds.relevance.indptr) == 0) == 1
     v = ds.vocab
     assert ds.instance_texts[0].tolist() == [v.token_id("red"),
                                              v.token_id("shoe")]
@@ -239,53 +239,6 @@ def test_load_jsonl_rejects_bad_rows(tmp_path):
         assert err.value.line == 2
 
 
-def test_load_sparse_header_and_rows(tmp_path):
-    q = _write(tmp_path / "q.txt",
-               "4 5\n0,2\n1\n10:0.5 12:1.0\n\n")
-    l = _write(tmp_path / "l.txt", "a\nb\nc\nd\ne\n")
-    ds = load_dataset(q, l, format="xmc-sparse")
-    assert ds.num_instances == 4
-    assert ds.positives(0).tolist() == [0, 2]
-    assert ds.positives(1).tolist() == [1]
-    # a row starting with feature:value pairs has no positives
-    assert ds.positives(2).tolist() == []
-    assert ds.positives(3).tolist() == []
-    assert ds.empty_row_count == 2
-    # texts are not part of the format
-    assert all(t.size == 0 for t in ds.instance_texts)
-
-
-def test_load_sparse_tolerates_trailing_blank_lines(tmp_path):
-    q = _write(tmp_path / "q.txt", "1 2\n0\n\n\n")
-    l = _write(tmp_path / "l.txt", "a\nb\n")
-    ds = load_dataset(q, l, format="xmc-sparse")
-    assert ds.num_instances == 1
-
-
-def test_load_sparse_errors_carry_line_numbers(tmp_path):
-    l = _write(tmp_path / "l.txt", "a\nb\n")
-    q = _write(tmp_path / "bad1.txt", "2 2\n0\n7\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_dataset(q, l, format="xmc-sparse")
-    assert "label id out of range" in str(err.value)
-    assert err.value.line == 3
-
-    q = _write(tmp_path / "bad2.txt", "banana\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_dataset(q, l, format="xmc-sparse")
-    assert err.value.line == 1
-
-    q = _write(tmp_path / "bad3.txt", "3 2\n0\n1\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_dataset(q, l, format="xmc-sparse")
-    assert "N=3" in str(err.value)
-
-    q = _write(tmp_path / "bad4.txt", "1 4\n0\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_dataset(q, l, format="xmc-sparse")
-    assert "L=4" in str(err.value)
-
-
 def test_label_file_rejects_empty_lines(tmp_path):
     path = _write(tmp_path / "l.txt", "a\n\nb\n")
     with pytest.raises(DatasetFormatError) as err:
@@ -305,36 +258,15 @@ def test_undecodable_bytes_are_format_errors_with_line_numbers(tmp_path):
     labels = tmp_path / "l.txt"
     labels.write_bytes(b"a\nb\n")
     cases = [
-        (b"a\r\nb\xff\nc\n", None, 2),                       # label file
-        (b'{"text": "a", "labels": [0]}\n\n{"text": "\xc3("}\n', "jsonl", 3),
-        (b"2 2\n0\n\xff1\n", "xmc-sparse", 3),
+        (b"a\r\nb\xff\nc\n", lambda p: load_label_texts(p, Vocabulary()), 2),
+        (b'{"text": "a", "labels": [0]}\n\n{"text": "\xc3("}\n',
+         lambda p: load_dataset(p, str(labels)), 3),
     ]
-    for blob, fmt, line in cases:
+    for blob, load, line in cases:
         bad = tmp_path / "bad.txt"
         bad.write_bytes(blob)
         with pytest.raises(DatasetFormatError) as err:
-            if fmt is None:
-                load_label_texts(str(bad), Vocabulary())
-            else:
-                load_dataset(str(bad), str(labels), format=fmt)
+            load(str(bad))
         assert err.value.path == str(bad)
         assert err.value.line == line
         assert "UTF-8" in str(err.value)
-
-
-def test_unknown_format_rejected(tmp_path):
-    q = _write(tmp_path / "q.txt", "1 1\n0\n")
-    l = _write(tmp_path / "l.txt", "a\n")
-    with pytest.raises(DatasetFormatError):
-        load_dataset(q, l, format="csv")
-
-
-def test_save_sparse_roundtrip(tmp_path):
-    ds = synth_dataset(25, 7, seed=2)
-    q = tmp_path / "rel.txt"
-    save_sparse(ds, str(q))
-    assert [p.name for p in tmp_path.iterdir()] == ["rel.txt"]
-    l = _write(tmp_path / "l.txt", "".join(f"sig{i}\n" for i in range(7)))
-    back = load_dataset(str(q), l, format="xmc-sparse", vocab=ds.vocab)
-    assert np.array_equal(back.relevance.toarray(), ds.relevance.toarray())
-    assert np.array_equal(back.label_frequencies, ds.label_frequencies)

@@ -1,5 +1,5 @@
-"""Fuzzed readers: corrupt checkpoints, predictions TSVs, and jsonl and
-xmc-sparse instance files.
+"""Fuzzed readers: corrupt checkpoints, predictions TSVs, and JSONL
+instance files.
 
 Whatever the bytes, a reader either returns or raises a package error (or
 FileNotFoundError), which the CLI reports as a usage error, never a crash.
@@ -107,7 +107,6 @@ def test_fuzzed_predictions_raise_package_errors(tmp_path, blob):
 _INSTANCES = {
     "jsonl": b'{"text": "sig0 w1", "labels": [0, 2]}\n'
              b'{"text": "sig1", "labels": []}\n',
-    "xmc-sparse": b"3 3\n0,2 5:1.0\n\n1\n",
 }
 _INSTANCE_TEXT = st.text(alphabet=st.sampled_from('{}[]":,0123456789 \n-.e'
                                                   'textlabsig\\u\xe9'),
@@ -125,5 +124,4 @@ def test_fuzzed_instance_files_raise_package_errors(tmp_path, fmt, data):
         _INSTANCE_TEXT.map(lambda t: t.encode("utf-8"))))
     path = tmp_path / "queries.txt"
     path.write_bytes(blob)
-    _reads_cleanly(lambda p: load_dataset(p, str(labels), format=fmt),
-                   str(path))
+    _reads_cleanly(lambda p: load_dataset(p, str(labels)), str(path))

@@ -107,7 +107,7 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     params.classifiers = forward(params, l_feats, heads=("de",)).de_out.copy()
     plan, cache = refresh(params, q_feats, l_feats, ds.positive_sets(), 1,
                           seed, 0, cfg.resolved_cache_size())
-    (ids,) = plan.batches
+    (ids,) = plan
     batch = collate_batch(ids, ds, cache, cfg.positives_per_query,
                           cfg.hard_negatives_per_query, seed, 0, 0,
                           cfg.loss.extra_clf_positives)
