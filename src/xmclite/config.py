@@ -121,8 +121,9 @@ def coerce_value(key: str, raw: str, kind: type) -> object:
 
 
 def parse_config_file(path: str) -> dict:
-    """key=value lines, '#' comments; returns raw string values by key."""
-    values = {}
+    """key=value lines, '#' comments, each key at most once; returns raw
+    string values by key."""
+    values, line_of = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -134,7 +135,11 @@ def parse_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} "
+                                  f"given twice, on lines {line_of[key]} "
+                                  f"and {lineno}")
+            values[key], line_of[key] = value, lineno
     return values
 
 

@@ -260,8 +260,12 @@ def write_predictions(path: str, results: list,
 
 
 def read_predictions(path: str) -> dict[int, list[tuple[int, float]]]:
-    """Parse a predictions TSV into ranked per-query lists."""
-    rows: dict[int, list[tuple[int, int, float]]] = {}
+    """Parse a predictions TSV into ranked per-query lists.
+
+    Ranks start at 1 and each appears at most once per query; gaps are
+    allowed.
+    """
+    rows: dict[int, dict[int, tuple[int, float]]] = {}
     # Undecodable bytes become U+FFFD, which no number parses: a ConfigError.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -277,9 +281,12 @@ def read_predictions(path: str) -> dict[int, list[tuple[int, float]]]:
                 score = float(parts[3])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            rows.setdefault(qid, []).append((rank, lab, score))
-    out = {}
-    for qid, triples in rows.items():
-        triples.sort()
-        out[qid] = [(lab, score) for _, lab, score in triples]
-    return out
+            if rank < 1:
+                raise ConfigError(f"{path}:{lineno}: rank {rank} is below 1")
+            ranked = rows.setdefault(qid, {})
+            if rank in ranked:
+                raise ConfigError(
+                    f"{path}:{lineno}: query {qid} has rank {rank} twice")
+            ranked[rank] = (lab, score)
+    return {qid: [ranked[r] for r in sorted(ranked)]
+            for qid, ranked in rows.items()}

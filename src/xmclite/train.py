@@ -5,10 +5,12 @@ Texts are featurized once; batches slice those rows.  Every
 ``refresh_interval`` epochs (including epoch 0, which bootstraps from the
 untrained model) ``refresh`` re-embeds the queries, rebuilds the balanced
 batch plan from them, and re-embeds the labels to re-mine the hard-negative
-cache.  Within an epoch, each batch encodes its queries through both heads
-and its pool label texts through the retrieval head, gathers classifier rows
-for the pool, and steps on
-``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss``.
+cache.  Within an epoch, each batch is collated and handed to
+``batch_loss``, the one step body: it encodes the queries through both heads
+and the pool label texts through the retrieval head, gathers classifier rows
+for the pool, and differentiates
+``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss``; Adam
+then steps on those gradients.
 
 Single-threaded and fully deterministic for a fixed config and seed: the
 JSONL training log carries no timestamps, so reruns are byte-identical.
@@ -22,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .batching import (STREAM_DROPOUT, batch_count, cluster_queries,
-                       collate_batch)
+from .batching import (STREAM_DROPOUT, CollatedBatch, batch_count,
+                       cluster_queries, collate_batch)
 from .data import Dataset, featurize_all
 from .errors import ConfigError, TrainingAbort
 # build_index, query_vectors and predict_vectors are unused here but stay
@@ -33,7 +35,7 @@ from .infer import (MODES, build_index, label_vectors_by_mode,  # noqa: F401
                     topk)
 from .losses import LossConfig, classifier_loss, combined_loss, retrieval_loss
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
-from .model import (ModelParams, backward, forward, init_params,
+from .model import (Grads, ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
 from .negatives import HardNegativeCache, mine_hard_negatives
 from .optim import Adam
@@ -165,6 +167,45 @@ def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
     return plan, mine_hard_negatives(q_emb, l_emb, positive_sets, cache_size)
 
 
+def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
+               loss_cfg: LossConfig, rng: np.random.Generator
+               ) -> tuple[dict, Grads]:
+    """Loss parts and parameter gradients of one training step.
+
+    The only step body: train-mode forwards of the batch's query rows and
+    label-pool rows (in that order, both drawing dropout masks from
+    ``rng``), the retrieval loss over the label pool and the classifier loss
+    over the classifier pool, and the backward passes of
+    ``de_weight * retrieval + (1 - de_weight) * classifier``; a loss whose
+    weight is 0 gets no gradients.  ``parts`` holds the four direction
+    values, their mixes ``de`` and ``clf``, and the step's ``total``.
+    """
+    w = loss_cfg.de_weight
+    q_trace = forward(params, q_rows, mode="train", rng=rng)
+    l_trace = forward(params, l_rows, mode="train", rng=rng, heads=("de",))
+    de_res = retrieval_loss(q_trace.de_out, l_trace.de_out, batch.positives,
+                            loss_cfg, with_grads=w > 0)
+    clf_res = classifier_loss(q_trace.clf_out,
+                              params.classifiers[batch.clf_pool],
+                              batch.clf_positives, loss_cfg, with_grads=w < 1)
+    parts = {"de_q2l": de_res.q2l_value, "de_l2q": de_res.l2q_value,
+             "clf_q2l": clf_res.q2l_value, "clf_l2q": clf_res.l2q_value,
+             "de": de_res.value, "clf": clf_res.value,
+             "total": combined_loss(de_res.value, clf_res.value, w)}
+
+    grads = zero_grads(params)
+    backward(params, q_trace,
+             d_de=w * de_res.d_queries if w > 0 else None,
+             d_clf=(1 - w) * clf_res.d_queries if w < 1 else None,
+             out=grads)
+    backward(params, l_trace,
+             d_de=w * de_res.d_targets if w > 0 else None, out=grads)
+    if w < 1:
+        # clf_pool comes from np.unique: sorted unique row ids
+        grads.classifiers = (batch.clf_pool, (1 - w) * clf_res.d_targets)
+    return parts, grads
+
+
 def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
           checkpoint_path: str | None = None,
           eval_dataset: Dataset | None = None) -> tuple[ModelParams, TrainReport]:
@@ -174,6 +215,14 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
         raise ConfigError(
             f"dataset was featurized with hash_dim={dataset.vocab.hash_dim} "
             f"but config says {cfg.hash_dim}")
+    if eval_dataset is not None:
+        for what, got, want in (
+                ("num_labels", eval_dataset.num_labels, dataset.num_labels),
+                ("vocab.hash_dim", eval_dataset.vocab.hash_dim,
+                 dataset.vocab.hash_dim)):
+            if got != want:
+                raise ConfigError(f"eval_dataset has {what}={got} but the "
+                                  f"training set has {what}={want}")
 
     start = time.perf_counter()
     seed = cfg.seed
@@ -206,44 +255,17 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
             for b, ids in enumerate(plan):
                 batch = collate_batch(ids, dataset, cache, pos_cap, neg_cap, seed,
                                       epoch, b, cfg.loss.extra_clf_positives)
-                rng_drop = np.random.default_rng(
-                    [seed, STREAM_DROPOUT, epoch, b])
-                q_trace = forward(params, q_feats[ids], mode="train",
-                                  rng=rng_drop)
-                l_trace = forward(params, l_feats[batch.label_pool],
-                                  mode="train", rng=rng_drop, heads=("de",))
-                de_res = retrieval_loss(q_trace.de_out, l_trace.de_out,
-                                        batch.positives, cfg.loss,
-                                        with_grads=de_w8 > 0)
-                clf_rows = params.classifiers[batch.clf_pool]
-                clf_res = classifier_loss(q_trace.clf_out, clf_rows,
-                                          batch.clf_positives, cfg.loss,
-                                          with_grads=de_w8 < 1)
-                total = combined_loss(de_res.value, clf_res.value, de_w8)
-                if not np.isfinite(total):
+                parts, grads = batch_loss(
+                    params, batch, q_feats[ids], l_feats[batch.label_pool],
+                    cfg.loss, np.random.default_rng([seed, STREAM_DROPOUT,
+                                                     epoch, b]))
+                if not np.isfinite(parts["total"]):
                     raise TrainingAbort(
                         f"non-finite loss at epoch {epoch} batch {b}: "
-                        f"de={de_res.value} clf={clf_res.value}")
-
-                grads = zero_grads(params)
-                backward(params, q_trace,
-                         d_de=de_w8 * de_res.d_queries if de_w8 > 0 else None,
-                         d_clf=((1 - de_w8) * clf_res.d_queries
-                                if de_w8 < 1 else None),
-                         out=grads)
-                backward(params, l_trace,
-                         d_de=de_w8 * de_res.d_targets if de_w8 > 0 else None,
-                         out=grads)
-                if de_w8 < 1:
-                    # clf_pool comes from np.unique: sorted unique row ids
-                    grads.classifiers = (batch.clf_pool,
-                                         (1 - de_w8) * clf_res.d_targets)
+                        f"de={parts['de']} clf={parts['clf']}")
                 opt.step(params, grads, cfg.grad_clip)
-
-                sums["de_q2l"] += de_res.q2l_value
-                sums["de_l2q"] += de_res.l2q_value
-                sums["clf_q2l"] += clf_res.q2l_value
-                sums["clf_l2q"] += clf_res.l2q_value
+                for key in sums:
+                    sums[key] += parts[key]
 
             means = {k: v / num_batches for k, v in sums.items()}
             w_d, w_c = cfg.loss.de_q2l_weight, cfg.loss.clf_q2l_weight

@@ -26,11 +26,11 @@ from xmclite.batching import collate_batch
 from xmclite.cli import main
 from xmclite.data import featurize_all
 from xmclite.infer import LabelIndex, label_vectors, predict_vectors, query_vectors
-from xmclite.losses import (classifier_loss, combined_loss,
-                            pooled_softmax_loss, retrieval_loss)
+from xmclite.losses import classifier_loss, pooled_softmax_loss, retrieval_loss
 from xmclite.metrics import precision_at_k, psp_at_k
-from xmclite.model import backward, forward, init_params, zero_grads
+from xmclite.model import forward, init_params
 from xmclite.negatives import mine_hard_negatives
+from xmclite.train import batch_loss
 
 MODES = ("de", "clf", "concat")
 
@@ -62,33 +62,16 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
     batch = collate_batch(np.arange(3), ds, cache, 2, 1, 0)
     l_feats = l_feats_all[batch.label_pool]
 
-    def run(with_grads):
+    def run():
         # re-seeded per call, so every probe draws the same dropout masks and
         # the loss is a plain function of the parameters
         rng = np.random.default_rng([1, 4, 0, 0])
-        q_tr = forward(params, q_feats, mode="train", rng=rng)
-        l_tr = forward(params, l_feats, mode="train", rng=rng, heads=("de",))
-        de_res = retrieval_loss(q_tr.de_out, l_tr.de_out, batch.positives,
-                                cfg, with_grads=with_grads)
-        clf_rows = params.classifiers[batch.clf_pool]
-        clf_res = classifier_loss(q_tr.clf_out, clf_rows,
-                                  batch.clf_positives, cfg,
-                                  with_grads=with_grads)
-        total = combined_loss(de_res.value, clf_res.value, cfg.de_weight)
-        if not with_grads:
-            return total
-        grads = zero_grads(params)
-        w = cfg.de_weight
-        backward(params, q_tr, d_de=w * de_res.d_queries,
-                 d_clf=(1.0 - w) * clf_res.d_queries, out=grads)
-        backward(params, l_tr, d_de=w * de_res.d_targets, out=grads)
-        # the classifier rows' gradient, paired with the pool as train() does
-        grads.classifiers = (batch.clf_pool, (1.0 - w) * clf_res.d_targets)
-        return total, grads
+        return batch_loss(params, batch, q_feats, l_feats, cfg, rng)
 
-    _, grads = run(True)
+    # the gradients train() hands to the optimizer, against its step's total
+    _, grads = run()
     names = list(params.arrays())
-    numeric = finite_difference(lambda: run(False),
+    numeric = finite_difference(lambda: run()[0]["total"],
                                 [params.arrays()[k] for k in names],
                                 step=1e-6)
     analytic = [dense_grads(grads, params)[k] for k in names]

@@ -124,6 +124,17 @@ def test_eval_rejects_out_of_range_query_ids(tmp_path, capsys):
     assert err.startswith("error:") and "query id 99" in err
 
 
+def test_eval_rejects_a_repeated_rank(tmp_path, capsys):
+    queries, labels = write_text_dataset(tmp_path, 4, 8, seed=1)
+    preds = tmp_path / "p.tsv"
+    preds.write_text("0\t1\t3\t0.5\n0\t1\t3\t0.5\n")
+    rc, _ = _run(["eval", "--queries-path", queries, "--labels-path", labels,
+                  "--predictions-path", str(preds)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "p.tsv:2:" in err
+
+
 def test_missing_required_key(capsys):
     rc, _ = _run(["train", "--labels-path", "somewhere.txt"])
     assert rc == 2

@@ -108,6 +108,15 @@ def test_values_round_trip_through_file_and_flag(tmp_path, name):
         assert got == value and type(got) is type(value), (name, got)
 
 
+def test_config_file_key_given_twice_is_rejected(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("epochs = 3\nbatch_size = 8\n# again\nepochs = 9\n",
+                        encoding="utf-8")
+    with pytest.raises(ConfigError, match="run.cfg:4: config key 'epochs' "
+                                          "given twice, on lines 1 and 4"):
+        parse_config_file(str(cfg_file))
+
+
 @pytest.mark.parametrize("overrides", [
     {"top_k": "0"}, {"mode": "dense"}, {"lr_heads": "0"},
     {"sim_positive_caps": "0"}, {"sim_negative_caps": "1,-1"},

@@ -302,8 +302,9 @@ def test_predictions_tsv_equals_per_scalar_text(tmp_path, query_ids):
 
 
 def test_read_predictions_restores_rank_order(tmp_path):
+    # gaps in the ranks are allowed
     path = tmp_path / "p.tsv"
-    path.write_text("0\t2\t7\t0.5\n0\t1\t3\t0.9\n\n1\t1\t2\t0.1\n",
+    path.write_text("0\t4\t7\t0.5\n0\t1\t3\t0.9\n\n1\t1\t2\t0.1\n",
                     encoding="utf-8")
     back = read_predictions(str(path))
     assert back[0] == [(3, 0.9), (7, 0.5)]
@@ -318,6 +319,19 @@ def test_read_predictions_rejects_malformed_rows(tmp_path):
     assert ":1:" in str(err.value)
     path.write_text("0\t1\tthree\t0.5\n", encoding="utf-8")
     with pytest.raises(ConfigError):
+        read_predictions(str(path))
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("0\t1\t3\t0.5\n0\t0\t4\t0.2\n", 2, "rank 0 is below 1"),
+    ("1\t-4\t5\t0.2\n", 1, "rank -4 is below 1"),
+    ("0\t1\t3\t0.5\n1\t1\t2\t0.1\n0\t1\t3\t0.5\n", 3,
+     "query 0 has rank 1 twice"),
+], ids=["zero", "negative", "repeated"])
+def test_read_predictions_rejects_bad_ranks(tmp_path, text, where, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"bad.tsv:{where}: {message}"):
         read_predictions(str(path))
 
 

@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 import xmclite
-from conftest import id_dataset
+from conftest import id_dataset, text_dataset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -50,3 +50,29 @@ def test_collate_hook_counts_each_querys_pool_positives(monkeypatch):
     assert counted == batch.positives.sum(axis=1).tolist()
     assert [v for _, v in tracer.counts["batching.pool_labels"]] == \
         [batch.label_pool.size]
+
+
+def test_step_spans_are_direct_children_of_train(monkeypatch):
+    # The tracer wraps the step's callees on ``xmclite.train``, and the
+    # per-layer breakdown reads their spans as children of ``train.train``:
+    # a step body moved to another module would leave those metrics empty.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from tracer import Tracer
+
+    train_module = importlib.import_module("xmclite.train")
+    ds = text_dataset(16, 6, seed=1, hash_dim=256)
+    cfg = xmclite.TrainConfig(epochs=1, batch_size=8, positives_per_query=2,
+                              hard_negatives_per_query=1, hash_dim=256,
+                              encoder_dim=8, search_dim=4)
+    tracer = Tracer(check=lambda ok, what: None)
+    try:
+        tracer.install()
+        train_module.train(ds, cfg)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for name in ("model.forward_train", "losses.retrieval",
+                 "losses.classifier", "model.zero_grads", "model.backward",
+                 "batching.collate", "optim.step"):
+        parents = {names[span[3]] for span in tracer.spans if span[0] == name}
+        assert parents == {"train.train"}, (name, parents)

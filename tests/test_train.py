@@ -343,6 +343,22 @@ def test_eval_dataset_is_the_one_scored():
     assert report.records[-1]["metrics"] == want
 
 
+@pytest.mark.parametrize("held_out, message", [
+    (_ds(n=12, num_labels=8, seed=9),
+     "num_labels=8 but the training set has num_labels=6"),
+    (text_dataset(12, 6, seed=9, hash_dim=2 * HASH),
+     f"vocab.hash_dim={2 * HASH} but the training set has "
+     f"vocab.hash_dim={HASH}"),
+], ids=["num_labels", "hash_dim"])
+def test_mismatched_eval_dataset_is_rejected_before_training(tmp_path,
+                                                             held_out, message):
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(ConfigError, match=f"eval_dataset has {message}"):
+        train(_ds(), _cfg(eval_every=1), log_path=str(log),
+              eval_dataset=held_out)
+    assert not log.exists()
+
+
 def test_quick_overfit_reaches_high_precision():
     ds = text_dataset(96, 16, seed=0, hash_dim=2048,
                       positives_per_instance=(1, 2))
