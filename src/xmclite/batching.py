@@ -121,12 +121,11 @@ class CollatedBatch:
     """One training batch with its label pool and positive mask.
 
     ``positives[i, j]`` is True when ``label_pool[j]`` is a ground-truth
-    label of ``query_ids[i]``.  ``clf_pool`` and ``clf_positives`` describe
+    label of the i-th query.  ``clf_pool`` and ``clf_positives`` describe
     the classifier-side pool, a superset of ``label_pool`` when extra
     classifier positives are sampled and the very same objects otherwise.
     """
 
-    query_ids: np.ndarray
     sampled_positives: list[np.ndarray]
     sampled_hard_negatives: list[np.ndarray]
     extra_clf_positives: list[np.ndarray]
@@ -168,8 +167,8 @@ def collate_from_samples(query_ids: np.ndarray, dataset: Dataset,
     if any(e.size for e in extras):
         clf_pool = np.unique(np.concatenate([pool] + extras))
         clf_positives = _pool_membership(query_ids, clf_pool, dataset)
-    return CollatedBatch(query_ids, sampled_pos, sampled_neg, extras, pool,
-                         positives, clf_pool, clf_positives)
+    return CollatedBatch(sampled_pos, sampled_neg, extras, pool, positives,
+                         clf_pool, clf_positives)
 
 
 def collate_batch(query_ids: np.ndarray, dataset: Dataset,
@@ -207,7 +206,6 @@ class BatchStats:
     batch_size: int
     pb_sizes: np.ndarray        # per-query count of pool labels that are true
     pool_sizes: np.ndarray      # label-pool size per batch
-    gain_sizes: np.ndarray      # pool positives beyond the query's own sample
 
     @property
     def mean_pb(self) -> float:
@@ -232,18 +230,13 @@ def batch_stats(dataset: Dataset, plan: list[np.ndarray],
 
     ``cache`` may be None only when ``max_negatives`` is 0.
     """
-    pb_sizes, pool_sizes, gains = [], [], []
+    pb_sizes, pool_sizes = [], []
     for b, ids in enumerate(plan):
         batch = collate_batch(ids, dataset, cache, max_positives,
                               max_negatives, seed, epoch=0, batch_index=b)
-        pb = batch.positives.sum(axis=1)
-        pb_sizes.append(pb)
-        # every sampled positive is in the pool and true
-        gains.append(pb - np.fromiter(map(len, batch.sampled_positives),
-                                      dtype=np.int64, count=pb.size))
+        pb_sizes.append(batch.positives.sum(axis=1))
         pool_sizes.append(batch.label_pool.size)
     batch_size = max(len(ids) for ids in plan)
     return BatchStats(max_positives, max_negatives, batch_size,
                       np.concatenate(pb_sizes),
-                      np.asarray(pool_sizes, dtype=np.int64),
-                      np.concatenate(gains))
+                      np.asarray(pool_sizes, dtype=np.int64))

@@ -75,8 +75,11 @@ def cmd_train(config: RunConfig, explicit: set) -> int:
                     if config.eval_queries_path else None)
     log_path = _out_path(config, config.log_path, "train_log.jsonl")
     ckpt_path = _out_path(config, config.checkpoint_path, "checkpoint.bin")
-    params, report = train(dataset, config.train, log_path=log_path,
-                           checkpoint_path=ckpt_path, eval_dataset=eval_dataset)
+    # a diverging run ends in TrainingAbort; numpy's warnings would bury it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        params, report = train(dataset, config.train, log_path=log_path,
+                               checkpoint_path=ckpt_path,
+                               eval_dataset=eval_dataset)
     last = report.records[-1]
     print(f"trained {config.train.epochs} epochs in {report.wall_seconds:.1f}s; "
           f"final loss {last['total']:.6f}")
@@ -89,7 +92,7 @@ def cmd_train(config: RunConfig, explicit: set) -> int:
 
 def _checked_params(config: RunConfig, explicit: set):
     _require(config, "checkpoint_path")
-    params, sidecar = load_checkpoint(config.checkpoint_path)
+    params, meta = load_checkpoint(config.checkpoint_path)
     for key, value in (("hash_dim", params.hash_dim),
                        ("encoder_dim", params.encoder_dim),
                        ("search_dim", params.search_dim)):
@@ -97,7 +100,7 @@ def _checked_params(config: RunConfig, explicit: set):
             raise ConfigError(
                 f"{key}={getattr(config.train, key)} conflicts with checkpoint "
                 f"({key}={value})")
-    return params, sidecar
+    return params, meta
 
 
 def cmd_predict(config: RunConfig, explicit: set) -> int:

@@ -165,16 +165,23 @@ def make_dataset(instance_texts: list[np.ndarray], label_texts: list[np.ndarray]
     return ds
 
 
+def _split_lines(text: str) -> list[str]:
+    """Lines as text mode splits them: at LF, CRLF and CR only (not at
+    U+2028 and the like), and a final break adds no line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _read_lines(path: str) -> list[str]:
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        return blob.decode("utf-8").splitlines()
+        return _split_lines(blob.decode("utf-8"))
     except UnicodeDecodeError as exc:
         # the prefix before the first bad byte decodes; "x" opens its line
         prefix = blob[:exc.start].decode("utf-8") + "x"
         raise DatasetFormatError("text is not valid UTF-8", path,
-                                 len(prefix.splitlines())) from exc
+                                 len(_split_lines(prefix))) from exc
 
 
 def load_label_texts(path: str, vocab: Vocabulary) -> list[np.ndarray]:

@@ -270,35 +270,27 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 def save_checkpoint(path: str, params: ModelParams,
                     extra: dict | None = None) -> None:
-    """Binary checkpoint (magic + dims + float64 matrices) and JSON sidecar.
+    """One checkpoint file: magic, dims, dropout and the float64 matrices,
+    then ``extra`` as compact sorted-key UTF-8 JSON.
 
-    Each file is written to a temporary file and renamed into place, so a
+    The file is written to a temporary file and renamed into place, so a
     failed save leaves the previous checkpoint loadable.
     """
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.array([params.hash_dim, params.encoder_dim,
-                           params.search_dim, params.num_labels],
-                          dtype="<u8").tobytes())
-        fh.write(struct.pack("<d", params.dropout))
-        for name in ("embed", "de_w", "de_b", "clf_w", "clf_b", "classifiers"):
-            fh.write(np.ascontiguousarray(
-                params.arrays()[name], dtype="<f8").tobytes())
-    sidecar = {"dims": {"hash_dim": params.hash_dim,
-                        "encoder_dim": params.encoder_dim,
-                        "search_dim": params.search_dim,
-                        "num_labels": params.num_labels},
-               "dropout": params.dropout}
-    if extra:
-        sidecar.update(extra)
-    with atomic_open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(struct.pack("<4Qd", params.hash_dim, params.encoder_dim,
+                             params.search_dim, params.num_labels,
+                             params.dropout))
+        for arr in params.arrays().values():   # in file order
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(json.dumps(extra or {}, sort_keys=True,
+                            separators=(",", ":")).encode("utf-8"))
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Validate magic, dims and finite values and rebuild params; returns
-    (params, sidecar)."""
+    """Validate magic, dims, dropout and finite values and rebuild params;
+    returns (params, metadata).  A file that ends with its matrices, as
+    files written before the metadata moved in do, has metadata ``{}``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -306,20 +298,22 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     if len(blob) < 48:
         raise ConfigError(f"{path}: truncated checkpoint header "
                           f"({len(blob)} of 48 bytes)")
-    dims = np.frombuffer(blob, dtype="<u8", count=4, offset=8)
-    hash_dim, enc_dim, search_dim, num_labels = (int(x) for x in dims)
+    hash_dim, enc_dim, search_dim, num_labels, dropout = struct.unpack_from(
+        "<4Qd", blob, 8)
     if min(hash_dim, enc_dim, search_dim, num_labels) == 0:
         raise ConfigError(f"{path}: zero dimension in checkpoint header "
                           f"{[hash_dim, enc_dim, search_dim, num_labels]}")
-    (dropout,) = struct.unpack_from("<d", blob, 40)
+    if not 0.0 <= dropout <= 1.0:   # NaN fails too
+        raise ConfigError(f"{path}: checkpoint dropout {dropout} is not in "
+                          f"[0, 1]")
     shapes = [("embed", (hash_dim, enc_dim)), ("de_w", (enc_dim, search_dim)),
               ("de_b", (search_dim,)), ("clf_w", (enc_dim, search_dim)),
               ("clf_b", (search_dim,)), ("classifiers", (num_labels, search_dim))]
     expected = 48 + 8 * sum(math.prod(s) for _, s in shapes)
-    if len(blob) != expected:
+    if len(blob) < expected:
         raise ConfigError(
-            f"{path}: size {len(blob)} does not match header dims "
-            f"(expected {expected})")
+            f"{path}: size {len(blob)} is short of what the header dims need "
+            f"({expected})")
     offset, fields = 48, {}
     for name, shape in shapes:
         count = math.prod(shape)
@@ -331,14 +325,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
             raise ConfigError(f"{path}: non-finite {name} value at index "
                               f"{tuple(int(i) for i in index)}")
         offset += 8 * count
-    params = ModelParams(**fields, dropout=float(dropout))
-    sidecar_path = path + ".json"
+    tail = blob[offset:]
     try:
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        sidecar = {}
-    except ValueError as exc:   # invalid JSON or UTF-8
-        raise ConfigError(f"{sidecar_path}: corrupt checkpoint sidecar: "
-                          f"{exc}") from exc
-    return params, sidecar
+        meta = json.loads(tail.decode("utf-8")) if tail else {}
+    except (ValueError, RecursionError) as exc:   # bad UTF-8, bad JSON, too deep
+        raise ConfigError(f"{path}: corrupt checkpoint metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")
+    return ModelParams(**fields, dropout=dropout), meta

@@ -12,6 +12,12 @@ import numpy as np
 from xmclite import Dataset, Vocabulary, make_dataset, synth_dataset
 
 
+def parameter_bytes(params) -> int:
+    """Length of a checkpoint's parameter section: magic, header and
+    matrices, the bytes before its JSON metadata."""
+    return 48 + 8 * sum(a.size for a in params.arrays().values())
+
+
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n random points on the unit sphere in R^d."""
     vecs = rng.normal(size=(n, d))

@@ -351,7 +351,6 @@ def test_batch_stats_with_full_positive_sampling():
                         max_positives=5, max_negatives=0, seed=0)
     truth_mean = np.mean([ds.positives(i).size for i in range(40)])
     assert stats.mean_pb == pytest.approx(float(truth_mean))
-    assert np.all(stats.gain_sizes == 0)
     assert stats.batch_size == 8
     assert stats.pb_sizes.size == 40
 

@@ -10,13 +10,13 @@ import os
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
-from conftest import write_text_dataset
+from conftest import parameter_bytes, write_text_dataset
 from xmclite import METRICS_SCHEMA, read_predictions
 from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.cli import main
+from xmclite.model import load_checkpoint
 
 # the package's ``train`` attribute is the function, not the module
 train_module = importlib.import_module("xmclite.train")
@@ -58,7 +58,7 @@ def workspace(tmp_path_factory):
 def test_train_writes_artifacts(workspace):
     out = workspace["out"]
     assert (out / "checkpoint.bin").exists()
-    assert (out / "checkpoint.bin.json").exists()
+    assert not (out / "checkpoint.bin.json").exists()
     log_lines = (out / "train_log.jsonl").read_text().splitlines()
     assert len(log_lines) == 3
     assert all(json.loads(line)["epoch"] == e
@@ -196,13 +196,14 @@ def test_corrupt_checkpoint_is_a_usage_error(workspace, tmp_path, capsys):
             "--checkpoint-path", str(path), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # the parameters intact, garbage in place of the metadata
+    end = parameter_bytes(load_checkpoint(workspace["ckpt"])[0])
     path = tmp_path / "whole.bin"
-    path.write_bytes(blob)
-    (tmp_path / "whole.bin.json").write_text("{not json")
+    path.write_bytes(blob[:end] + b"{not json")
     rc, _ = _run(["predict"] + workspace["common"] + [
         "--checkpoint-path", str(path), "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert "sidecar" in capsys.readouterr().err
+    assert "corrupt checkpoint metadata" in capsys.readouterr().err
 
 
 def test_nonexistent_queries_file(tmp_path, capsys):
@@ -251,15 +252,15 @@ def test_help_exits_zero(capsys):
 
 
 def test_divergent_training_reports_abort(tmp_path, capsys):
+    # no numpy overflow warning is printed ahead of the abort
     queries, labels = write_text_dataset(tmp_path, 16, 4, seed=1)
-    with np.errstate(all="ignore"):
-        rc, _ = _run(["train", "--queries-path", queries,
-                      "--labels-path", labels, "--out-dir",
-                      str(tmp_path / "run")] + SMALL_DIMS + [
-                      "--epochs", "2", "--batch-size", "8",
-                      "--lr-encoder", "1e200", "--lr-heads", "1e150"])
+    rc, _ = _run(["train", "--queries-path", queries, "--labels-path", labels,
+                  "--out-dir", str(tmp_path / "run")] + SMALL_DIMS + [
+                  "--epochs", "2", "--batch-size", "8",
+                  "--lr-encoder", "1e200", "--lr-heads", "1e150"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("aborted:")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("aborted:")
 
 
 def test_flag_overrides_config_file(tmp_path):

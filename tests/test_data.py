@@ -254,11 +254,64 @@ def test_label_file_rejects_lines_without_ascii_tokens(tmp_path):
     assert "ASCII" in str(err.value)
 
 
+# breaks that str.splitlines() knows and text mode does not
+INLINE_BREAKS = pytest.mark.parametrize(
+    "char", ["\u2028", "\f", "\x85"], ids=["U+2028", "form_feed", "NEL"])
+
+
+@INLINE_BREAKS
+def test_label_file_breaks_lines_only_at_newlines(tmp_path, char):
+    path = _write(tmp_path / "l.txt", f"alpha beta{char}gamma\ndelta\neps\n")
+    texts = load_label_texts(path, Vocabulary())
+    v = Vocabulary()
+    assert [t.tolist() for t in texts] == [
+        [v.token_id(w) for w in words]
+        for words in (["alpha", "beta", "gamma"], ["delta"], ["eps"])]
+
+
+@INLINE_BREAKS
+def test_jsonl_breaks_lines_only_at_newlines(tmp_path, char):
+    l = _write(tmp_path / "l.txt", "a\nb\n")
+    q = _write(tmp_path / "q.jsonl", '{"text": "ok", "labels": [0]}\n'
+               f'{{"text": "red{char}shoe", "labels": [1]}}\n'
+               '{"text": "blue", "labels": [0]}\n')
+    if char == "\f":
+        # JSON allows no raw control character in a string
+        with pytest.raises(DatasetFormatError, match="control character") as err:
+            load_dataset(q, l)
+        assert err.value.line == 2
+        return
+    ds = load_dataset(q, l)
+    assert [ds.positives(i).tolist() for i in range(3)] == [[0], [1], [0]]
+    assert ds.instance_texts[1].tolist() == [ds.vocab.token_id("red"),
+                                             ds.vocab.token_id("shoe")]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_loaders_accept_crlf_and_cr_line_endings(tmp_path, newline):
+    l, q = tmp_path / "l.txt", tmp_path / "q.jsonl"
+    l.write_bytes(newline.join(["shoes", "hats", ""]).encode())
+    rows = ['{"text": "red shoe", "labels": [0]}', "",
+            '{"text": "blue hat", "labels": [1]}']
+    q.write_bytes(newline.join(rows + [""]).encode())
+    ds = load_dataset(str(q), str(l))
+    assert ds.num_labels == 2
+    assert [ds.positives(i).tolist() for i in range(2)] == [[0], [1]]
+    # one break per line ending: the blank row is line 2, the bad one line 4
+    q.write_bytes(newline.join(rows + ['{"text": "x", "labels": [2]}'])
+                  .encode())
+    with pytest.raises(DatasetFormatError, match="out of range") as err:
+        load_dataset(str(q), str(l))
+    assert err.value.line == 4
+
+
 def test_undecodable_bytes_are_format_errors_with_line_numbers(tmp_path):
     labels = tmp_path / "l.txt"
     labels.write_bytes(b"a\nb\n")
     cases = [
         (b"a\r\nb\xff\nc\n", lambda p: load_label_texts(p, Vocabulary()), 2),
+        ("a\u2028b\fc\x85d\re".encode() + b"\xff\n",
+         lambda p: load_label_texts(p, Vocabulary()), 2),
         (b'{"text": "a", "labels": [0]}\n\n{"text": "\xc3("}\n',
          lambda p: load_dataset(p, str(labels)), 3),
     ]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import parameter_bytes
 from xmclite import (ConfigError, XmcliteError, init_params, load_dataset,
                      read_predictions)
 from xmclite.model import load_checkpoint, save_checkpoint
@@ -48,30 +49,29 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     ckpt = str(root / "ckpt.bin")
     save_checkpoint(ckpt, _VALID, extra={"epoch": 1})
-    return {name: Path(path).read_bytes() for name, path in
-            (("ckpt", ckpt), ("sidecar", ckpt + ".json"))}
+    blob = Path(ckpt).read_bytes()
+    end = parameter_bytes(_VALID)
+    return {"ckpt": blob, "parameters": blob[:end], "metadata": blob[end:]}
 
 
-def _check_checkpoint(tmp_path, blob, sidecar):
+def _check_checkpoint(tmp_path, blob):
     path = tmp_path / "ckpt.bin"
     path.write_bytes(blob)
-    (tmp_path / "ckpt.bin.json").write_bytes(sidecar)
     _reads_cleanly(load_checkpoint, str(path))
 
 
 @FUZZ
 @given(data=st.data())
 def test_fuzzed_checkpoints_raise_package_errors(valid_files, tmp_path, data):
-    blob = data.draw(_corruptions(valid_files["ckpt"]))
-    _check_checkpoint(tmp_path, blob, valid_files["sidecar"])
+    _check_checkpoint(tmp_path, data.draw(_corruptions(valid_files["ckpt"])))
 
 
 @FUZZ
 @given(data=st.data())
-def test_fuzzed_checkpoint_sidecars_raise_package_errors(valid_files,
-                                                         tmp_path, data):
-    sidecar = data.draw(_corruptions(valid_files["sidecar"]))
-    _check_checkpoint(tmp_path, valid_files["ckpt"], sidecar)
+def test_fuzzed_checkpoint_metadata_raises_package_errors(valid_files,
+                                                          tmp_path, data):
+    metadata = data.draw(_corruptions(valid_files["metadata"]))
+    _check_checkpoint(tmp_path, valid_files["parameters"] + metadata)
 
 
 @FUZZ

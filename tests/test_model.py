@@ -1,6 +1,7 @@
 """Encoder, heads, dropout, exact backward pass, and checkpoint IO."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
                      load_checkpoint, save_checkpoint, zero_grads)
 from xmclite.model import _dropout_mask, merge_rows
 
-from conftest import unit_rows
+from conftest import parameter_bytes, unit_rows
 from oracles import (assert_finite, dense_grads, finite_difference,
                      max_relative_error)
 
@@ -294,12 +295,11 @@ def test_checkpoint_roundtrip_and_stability(tmp_path):
     p = init_params(16, 8, 4, 6, seed=3, dropout=0.2)
     path = str(tmp_path / "model.bin")
     save_checkpoint(path, p, extra={"epoch": 7})
-    back, sidecar = load_checkpoint(path)
+    back, meta = load_checkpoint(path)
     for name, arr in p.arrays().items():
         assert np.array_equal(back.arrays()[name], arr)
     assert back.dropout == 0.2
-    assert sidecar["epoch"] == 7
-    assert sidecar["dims"]["num_labels"] == 6
+    assert meta == {"epoch": 7}
     blob1 = (tmp_path / "model.bin").read_bytes()
     save_checkpoint(path, p, extra={"epoch": 7})
     assert (tmp_path / "model.bin").read_bytes() == blob1
@@ -314,21 +314,49 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path):
     bad.classifiers = np.full(p.classifiers.shape, "x", dtype=object)
     with pytest.raises(ValueError):
         save_checkpoint(path, bad, extra={"epoch": 2})
-    back, sidecar = load_checkpoint(path)
+    back, meta = load_checkpoint(path)
     for name, arr in p.arrays().items():
         assert np.array_equal(back.arrays()[name], arr)
-    assert sidecar["epoch"] == 1
-    assert sorted(os.listdir(tmp_path)) == ["m.bin", "m.bin.json"]
+    assert meta["epoch"] == 1
+    assert os.listdir(tmp_path) == ["m.bin"]
 
 
-def test_checkpoint_missing_sidecar_is_tolerated(tmp_path):
+def test_checkpoint_without_metadata_loads_empty(tmp_path):
+    # files written before the metadata moved in end with their matrices
+    p = init_params(8, 4, 2, 3, seed=0, dropout=0.3)
+    path = tmp_path / "m.bin"
+    save_checkpoint(str(path), p, extra={"epoch": 1, "config": {"seed": 0}})
+    blob, end = path.read_bytes(), parameter_bytes(p)
+    assert blob[end:] == b'{"config":{"seed":0},"epoch":1}'
+    path.write_bytes(blob[:end])
+    back, meta = load_checkpoint(str(path))
+    assert meta == {}
+    assert back.dropout == 0.3
+    for name, arr in p.arrays().items():
+        assert np.array_equal(back.arrays()[name], arr)
+
+
+@pytest.mark.parametrize("metadata", [b'{"epoch": 1\xff}', b'{"epoch": 1',
+                                      b'[1, 2]'],
+                         ids=["bad_utf8", "bad_json", "not_object"])
+def test_checkpoint_rejects_bad_metadata(tmp_path, metadata):
     p = init_params(8, 4, 2, 3, seed=0)
-    path = str(tmp_path / "m.bin")
-    save_checkpoint(path, p)
-    (tmp_path / "m.bin.json").unlink()
-    back, sidecar = load_checkpoint(path)
-    assert sidecar == {}
-    assert np.array_equal(back.embed, p.embed)
+    path = tmp_path / "m.bin"
+    save_checkpoint(str(path), p)
+    path.write_bytes(path.read_bytes()[:parameter_bytes(p)] + metadata)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + ".*metadata"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("dropout", [np.nan, 5.0, -1.0])
+def test_checkpoint_rejects_invalid_dropout(tmp_path, dropout):
+    p = init_params(8, 4, 2, 3, seed=0)
+    path = tmp_path / "m.bin"
+    save_checkpoint(str(path), p)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:40] + np.float64(dropout).tobytes() + blob[48:])
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: checkpoint dropout")):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path):
@@ -339,9 +367,9 @@ def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path):
     (tmp_path / "bad.bin").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(ConfigError):
         load_checkpoint(str(tmp_path / "bad.bin"))
-    for size in (len(blob) - 16, 47, 20):
+    for size in (parameter_bytes(p) - 1, len(blob) - 16, 47, 20):
         (tmp_path / "short.bin").write_bytes(blob[:size])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "short.bin"))):
             load_checkpoint(str(tmp_path / "short.bin"))
     # a header with a zero dimension, whatever the others say
     for dims in ([0, 0, 0, 0], [2**64 - 1, 0, 0, 1]):

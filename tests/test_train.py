@@ -193,12 +193,12 @@ def test_log_lines_are_stable_sorted_json(logged_run):
 
 def test_checkpoint_reflects_final_parameters(logged_run):
     _, cfg, params, _, _, ckpt = logged_run
-    loaded, sidecar = load_checkpoint(ckpt)
+    loaded, meta = load_checkpoint(ckpt)
     for name, mine in params.arrays().items():
         assert np.array_equal(mine, loaded.arrays()[name]), name
-    assert sidecar["epoch"] == cfg.epochs
-    assert sidecar["config"]["epochs"] == cfg.epochs
-    assert sidecar["config"]["loss"]["temperature"] == cfg.loss.temperature
+    assert meta["epoch"] == cfg.epochs
+    assert meta["config"]["epochs"] == cfg.epochs
+    assert meta["config"]["loss"]["temperature"] == cfg.loss.temperature
 
 
 def test_checkpoint_written_even_without_refresh_alignment(tmp_path):
@@ -206,8 +206,8 @@ def test_checkpoint_written_even_without_refresh_alignment(tmp_path):
     ckpt = str(tmp_path / "ck.bin")
     cfg = _cfg(epochs=3, refresh_interval=5)
     train(_ds(), cfg, checkpoint_path=ckpt)
-    _, sidecar = load_checkpoint(ckpt)
-    assert sidecar["epoch"] == 3
+    _, meta = load_checkpoint(ckpt)
+    assert meta["epoch"] == 3
 
 
 def test_two_runs_are_bit_identical(tmp_path):
@@ -225,8 +225,7 @@ def test_two_runs_are_bit_identical(tmp_path):
     assert rec_a == rec_b
     for name, x in par_a.arrays().items():
         assert x.tobytes() == par_b.arrays()[name].tobytes(), name
-    for pa, pb in ((log_a, log_b), (ckpt_a, ckpt_b),
-                   (ckpt_a + ".json", ckpt_b + ".json")):
+    for pa, pb in ((log_a, log_b), (ckpt_a, ckpt_b)):
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             assert fa.read() == fb.read()
 

@@ -1,11 +1,14 @@
-"""Print the sha256 of the checkpoint and the train log of fixed training runs.
+"""Print the sha256 of the parameters and train log of fixed training runs.
 
 Usage: python3 tools/digests.py [--src DIR]
 
 ``--src`` names the directory that holds the ``xmclite`` package (default:
 ``src/`` of this checkout), so two checkouts can be compared run for run.
 A refactor that claims no behaviour change must print the same pairs before
-and after.  Runs use one BLAS thread, which the determinism contract needs.
+and after.  The checkpoint digest covers its parameter section (magic, header
+and matrices), not the JSON metadata that follows it, so it also compares
+with checkpoints written before the metadata moved into the file.  Runs use
+one BLAS thread, which the determinism contract needs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import struct
 import sys
 import tempfile
 import time
@@ -55,9 +59,17 @@ def _runs(xmc):
     ]
 
 
-def _sha256(path: str) -> str:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return fh.read()
+
+
+def _parameter_section(blob: bytes) -> bytes:
+    """A checkpoint's 48 header bytes and the six float64 matrices its dims
+    give: the bytes before its JSON metadata."""
+    hash_dim, enc, search, labels = struct.unpack_from("<4Q", blob, 8)
+    return blob[:48 + 8 * (hash_dim * enc + 2 * enc * search + 2 * search
+                           + labels * search)]
 
 
 def main(argv=None) -> int:
@@ -81,8 +93,10 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             xmc.train(dataset, cfg, log_path=log, checkpoint_path=ckpt)
             elapsed = time.perf_counter() - started
-            print(f"{name:16s} checkpoint {_sha256(ckpt)}  "
-                  f"log {_sha256(log)}  {elapsed:5.2f}s", flush=True)
+            params = hashlib.sha256(_parameter_section(_read(ckpt)))
+            print(f"{name:16s} parameters {params.hexdigest()}  "
+                  f"log {hashlib.sha256(_read(log)).hexdigest()}  "
+                  f"{elapsed:5.2f}s", flush=True)
     return 0
 
 
