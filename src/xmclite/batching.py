@@ -126,9 +126,6 @@ class CollatedBatch:
     classifier positives are sampled and the very same objects otherwise.
     """
 
-    sampled_positives: list[np.ndarray]
-    sampled_hard_negatives: list[np.ndarray]
-    extra_clf_positives: list[np.ndarray]
     label_pool: np.ndarray
     positives: np.ndarray         # (queries, pool) bool
     clf_pool: np.ndarray
@@ -141,34 +138,14 @@ class CollatedBatch:
         return [np.flatnonzero(row) for row in self.positives]
 
 
-def _pool_membership(query_ids: np.ndarray, pool: np.ndarray,
-                     dataset: Dataset) -> np.ndarray:
-    """(queries x pool) mask of each query's ground truth in the sorted
-    pool, from one ``hit_matrix`` of the queries' relevance rows."""
-    truth = dataset.relevance[query_ids]
-    t_row = np.repeat(np.arange(query_ids.size), np.diff(truth.indptr))
-    shape = (query_ids.size, pool.size)
+def _pool_membership(pool: np.ndarray, t_row: np.ndarray, t_ids: np.ndarray,
+                     num_queries: int) -> np.ndarray:
+    """(queries x pool) mask of each query's ground truth in the pool, from
+    one ``hit_matrix``: query r's truth is ``t_ids[t_row == r]``.  The query
+    count is explicit, since the last queries may have no truth at all."""
+    shape = (num_queries, pool.size)
     return hit_matrix(np.broadcast_to(pool, shape), np.ones(shape, dtype=bool),
-                      t_row, truth.indices.astype(np.int64))
-
-
-def collate_from_samples(query_ids: np.ndarray, dataset: Dataset,
-                         sampled_pos: list, sampled_neg: list,
-                         extras: list | None = None) -> CollatedBatch:
-    """Assemble the pools and positive masks from already-drawn samples."""
-    query_ids = np.asarray(query_ids, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    if extras is None:
-        extras = [empty] * query_ids.size
-    pool = np.unique(np.concatenate([empty] + sampled_pos + sampled_neg))
-    positives = _pool_membership(query_ids, pool, dataset)
-    # without extras the classifier side aliases the retrieval pool
-    clf_pool, clf_positives = pool, positives
-    if any(e.size for e in extras):
-        clf_pool = np.unique(np.concatenate([pool] + extras))
-        clf_positives = _pool_membership(query_ids, clf_pool, dataset)
-    return CollatedBatch(sampled_pos, sampled_neg, extras, pool, positives,
-                         clf_pool, clf_positives)
+                      t_row, t_ids)
 
 
 def collate_batch(query_ids: np.ndarray, dataset: Dataset,
@@ -179,24 +156,31 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
     """Sample per-query positives/negatives and assemble the label pool."""
     if max_negatives > 0 and cache is None:
         raise ConfigError("hard-negative sampling requested without a cache")
-    query_ids = np.asarray(query_ids, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
-    sampled_pos, sampled_neg, extras = [], [], []
-    for qid in query_ids.tolist():
+    truth, drawn, extras = [], [], []
+    for qid in np.asarray(query_ids, dtype=np.int64).tolist():
         key = [epoch, batch_index, qid]
         p_i = dataset.positives(qid)
         p_hat = sample_ids(p_i, max_positives, [seed, STREAM_POSITIVES, *key])
-        sampled_pos.append(p_hat)
-        sampled_neg.append(
-            sample_ids(cache.negatives[qid], max_negatives,
-                       [seed, STREAM_NEGATIVES, *key])
-            if max_negatives > 0 else empty)
-        extras.append(
-            sample_ids(np.setdiff1d(p_i, p_hat, assume_unique=True),
-                       extra_clf_positives, [seed, STREAM_EXTRA_POSITIVES, *key])
-            if extra_clf_positives > 0 else empty)
-    return collate_from_samples(query_ids, dataset, sampled_pos, sampled_neg,
-                                extras)
+        truth.append(p_i)
+        drawn.append(p_hat)
+        if max_negatives > 0:
+            drawn.append(sample_ids(cache.negatives[qid], max_negatives,
+                                    [seed, STREAM_NEGATIVES, *key]))
+        if extra_clf_positives > 0:
+            extras.append(sample_ids(
+                np.setdiff1d(p_i, p_hat, assume_unique=True),
+                extra_clf_positives, [seed, STREAM_EXTRA_POSITIVES, *key]))
+    t_row = np.repeat(np.arange(len(truth)), [p.size for p in truth])
+    t_ids = np.concatenate([empty, *truth])      # int64 for any index dtype
+    pool = np.unique(np.concatenate([empty, *drawn]))
+    positives = _pool_membership(pool, t_row, t_ids, len(truth))
+    # without extras the classifier side aliases the retrieval pool
+    clf_pool, clf_positives = pool, positives
+    if any(e.size for e in extras):
+        clf_pool = np.unique(np.concatenate([pool, *extras]))
+        clf_positives = _pool_membership(clf_pool, t_row, t_ids, len(truth))
+    return CollatedBatch(pool, positives, clf_pool, clf_positives)
 
 
 @dataclass

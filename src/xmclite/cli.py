@@ -6,7 +6,7 @@ every command, with that field's help text and default; values can also come
 from a ``--config`` key=value file, with command-line flags winning.  The
 merged configuration is validated once, before any command runs.  Exit
 codes: 0 success, 1 runtime abort (training/numeric failures), 2 usage or
-configuration errors.
+configuration errors, including a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def cmd_train(config: RunConfig, explicit: set) -> int:
 
 def _checked_params(config: RunConfig, explicit: set):
     _require(config, "checkpoint_path")
-    params, meta = load_checkpoint(config.checkpoint_path)
+    params, _ = load_checkpoint(config.checkpoint_path)
     for key, value in (("hash_dim", params.hash_dim),
                        ("encoder_dim", params.encoder_dim),
                        ("search_dim", params.search_dim)):
@@ -100,12 +100,12 @@ def _checked_params(config: RunConfig, explicit: set):
             raise ConfigError(
                 f"{key}={getattr(config.train, key)} conflicts with checkpoint "
                 f"({key}={value})")
-    return params, meta
+    return params
 
 
 def cmd_predict(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
-    params, _ = _checked_params(config, explicit)
+    params = _checked_params(config, explicit)
     vocab = Vocabulary(params.hash_dim)
     query_file = config.eval_queries_path or config.queries_path
     dataset = _load(config, query_file, vocab)
@@ -158,7 +158,7 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
     cfg = config.train
     if config.checkpoint_path:
-        params, _ = _checked_params(config, explicit)
+        params = _checked_params(config, explicit)
     else:
         params = init_params(cfg.hash_dim, cfg.encoder_dim, cfg.search_dim, 1,
                              cfg.seed, cfg.dropout)
@@ -233,7 +233,9 @@ def _dispatch(argv: list | None) -> int:
     try:
         config, explicit = resolve_config(args)
         return _COMMANDS[args.command][0](config, explicit)
-    except (ConfigError, DatasetFormatError, FileNotFoundError) as exc:
+    except BrokenPipeError:
+        raise                   # ``main`` quiets a closed stdout
+    except (ConfigError, DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingAbort, DegenerateEmbeddingError) as exc:

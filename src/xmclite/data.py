@@ -218,6 +218,9 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"invalid JSON: {exc.msg}", path, lineno) from exc
+        except (ValueError, RecursionError) as exc:
+            # nesting too deep for the parser, or an integer too long to convert
+            raise DatasetFormatError(f"invalid JSON: {exc}", path, lineno) from exc
         if not isinstance(obj, dict) or "text" not in obj or "labels" not in obj:
             raise DatasetFormatError(
                 "expected an object with 'text' and 'labels'", path, lineno)

@@ -9,7 +9,9 @@ import json
 
 import numpy as np
 
-from xmclite import Dataset, Vocabulary, make_dataset, synth_dataset
+from xmclite import Dataset, Vocabulary, make_dataset, sample_ids, synth_dataset
+from xmclite.batching import (STREAM_EXTRA_POSITIVES, STREAM_NEGATIVES,
+                              STREAM_POSITIVES)
 
 
 def parameter_bytes(params) -> int:
@@ -60,6 +62,26 @@ def id_dataset(rng: np.random.Generator, n: int, num_labels: int,
     texts = [np.zeros(0, dtype=np.int64)] * n
     label_texts = [vocab.tokenize(f"label {l}") for l in range(num_labels)]
     return make_dataset(texts, label_texts, sets, num_labels, vocab)
+
+
+def redraw_samples(dataset: Dataset, cache, query_ids, max_positives: int,
+                   max_negatives: int, seed: int, epoch: int = 0,
+                   batch_index: int = 0, extra_clf_positives: int = 0):
+    """Each query's sampled positives, hard negatives and extra classifier
+    positives, drawn again with ``sample_ids`` under collation's documented
+    keys ``[seed, stream, epoch, batch_index, query id]``."""
+    pos, neg, extras = [], [], []
+    for qid in map(int, query_ids):
+        key = [epoch, batch_index, qid]
+        truth = dataset.positives(qid)
+        p_hat = sample_ids(truth, max_positives, [seed, STREAM_POSITIVES, *key])
+        pos.append(p_hat)
+        neg.append(sample_ids([] if cache is None else cache.negatives[qid],
+                              max_negatives, [seed, STREAM_NEGATIVES, *key]))
+        extras.append(sample_ids(np.setdiff1d(truth, p_hat),
+                                 extra_clf_positives,
+                                 [seed, STREAM_EXTRA_POSITIVES, *key]))
+    return pos, neg, extras
 
 
 def text_dataset(n: int, num_labels: int, seed: int = 0,

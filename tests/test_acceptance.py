@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (id_dataset, mask_of, random_positive_sets, sets_of,
-                      text_dataset, unit_rows, write_text_dataset)
+from conftest import (id_dataset, mask_of, random_positive_sets,
+                      redraw_samples, sets_of, text_dataset, unit_rows,
+                      write_text_dataset)
 from oracles import (bf_collate, bf_hard_negatives, bf_pool_loss,
                      bf_precision_at_k, bf_psp_at_k, bf_symmetric_loss,
                      bf_top_k, dense_grads, finite_difference,
@@ -171,11 +172,10 @@ def test_criterion_04_collation_matches_definitions():
                                         ds.positive_sets(), 4)
         ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                  replace=False))
-        batch = collate_batch(ids, ds, cache, pos_cap, neg_cap,
-                              int(rng.integers(1000)))
-        pool, pb, pl = bf_collate(ids, ds.positive_sets(),
-                                  batch.sampled_positives,
-                                  batch.sampled_hard_negatives)
+        seed = int(rng.integers(1000))
+        batch = collate_batch(ids, ds, cache, pos_cap, neg_cap, seed)
+        pos, neg, _ = redraw_samples(ds, cache, ids, pos_cap, neg_cap, seed)
+        pool, pb, pl = bf_collate(ids, ds.positive_sets(), pos, neg)
         if not np.array_equal(batch.label_pool, np.asarray(pool)):
             ok, note = False, f"trial {trial}: pool mismatch"
             break

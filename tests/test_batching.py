@@ -5,13 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xmclite import (ConfigError, batch_stats, cluster_queries, collate_batch,
-                     collate_from_samples, make_dataset, mine_hard_negatives,
-                     sample_ids, synth_dataset)
-from xmclite.batching import BATCH_STATS_HEADER
+from xmclite import (CollatedBatch, ConfigError, HardNegativeCache,
+                     batch_stats, cluster_queries, collate_batch, make_dataset,
+                     mine_hard_negatives, sample_ids, synth_dataset)
+from xmclite.batching import (BATCH_STATS_HEADER, STREAM_EXTRA_POSITIVES,
+                              STREAM_NEGATIVES, STREAM_POSITIVES,
+                              _pool_membership)
 from xmclite.data import Vocabulary
 
-from conftest import id_dataset, sets_of, unit_rows
+from conftest import id_dataset, redraw_samples, sets_of, unit_rows
 from oracles import bf_collate, loop_pool_membership
 
 
@@ -141,62 +143,78 @@ def _dataset_from_sets(sets, num_labels):
     return make_dataset(texts, label_texts, sets, num_labels, vocab)
 
 
-def test_collate_from_samples_worked_example():
+def _truth_rows(ds, query_ids):
+    """``_pool_membership``'s truth arguments for ``query_ids``: the row of
+    each truth id, the ids, and the query count."""
+    t_row = [r for r, q in enumerate(query_ids) for _ in ds.positives(int(q))]
+    t_ids = [lab for q in query_ids for lab in ds.positives(int(q))]
+    return _arr(t_row), _arr(t_ids), len(query_ids)
+
+
+def test_pool_membership_worked_example():
     ds = _dataset_from_sets([[0, 1, 2], [1, 3]], 5)
-    batch = collate_from_samples(_arr([0, 1]), ds,
-                                 sampled_pos=[_arr([0]), _arr([3])],
-                                 sampled_neg=[_arr([4]), _arr([1])])
-    assert batch.label_pool.tolist() == [0, 1, 3, 4]
-    # each query's pool positives = sampled ones plus pool labels that are
-    # true positives (label 1 reached the pool as query 1's hard negative)
-    assert batch.positives.tolist() == [[True, True, False, False],
-                                        [False, True, True, False]]
-    assert batch.label_pool[batch.positives[0]].tolist() == [0, 1]
-    assert batch.label_pool[batch.positives[1]].tolist() == [1, 3]
+    pool = _arr([0, 1, 3, 4])
+    mask = _pool_membership(pool, *_truth_rows(ds, _arr([0, 1])))
+    # a pool label counts for every query whose truth holds it
+    assert mask.tolist() == [[True, True, False, False],
+                             [False, True, True, False]]
+    batch = CollatedBatch(pool, mask, pool, mask)
     assert [v.tolist() for v in batch.pb_idx] == [[0, 1], [1, 2]]
     # transpose view, positions into the query list
-    assert [v.tolist() for v in sets_of(batch.positives.T)] == \
-        [[0], [0, 1], [1], []]
-    # no extra classifier positives: classifier pool aliases the base pool
-    assert batch.clf_pool is batch.label_pool
-    assert batch.clf_positives is batch.positives
+    assert [v.tolist() for v in sets_of(mask.T)] == [[0], [0, 1], [1], []]
 
 
 def test_anothers_hard_negative_counts_as_positive():
     ds = _dataset_from_sets([[0, 1], [2]], 4)
-    batch = collate_from_samples(_arr([0, 1]), ds,
-                                 sampled_pos=[_arr([0]), _arr([2])],
-                                 sampled_neg=[_arr([]), _arr([1])])
-    assert batch.label_pool.tolist() == [0, 1, 2]
-    # label 1 arrived via query 1
+    cache = HardNegativeCache([_arr([3]), _arr([1])])
+    # with seed 1 query 0 draws label 0, so label 1 comes from query 1
+    assert sample_ids(ds.positives(0), 1, [1, STREAM_POSITIVES, 0, 0, 0]
+                      ).tolist() == [0]
+    batch = collate_batch(_arr([0, 1]), ds, cache, max_positives=1,
+                          max_negatives=1, seed=1)
+    assert batch.label_pool.tolist() == [0, 1, 2, 3]
     assert batch.label_pool[batch.positives[0]].tolist() == [0, 1]
     assert batch.label_pool[batch.positives[1]].tolist() == [2]
     assert [v.tolist() for v in sets_of(batch.positives.T)] == \
-        [[0], [0], [1]]
+        [[0], [0], [1], []]
 
 
-def _case(truth, num_labels, query_ids, pos, neg, extras=None):
-    """A collation input: dataset, query ids, samples and extras."""
-    return (_dataset_from_sets(truth, num_labels), _arr(query_ids),
-            [_arr(p) for p in pos], [_arr(h) for h in neg],
-            None if extras is None else [_arr(e) for e in extras])
+def test_collate_keeps_a_mask_row_for_queries_without_positives():
+    ds = _dataset_from_sets([[0, 1, 2], [3], []], 5)
+    batch = collate_batch(_arr([0, 1, 2]), ds, None, max_positives=3,
+                          max_negatives=0, seed=0, extra_clf_positives=1)
+    assert batch.label_pool.tolist() == [0, 1, 2, 3]
+    assert batch.positives.tolist() == [[True, True, True, False],
+                                        [False, False, False, True],
+                                        [False, False, False, False]]
+    # no query has a positive left over: the classifier side aliases
+    assert batch.clf_pool is batch.label_pool
+    assert batch.clf_positives is batch.positives
+    batch = collate_batch(_arr([0, 1, 2]), ds, None, max_positives=1,
+                          max_negatives=0, seed=0, extra_clf_positives=2)
+    assert batch.positives.shape == (3, 2)
+    assert batch.clf_pool.tolist() == [0, 1, 2, 3]
+    assert batch.clf_positives.tolist() == [[True, True, True, False],
+                                            [False, False, False, True],
+                                            [False, False, False, False]]
+
+
+def _case(truth, num_labels, query_ids, pool):
+    """A membership input: dataset, query ids and sorted pool."""
+    return _dataset_from_sets(truth, num_labels), _arr(query_ids), _arr(pool)
 
 
 @st.composite
-def _collation_cases(draw):
+def _membership_cases(draw):
     """Datasets with empty truth rows, batches with repeated query ids or
-    none, samples that leave the pool empty or bring in labels no query
-    has, and extra classifier positives (none, all empty, or some)."""
+    none, and pools that are empty or hold labels no query has."""
     num_labels = draw(st.integers(1, 10))
     label = st.integers(0, num_labels - 1)
     n = draw(st.integers(1, 8))
     truth = [sorted(draw(st.sets(label, max_size=6))) for _ in range(n)]
     query_ids = draw(st.lists(st.integers(0, n - 1), max_size=8))
-    ids = st.sets(label, max_size=3).map(sorted)
-    pos = [draw(ids) for _ in query_ids]
-    neg = [draw(ids) for _ in query_ids]
-    extras = [draw(ids) for _ in query_ids] if draw(st.booleans()) else None
-    return _case(truth, num_labels, query_ids, pos, neg, extras)
+    pool = sorted(draw(st.sets(label, max_size=num_labels)))
+    return _case(truth, num_labels, query_ids, pool)
 
 
 def _assert_same_arrays(got, want):
@@ -206,36 +224,22 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(g, w)
 
 
-def _assert_membership(mask, query_ids, pool, ds):
-    """``mask`` is the (queries, pool) boolean mask whose rows and columns
-    give the per-query loop's ids and positions."""
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_membership_cases())
+# an empty pool, and a pool label (3) in no truth set, each before a trailing
+# query without truth
+@example(_case([[0, 1], []], 3, [0, 1], []))
+@example(_case([[0, 2], [], [1, 2]], 4, [2, 0, 1], [1, 2, 3]))
+def test_pool_membership_equals_the_per_query_loop(case):
+    ds, query_ids, pool = case
+    mask = _pool_membership(pool, *_truth_rows(ds, query_ids))
+    # rows and columns give the per-query loop's ids and positions
     assert mask.dtype == bool and mask.shape == (query_ids.size, pool.size)
     pb_ids, pb_idx, pl_ids, pl_idx = loop_pool_membership(query_ids, pool, ds)
     _assert_same_arrays([pool[row] for row in mask], pb_ids)
     _assert_same_arrays(sets_of(mask), pb_idx)
     _assert_same_arrays([query_ids[col] for col in mask.T], pl_ids)
     _assert_same_arrays(sets_of(mask.T), pl_idx)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_collation_cases())
-# an empty pool, and a pool label (3) in no truth set next to an empty row
-@example(_case([[0, 1], []], 3, [0, 1], [[], []], [[], []], [[], []]))
-@example(_case([[0, 2], [], [1, 2]], 4, [2, 0, 1], [[2], [], [1]],
-               [[3], [1], []], [[1], [], [2]]))
-def test_collate_from_samples_equals_the_per_query_loop(case):
-    ds, query_ids, pos, neg, extras = case
-    batch = collate_from_samples(query_ids, ds, pos, neg, extras)
-    pool = np.unique(np.concatenate([_arr([])] + pos + neg))
-    assert np.array_equal(batch.label_pool, pool)
-    _assert_membership(batch.positives, query_ids, pool, ds)
-    if extras is None or not any(e.size for e in extras):
-        assert batch.clf_pool is batch.label_pool
-        assert batch.clf_positives is batch.positives
-        return
-    clf_pool = np.unique(np.concatenate([pool] + extras))
-    assert np.array_equal(batch.clf_pool, clf_pool)
-    _assert_membership(batch.clf_positives, query_ids, clf_pool, ds)
 
 
 def test_collate_batch_matches_brute_force_definitions():
@@ -254,24 +258,49 @@ def test_collate_batch_matches_brute_force_definitions():
                                     cache_size=max(neg_cap, 1) * 2)
         batch = collate_batch(query_ids, ds, cache, pos_cap, neg_cap,
                               seed=trial, epoch=1, batch_index=2)
+        pos, neg, _ = redraw_samples(ds, cache, query_ids, pos_cap, neg_cap,
+                                     seed=trial, epoch=1, batch_index=2)
         pool, pb, pl = bf_collate(
             query_ids.tolist(),
-            {int(q): ds.positives(int(q)) for q in query_ids},
-            batch.sampled_positives, batch.sampled_hard_negatives)
+            {int(q): ds.positives(int(q)) for q in query_ids}, pos, neg)
         assert batch.label_pool.tolist() == pool
         for i, qid in enumerate(query_ids):
             pb_ids = batch.label_pool[batch.positives[i]]
             assert pb_ids.tolist() == pb[int(qid)]
             # sampled positives are a subset; everything is ground truth
-            assert np.all(np.isin(batch.sampled_positives[i], pb_ids))
+            assert np.all(np.isin(pos[i], pb_ids))
             assert np.all(np.isin(pb_ids, ds.positives(int(qid))))
             # mined negatives never collide with the query's own truth
-            assert not np.any(np.isin(batch.sampled_hard_negatives[i],
-                                      ds.positives(int(qid))))
+            assert not np.any(np.isin(neg[i], ds.positives(int(qid))))
             assert batch.label_pool[batch.pb_idx[i]].tolist() == \
                 pb_ids.tolist()
         for j, lab in enumerate(batch.label_pool):
             assert query_ids[batch.positives[:, j]].tolist() == pl[int(lab)]
+
+
+def test_collation_keys_each_draw_by_seed_stream_epoch_batch_and_query():
+    # the stream ids are part of every checkpoint digest
+    assert (STREAM_POSITIVES, STREAM_NEGATIVES, STREAM_EXTRA_POSITIVES) == \
+        (2, 3, 5)
+    rng = np.random.default_rng(14)
+    for trial in range(40):
+        ds = id_dataset(rng, 12, 30, max_pos=6, allow_empty=True)
+        cache = mine_hard_negatives(unit_rows(rng, 12, 5),
+                                    unit_rows(rng, 30, 5),
+                                    ds.positive_sets(), cache_size=8)
+        query_ids = np.sort(rng.choice(12, size=int(rng.integers(1, 13)),
+                                       replace=False))
+        epoch, batch_index = trial % 3, 3 + trial % 4
+        batch = collate_batch(query_ids, ds, cache, 2, 3, seed=trial,
+                              epoch=epoch, batch_index=batch_index,
+                              extra_clf_positives=2)
+        pos, neg, extras = redraw_samples(ds, cache, query_ids, 2, 3, trial,
+                                          epoch, batch_index, 2)
+        pool = np.unique(np.concatenate([_arr([])] + pos + neg))
+        assert np.array_equal(batch.label_pool, pool)
+        assert np.array_equal(batch.clf_pool,
+                              np.unique(np.concatenate([pool] + extras)))
+        assert batch.positives.shape == (query_ids.size, pool.size)
 
 
 def test_collate_duality_between_query_and_label_views():
@@ -300,15 +329,13 @@ def test_collate_is_deterministic_and_query_keyed():
                       batch_index=5)
     b = collate_batch(_arr([1, 4, 7]), ds, cache, 2, 2, seed=3, epoch=2,
                       batch_index=5)
-    assert a.label_pool.tolist() == b.label_pool.tolist()
-    for x, y in zip(a.sampled_positives, b.sampled_positives):
-        assert np.array_equal(x, y)
-    # the same query draws the same samples regardless of batch position
-    c = collate_batch(_arr([7, 1]), ds, cache, 2, 2, seed=3, epoch=2,
+    assert np.array_equal(a.label_pool, b.label_pool)
+    assert np.array_equal(a.positives, b.positives)
+    # each query draws the same samples regardless of its batch position
+    c = collate_batch(_arr([7, 4, 1]), ds, cache, 2, 2, seed=3, epoch=2,
                       batch_index=5)
-    assert np.array_equal(c.sampled_positives[1], a.sampled_positives[0])
-    assert np.array_equal(c.sampled_hard_negatives[0],
-                          a.sampled_hard_negatives[2])
+    assert np.array_equal(c.label_pool, a.label_pool)
+    assert np.array_equal(c.positives, a.positives[::-1])
 
 
 def test_collate_without_cache_requires_eta_zero():
@@ -317,7 +344,8 @@ def test_collate_without_cache_requires_eta_zero():
     with pytest.raises(ConfigError):
         collate_batch(np.arange(4), ds, None, max_positives=2, max_negatives=1, seed=0)
     batch = collate_batch(np.arange(4), ds, None, max_positives=2, max_negatives=0, seed=0)
-    assert all(h.size == 0 for h in batch.sampled_hard_negatives)
+    # no negatives: every pool label is some query's positive
+    assert batch.positives.any(axis=0).all()
 
 
 def test_extra_classifier_positives_extend_only_the_classifier_pool():
@@ -326,13 +354,16 @@ def test_extra_classifier_positives_extend_only_the_classifier_pool():
     base = collate_batch(np.arange(8), ds, None, max_positives=1, max_negatives=0, seed=1)
     extra = collate_batch(np.arange(8), ds, None, max_positives=1, max_negatives=0, seed=1,
                           extra_clf_positives=2)
+    pos, _, extras = redraw_samples(ds, None, np.arange(8), 1, 0, seed=1,
+                                    extra_clf_positives=2)
     # the retrieval-side pool is untouched
     assert base.label_pool.tolist() == extra.label_pool.tolist()
-    assert set(extra.clf_pool) >= set(extra.label_pool)
+    assert extra.clf_pool.tolist() == \
+        np.union1d(extra.label_pool, np.concatenate(extras)).tolist()
     grew = False
     for i in range(8):
-        e = extra.extra_clf_positives[i]
-        assert not np.any(np.isin(e, extra.sampled_positives[i]))
+        e = extras[i]
+        assert not np.any(np.isin(e, pos[i]))
         assert np.all(np.isin(e, ds.positives(i)))
         assert e.size <= 2
         grew = grew or e.size > 0

@@ -213,6 +213,50 @@ def test_nonexistent_queries_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("labels", ["[" * 100000 + "]" * 100000, "1" * 5000],
+                         ids=["deep_nesting", "long_integer"])
+def test_jsonl_rows_json_cannot_parse_are_usage_errors(tmp_path, capsys,
+                                                       labels):
+    queries, labels_path = write_text_dataset(tmp_path, 8, 4, seed=2)
+    with open(queries, "a", encoding="utf-8") as fh:
+        fh.write('{"text": "x", "labels": ' + labels + '}\n')
+    rc, _ = _run(["train", "--queries-path", queries, "--labels-path",
+                  labels_path, "--out-dir", str(tmp_path / "run")] + SMALL_DIMS)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+    assert f"({queries}, line 9)" in err
+
+
+def _directory_as_queries(workspace, tmp_path):
+    return ["train", "--queries-path", str(tmp_path), "--labels-path",
+            workspace["labels"], "--out-dir", str(tmp_path / "run")]
+
+
+def _file_as_out_dir(workspace, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    return ["train"] + workspace["common"] + ["--epochs", "1",
+                                             "--out-dir", str(blocker)]
+
+
+def _directory_as_predictions(workspace, tmp_path):
+    return ["predict"] + workspace["common"] + [
+        "--checkpoint-path", workspace["ckpt"],
+        "--predictions-path", str(tmp_path)]
+
+
+@pytest.mark.parametrize("argv", [_directory_as_queries, _file_as_out_dir,
+                                  _directory_as_predictions],
+                         ids=["queries_dir", "out_dir_file", "predictions_dir"])
+def test_file_system_errors_are_usage_errors(workspace, tmp_path, capsys,
+                                             argv):
+    rc, _ = _run(argv(workspace, tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_query_without_ascii_token_is_rejected_at_load(tmp_path, capsys):
     queries, labels = write_text_dataset(tmp_path, 32, 4, seed=2)
     with open(queries, encoding="utf-8") as fh:

@@ -227,6 +227,10 @@ def test_load_jsonl_rejects_bad_rows(tmp_path):
         ('{"labels": []}\n', "expected an object"),
         ('[1, 2]\n', "expected an object"),
         ('{"text": "x", "labels": [0]\n', "invalid JSON"),
+        # json raises RecursionError and ValueError here, not JSONDecodeError
+        ('{"text": "x", "labels": ' + "[" * 100000 + "]" * 100000 + '}\n',
+         "invalid JSON"),
+        ('{"text": "x", "labels": [' + "1" * 5000 + ']}\n', "invalid JSON"),
         ('{"text": "日本語", "labels": [0]}\n', "no ASCII letter or digit"),
         ('{"text": "", "labels": [0]}\n', "no ASCII letter or digit"),
     ]
@@ -236,7 +240,7 @@ def test_load_jsonl_rejects_bad_rows(tmp_path):
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(q, l)
         assert needle in str(err.value)
-        assert err.value.line == 2
+        assert err.value.line == 2 and err.value.path == q
 
 
 def test_label_file_rejects_empty_lines(tmp_path):

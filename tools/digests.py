@@ -30,6 +30,11 @@ def _runs(xmc):
     """(name, dataset, TrainConfig) of every digested run."""
     acceptance = xmc.synth_dataset(512, 128, seed=0)
     wide = xmc.synth_dataset(300, 64, seed=3, positives_per_instance=(1, 6))
+    # the same corpus with every fifth query's positives emptied
+    sparse = xmc.make_dataset(
+        wide.instance_texts, wide.label_texts,
+        [[] if i % 5 == 0 else p for i, p in enumerate(wide.positive_sets())],
+        wide.num_labels, wide.vocab)
 
     def accept(neg, epochs=50, grad_clip=0.0, **loss):
         return xmc.TrainConfig(epochs=epochs, batch_size=64,
@@ -56,6 +61,7 @@ def _runs(xmc):
         ("grad_clip 0.5", acceptance, accept(2, epochs=10, grad_clip=0.5)),
         ("extra_clf sum", wide, extra_clf("sum")),
         ("extra_clf mean", wide, extra_clf("mean")),
+        ("empty truth rows", sparse, extra_clf("sum")),
     ]
 
 
