@@ -19,8 +19,7 @@ from .infer import (LabelIndex, build_index, label_vectors, predict,
                     write_predictions)
 from .losses import (LossConfig, classifier_loss, combined_loss,
                      pooled_softmax_loss, retrieval_loss, symmetric_pool_loss)
-from .metrics import (METRICS_SCHEMA, metrics_report, precision_at_k,
-                      propensity, psp_at_k)
+from .metrics import METRICS_SCHEMA, metrics_report, propensity
 from .model import (ForwardTrace, Grads, ModelParams, backward, forward,
                     init_params, load_checkpoint, save_checkpoint, zero_grads)
 from .negatives import HardNegativeCache, mine_hard_negatives

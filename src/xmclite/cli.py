@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
 from .model import init_params, load_checkpoint
 from .negatives import HardNegativeCache
-from .train import refresh, train
+from .train import negative_cache_size, refresh, train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -167,8 +166,7 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     num_batches = batch_count(dataset, cfg.batch_size)
     # One refresh for every cap pair.  Mining ranks by (score, id), a total
     # order, so each smaller cache is the head of the largest one's lists.
-    sizes = {cap: replace(cfg, hard_negatives_per_query=cap
-                          ).resolved_cache_size()
+    sizes = {cap: negative_cache_size(cap, cfg.refresh_interval)
              for cap in config.sim_negative_caps if cap > 0}
     plan, cache = refresh(params, featurize_all(dataset.instance_texts, vocab),
                           featurize_all(dataset.label_texts, vocab),

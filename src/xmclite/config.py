@@ -39,9 +39,12 @@ class RunConfig:
     out_dir: str = field(default="runs/out", metadata={
         "help": "directory for run artifacts"})
     checkpoint_path: str = field(default="", metadata={
-        "help": "model checkpoint to write/read (default: in out_dir)"})
+        "help": "model checkpoint that train writes (empty: in out_dir); "
+                "predict requires it; simulate-batches reads it if given, "
+                "else uses untrained parameters"})
     predictions_path: str = field(default="", metadata={
-        "help": "predictions TSV to write/read (default: in out_dir)"})
+        "help": "predictions TSV that predict writes (empty: in out_dir); "
+                "eval requires it"})
     metrics_path: str = field(default="", metadata={
         "help": "metrics JSON to write (default: in out_dir)"})
     log_path: str = field(default="", metadata={

@@ -244,12 +244,11 @@ def predict(index: LabelIndex, params: ModelParams, texts: list,
     return predict_vectors(index, query_vectors(params, texts, vocab, index.mode), k)
 
 
-def write_predictions(path: str, results: list,
-                      query_ids: list | None = None) -> None:
-    """TSV rows: query_id, rank (1-based), label_id, score; replaced atomically."""
-    ids = query_ids if query_ids is not None else range(len(results))
+def write_predictions(path: str, results: list) -> None:
+    """TSV rows: query_id (the row's position in ``results``), rank
+    (1-based), label_id, score; replaced atomically."""
     lines = []
-    for qid, (labels, scores) in zip(ids, results):
+    for qid, (labels, scores) in enumerate(results):
         # Python ints and floats print as the numpy scalars do, only faster
         pairs = zip(np.asarray(labels).tolist(),
                     np.asarray(scores, dtype=np.float64).tolist())

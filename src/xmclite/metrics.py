@@ -9,9 +9,9 @@ per-query normalizer would be undefined.
 Predictions are one ranked id list per query, or an ``(n, k)`` id array as
 ``infer.topk`` returns it.  Lists shorter than k pad as misses, a duplicate
 id counts each time it hits, and an id outside the truth sets (negative, or
-not a label at all) is a miss.  All metrics for all k come from one
-vectorised pass (``_scores_at_k``) whose summation order is that of a
-per-query loop, so the values are bitwise the loop's.
+not a label at all) is a miss.  ``metrics_report`` scores all metrics for
+all k in one vectorised pass whose summation order is that of a per-query
+loop, so the values are bitwise the loop's.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ METRICS_SCHEMA = {
 }
 
 
-def _check_k(k: int) -> None:
-    if k <= 0:
-        raise ConfigError(f"k must be >= 1, got {k}")
-
-
 def _id_matrix(predictions, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The first ``k_max`` ids of each prediction list as an ``(n, k_max)``
     int64 matrix, and the mask of the entries a list actually holds."""
@@ -58,9 +53,19 @@ def _id_matrix(predictions, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, held
 
 
-def _scores_at_k(predictions, truth_sets: list, k_list,
-                 propensities=None) -> tuple[dict, dict]:
-    """``({k: P@k}, {k: PSP@k})`` for every k in ``k_list`` in one pass.
+def propensity(label_count, num_instances: int,
+               a: float = DEFAULT_A, b: float = DEFAULT_B):
+    """Per-label observation propensity; accepts scalars or arrays."""
+    if np.log(num_instances) <= 1.0:
+        raise ConfigError(
+            f"propensity model undefined for N={num_instances} (ln N <= 1)")
+    c = (np.log(num_instances) - 1.0) * (b + 1.0) ** a
+    return 1.0 / (1.0 + c * np.power(np.asarray(label_count, dtype=np.float64) + b, -a))
+
+
+def metrics_report(predictions, truth_sets: list,
+                   propensities: np.ndarray, k_list=(1, 3, 5)) -> dict:
+    """P@k and PSP@k for each k, as a flat JSON-ready dict, in one pass.
 
     The predictions become one ``(n, max(k_list))`` hit matrix and every k is
     a column prefix of it.  Results are bitwise those of summing each query
@@ -68,10 +73,11 @@ def _scores_at_k(predictions, truth_sets: list, k_list,
     fewer than 8 terms sequentially, so that is the order of
     ``inv[hits].sum()``), a row sum of 8 or more terms is taken with that
     per-row expression instead, and the per-query values are totalled in
-    query order.  PSP is left empty without ``propensities``.
+    query order.
     """
     for k in k_list:
-        _check_k(k)
+        if k <= 0:
+            raise ConfigError(f"k must be >= 1, got {k}")
     if len(predictions) != len(truth_sets):
         raise ValueError("one prediction list per query required")
     n, k_max = len(predictions), max(k_list, default=0)
@@ -82,10 +88,6 @@ def _scores_at_k(predictions, truth_sets: list, k_list,
     ids, held = _id_matrix(predictions, k_max)
     hit = hit_matrix(ids, held, t_row, t_ids)
     hits_at = np.cumsum(hit, axis=1)
-    precision = {k: float(np.cumsum(hits_at[:, k - 1] / k)[-1] / n)
-                 if n else 0.0 for k in k_list}
-    if propensities is None:
-        return precision, {}
 
     inv = 1.0 / np.asarray(propensities, dtype=np.float64)
     gained = np.zeros(hit.shape)
@@ -102,48 +104,16 @@ def _scores_at_k(predictions, truth_sets: list, k_list,
     np.cumsum(ideal, axis=1, out=ideal)
 
     counted = np.flatnonzero(t_len > 0)
-    psp = {}
+    report = {}
     for k in k_list:
+        report[f"P@{k}"] = (float(np.cumsum(hits_at[:, k - 1] / k)[-1] / n)
+                            if n else 0.0)
         got, best = gained[counted, k - 1], ideal[counted, k - 1]
         for j in np.flatnonzero(hits_at[counted, k - 1] >= 8):
             r = counted[j]
             got[j] = inv[ids[r, :k][hit[r, :k]]].sum()
         for j in np.flatnonzero(np.minimum(t_len[counted], k) >= 8):
             best[j] = np.sort(inv[truth[counted[j]]])[::-1][:k].sum()
-        psp[k] = (float(np.cumsum(got / best)[-1] / counted.size)
-                  if counted.size else 0.0)
-    return precision, psp
-
-
-def precision_at_k(predictions, truth_sets: list, k: int) -> float:
-    """Mean over all queries of |top-k hits| / k (short lists pad as misses)."""
-    return _scores_at_k(predictions, truth_sets, (k,))[0][k]
-
-
-def propensity(label_count, num_instances: int,
-               a: float = DEFAULT_A, b: float = DEFAULT_B):
-    """Per-label observation propensity; accepts scalars or arrays."""
-    if np.log(num_instances) <= 1.0:
-        raise ConfigError(
-            f"propensity model undefined for N={num_instances} (ln N <= 1)")
-    c = (np.log(num_instances) - 1.0) * (b + 1.0) ** a
-    return 1.0 / (1.0 + c * np.power(np.asarray(label_count, dtype=np.float64) + b, -a))
-
-
-def psp_at_k(predictions, truth_sets: list, propensities: np.ndarray,
-             k: int) -> float:
-    """Propensity-scored precision: inverse-propensity-weighted hits over the
-    best achievable weight, averaged over queries with nonempty truth."""
-    return _scores_at_k(predictions, truth_sets, (k,), propensities)[1][k]
-
-
-def metrics_report(predictions, truth_sets: list,
-                   propensities: np.ndarray, k_list=(1, 3, 5)) -> dict:
-    """P@k and PSP@k for each k, as a flat JSON-ready dict."""
-    precision, psp = _scores_at_k(predictions, truth_sets, k_list,
-                                  propensities)
-    report = {}
-    for k in k_list:
-        report[f"P@{k}"] = precision[k]
-        report[f"PSP@{k}"] = psp[k]
+        report[f"PSP@{k}"] = (float(np.cumsum(got / best)[-1] / counted.size)
+                              if counted.size else 0.0)
     return report

@@ -51,10 +51,8 @@ class TrainConfig:
     positives_per_query: int = field(default=3, metadata={
         "help": "max positives sampled per query per batch"})
     hard_negatives_per_query: int = field(default=6, metadata={
-        "help": "hard negatives sampled per query per batch"})
-    cache_size: int = field(default=0, metadata={
-        "help": "mined negatives kept per query "
-                "(0 = hard_negatives_per_query * refresh_interval)"})
+        "help": "hard negatives sampled per query per batch, from a cache of "
+                "this many times refresh_interval mined per query"})
     hash_dim: int = field(default=1 << 15, metadata={
         "help": "feature-hashing dimension of the token vocabulary"})
     encoder_dim: int = field(default=64, metadata={
@@ -85,11 +83,6 @@ class TrainConfig:
         "help": "propensity model offset B (> 0)"})
     loss: LossConfig = field(default_factory=LossConfig)
 
-    def resolved_cache_size(self) -> int:
-        if self.cache_size > 0:
-            return self.cache_size
-        return self.hard_negatives_per_query * self.refresh_interval
-
     def validate(self) -> None:
         checks = [
             (self.epochs >= 1, "epochs must be >= 1"),
@@ -98,13 +91,13 @@ class TrainConfig:
             (self.positives_per_query >= 1, "positives_per_query must be >= 1"),
             (self.hard_negatives_per_query >= 0,
              "hard_negatives_per_query must be >= 0"),
-            (self.cache_size >= 0, "cache_size must be >= 0"),
             *((getattr(self, k) >= 1, f"{k} must be >= 1")
               for k in ("hash_dim", "encoder_dim", "search_dim")),
             (0.0 <= self.dropout < 1.0, "dropout must be in [0, 1)"),
             *((getattr(self, k) > 0, f"{k} must be > 0")
               for k in ("lr_encoder", "lr_heads", "lr_classifiers")),
             (self.grad_clip >= 0.0, "grad_clip must be >= 0"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.eval_every >= 0, "eval_every must be >= 0"),
             (len(self.eval_k) > 0, "eval_k must not be empty"),
             (all(k >= 1 for k in self.eval_k), "eval_k entries must be >= 1"),
@@ -151,6 +144,12 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
         ids, _ = topk(q_vecs[mode], l_vecs[mode], k_max)
         out[mode] = metrics_report(ids, truth, props, k_list)
     return out
+
+
+def negative_cache_size(neg_cap: int, refresh_interval: int) -> int:
+    """Mined negatives kept per query: ``neg_cap`` for each epoch until the
+    next refresh.  A cap of 0 gives 0, so ``refresh`` mines nothing."""
+    return neg_cap * refresh_interval
 
 
 def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
@@ -223,6 +222,10 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
             if got != want:
                 raise ConfigError(f"eval_dataset has {what}={got} but the "
                                   f"training set has {what}={want}")
+    if cfg.eval_every > 0:
+        # evaluate_model's propensities; raises if undefined for this split
+        propensity(dataset.label_frequencies, dataset.num_instances,
+                   cfg.propensity_a, cfg.propensity_b)
 
     start = time.perf_counter()
     seed = cfg.seed
@@ -238,7 +241,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
         params.classifiers = forward(params, l_feats, mode="eval",
                                      heads=("de",)).de_out.copy()
     opt = Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers)
-    cache_size = cfg.resolved_cache_size() if neg_cap > 0 else 0
+    cache_size = negative_cache_size(neg_cap, cfg.refresh_interval)
     plan, cache = None, None
     report = TrainReport()
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None

@@ -113,11 +113,10 @@ def loop_featurize_all(texts, hash_dim):
     return sp.diags(scale).dot(counts).tocsr()
 
 
-def loop_predictions_tsv(results, query_ids=None):
+def loop_predictions_tsv(results):
     """``infer.write_predictions``'s text, one numpy scalar at a time."""
-    ids = query_ids if query_ids is not None else range(len(results))
     out = []
-    for qid, (labels, scores) in zip(ids, results):
+    for qid, (labels, scores) in enumerate(results):
         for rank, (lab, sc) in enumerate(zip(labels, scores), start=1):
             out.append(f"{qid}\t{rank}\t{lab}\t{float(sc)!r}\n")
     return "".join(out)

@@ -28,7 +28,7 @@ from xmclite.cli import main
 from xmclite.data import featurize_all
 from xmclite.infer import LabelIndex, label_vectors, predict_vectors, query_vectors
 from xmclite.losses import classifier_loss, pooled_softmax_loss, retrieval_loss
-from xmclite.metrics import precision_at_k, psp_at_k
+from xmclite.metrics import metrics_report
 from xmclite.model import forward, init_params
 from xmclite.negatives import mine_hard_negatives
 from xmclite.train import batch_loss
@@ -312,9 +312,10 @@ def test_criterion_09_metrics_match_enumeration():
         truth = random_positive_sets(rng, n, num_labels, max_pos=4,
                                      allow_empty=True)
         props = rng.uniform(0.2, 0.9, size=num_labels)
-        worst = max(worst, abs(precision_at_k(preds, truth, k)
+        report = metrics_report(preds, truth, props, (k,))
+        worst = max(worst, abs(report[f"P@{k}"]
                                - bf_precision_at_k(preds, truth, k)))
-        worst = max(worst, abs(psp_at_k(preds, truth, props, k)
+        worst = max(worst, abs(report[f"PSP@{k}"]
                                - bf_psp_at_k(preds, truth, props, k)))
 
     # with uniform propensities and >= k positives everywhere, the
@@ -324,8 +325,8 @@ def test_criterion_09_metrics_match_enumeration():
                                 replace=False)) for _ in range(n)]
     preds = [rng.permutation(num_labels)[:6] for _ in range(n)]
     uniform = np.full(num_labels, 0.6)
-    collapse = abs(psp_at_k(preds, truth, uniform, k)
-                   - precision_at_k(preds, truth, k))
+    report = metrics_report(preds, truth, uniform, (k,))
+    collapse = abs(report[f"PSP@{k}"] - report[f"P@{k}"])
     _verdict("criterion 09 metric oracles",
              bool(worst < 1e-12 and collapse < 1e-12),
              f"worst |diff| {worst:.3e}, uniform-propensity collapse "

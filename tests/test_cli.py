@@ -167,7 +167,8 @@ def test_unknown_search_backend_is_rejected(workspace, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--search", "16"], ["--mining", "exact"],
-                                  ["--data-format", "xmc-sparse"]])
+                                  ["--data-format", "xmc-sparse"],
+                                  ["--cache-size", "5"]])
 def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
     # "--search" must not be taken as an abbreviation of "--search-dim"
     rc, _ = _run(["predict"] + workspace["common"] + [
@@ -178,7 +179,8 @@ def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
     assert not (workspace["out"] / "removed.tsv").exists()
 
 
-@pytest.mark.parametrize("key", ["search", "mining", "data_format"])
+@pytest.mark.parametrize("key", ["search", "mining", "data_format",
+                                 "cache_size"])
 def test_removed_search_and_mining_keys_are_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}=exact\n")
@@ -402,12 +404,11 @@ def test_simulate_batches_clusters_once_and_mines_at_most_once(
     # one forward over the queries, one over the labels for the one cache
     assert calls == {"cluster_queries": 1, "mine_hard_negatives": 1,
                      "forward": 2}
-    # With refresh_interval 2, negative caps 2 and 3 resolve to cache sizes
-    # 4 and 6, with cache_size 5 both to 5: either way one cache is mined,
-    # at the largest size, and the smaller size takes each list's prefix.
-    # With every negative cap 0 nothing is mined and no label is embedded.
+    # With refresh_interval 2, negative caps 2 and 3 give cache sizes 4 and
+    # 6: one cache is mined, at the largest size, and the smaller size takes
+    # each list's prefix.  With every negative cap 0 nothing is mined and no
+    # label is embedded.
     for caps, extra, mined in (("2,3,0", ["--refresh-interval", "2"], 1),
-                               ("2,3,0", ["--cache-size", "5"], 1),
                                ("0,0", [], 0)):
         calls.update(cluster_queries=0, mine_hard_negatives=0, forward=0)
         rc, _ = _run(["simulate-batches"] + workspace["common"] + [
@@ -454,6 +455,7 @@ def test_closed_stdout_exits_1_without_a_traceback(workspace, tmp_path,
     (["simulate-batches", "--batch-size", "0"], "batch_size"),
     (["simulate-batches", "--sim-negative-caps", "-1"], "sim_negative_caps"),
     (["eval", "--propensity-b", "-5"], "propensity_b"),
+    (["train", "--seed", "-1"], "seed"),
 ])
 def test_invalid_values_are_rejected_by_name(workspace, tmp_path, capsys,
                                              argv, key):

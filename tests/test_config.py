@@ -17,13 +17,13 @@ from xmclite.cli import build_parser, resolve_config
 from xmclite.config import KEYS, RunConfig, build_config, parse_config_file
 
 # The 41 keys of the flat RunConfig this schema replaced, minus the unused
-# ``triplet_margin`` and the removed ``data_format``.
+# ``triplet_margin`` and the removed ``data_format`` and ``cache_size``.
 PINNED_KEYS = {
     "queries_path", "labels_path", "eval_queries_path",
     "hash_dim", "encoder_dim", "search_dim", "dropout",
     "warm_start_classifiers", "epochs", "batch_size", "refresh_interval",
     "positives_per_query", "hard_negatives_per_query", "extra_clf_positives",
-    "cache_size", "lr_encoder", "lr_heads", "lr_classifiers", "grad_clip",
+    "lr_encoder", "lr_heads", "lr_classifiers", "grad_clip",
     "seed", "eval_every", "temperature", "de_weight", "de_q2l_weight",
     "clf_q2l_weight", "positive_reduction", "batch_reduction", "mode",
     "top_k", "eval_k", "propensity_a", "propensity_b", "out_dir",
@@ -69,7 +69,7 @@ def _other_value(key):
 
 def test_flat_key_set_is_pinned():
     assert set(KEYS) == PINNED_KEYS
-    assert len(KEYS) == 39
+    assert len(KEYS) == 38
 
 
 def test_keys_are_unique_across_dataclasses_and_documented():

@@ -271,12 +271,13 @@ def test_predictions_tsv_roundtrip(tmp_path):
     results = [(np.array([4, 1]), np.array([0.75, -0.125])),
                (np.array([0]), np.array([1 / 3]))]
     path = str(tmp_path / "p.tsv")
-    write_predictions(path, results, query_ids=[10, 42])
+    write_predictions(path, results)
     back = read_predictions(path)
-    assert set(back) == {10, 42}
-    assert back[10] == [(4, 0.75), (1, -0.125)]
+    # each row's position is its query id
+    assert set(back) == {0, 1}
+    assert back[0] == [(4, 0.75), (1, -0.125)]
     # repr-written floats survive the roundtrip bit-exactly
-    assert back[42][0][1] == 1 / 3
+    assert back[1][0][1] == 1 / 3
     # a write that fails partway leaves the previous file in place
     before = (tmp_path / "p.tsv").read_bytes()
     with pytest.raises(ValueError):
@@ -286,16 +287,15 @@ def test_predictions_tsv_roundtrip(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.tsv"]
 
 
-@pytest.mark.parametrize("query_ids", [None, [7, np.int64(3), 12, 0]])
-def test_predictions_tsv_equals_per_scalar_text(tmp_path, query_ids):
+def test_predictions_tsv_equals_per_scalar_text(tmp_path):
     results = [(np.array([4, 1, 9]), np.array([1e-05, -0.0, 1e16])),
                (np.array([], dtype=np.int64), np.array([])),
                (np.array([0], dtype=np.int32),
                 np.array([1 / 3], dtype=np.float32)),
                (np.array([2, 5]), np.array([-1e-300, 0.1]))]
     path = tmp_path / "p.tsv"
-    write_predictions(str(path), results, query_ids=query_ids)
-    want = loop_predictions_tsv(results, query_ids).encode("utf-8")
+    write_predictions(str(path), results)
+    want = loop_predictions_tsv(results).encode("utf-8")
     assert path.read_bytes() == want
     assert b"\t1e-05\n" in want and b"\t-0.0\n" in want
     assert b"\t1e+16\n" in want

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xmclite import (ConfigError, METRICS_SCHEMA, metrics_report,
-                     precision_at_k, propensity, psp_at_k)
+from xmclite import ConfigError, METRICS_SCHEMA, metrics_report, propensity
 
 from conftest import random_positive_sets
 from oracles import bf_precision_at_k, bf_psp_at_k, loop_metrics_report
@@ -17,22 +16,35 @@ C_N1000 = 9.77888866709656
 P_NL100 = 0.5648345357426586
 
 
+def _p_at(predictions, truth_sets, k):
+    """The report's P@k, under uniform propensities, which it does not read."""
+    num_labels = 1 + max((int(x) for t in truth_sets for x in t), default=0)
+    return metrics_report(predictions, truth_sets, np.ones(num_labels),
+                          (k,))[f"P@{k}"]
+
+
+def _psp_at(predictions, truth_sets, propensities, k):
+    """The report's PSP@k."""
+    return metrics_report(predictions, truth_sets, propensities,
+                          (k,))[f"PSP@{k}"]
+
+
 def test_precision_at_k_hand_example():
     preds = [[3, 0, 9]]
     truth = [[0, 9, 4]]
-    assert precision_at_k(preds, truth, 3) == pytest.approx(2 / 3)
-    assert precision_at_k(preds, truth, 1) == 0.0
+    assert _p_at(preds, truth, 3) == pytest.approx(2 / 3)
+    assert _p_at(preds, truth, 1) == 0.0
 
 
 def test_precision_counts_empty_truth_as_zero():
     preds = [[1, 2], [3, 4]]
     truth = [[1], []]
-    assert precision_at_k(preds, truth, 1) == pytest.approx(0.5)
+    assert _p_at(preds, truth, 1) == pytest.approx(0.5)
 
 
 def test_precision_short_prediction_lists_pad_as_misses():
-    assert precision_at_k([[5]], [[5, 6, 7]], 3) == pytest.approx(1 / 3)
-    assert precision_at_k([[]], [[1]], 2) == 0.0
+    assert _p_at([[5]], [[5, 6, 7]], 3) == pytest.approx(1 / 3)
+    assert _p_at([[]], [[1]], 2) == 0.0
 
 
 def test_precision_matches_brute_force():
@@ -43,7 +55,7 @@ def test_precision_matches_brute_force():
                  for _ in range(n)]
         truth = random_positive_sets(rng, n, l, max_pos=5, allow_empty=True)
         for k in (1, 3, 5):
-            got = precision_at_k(preds, truth, k)
+            got = _p_at(preds, truth, k)
             assert got == pytest.approx(bf_precision_at_k(preds, truth, k),
                                         abs=1e-12)
             assert isinstance(got, float)
@@ -76,8 +88,8 @@ def test_psp_equals_precision_under_uniform_propensities():
     truth = [np.union1d(t, rng.choice(l, size=k, replace=False))
              for t in truth]  # guarantee >= k positives per query
     props = np.full(l, 0.37)
-    got = psp_at_k(preds, truth, props, k)
-    want = precision_at_k(preds, truth, k)
+    got = _psp_at(preds, truth, props, k)
+    want = _p_at(preds, truth, k)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -85,14 +97,14 @@ def test_psp_perfect_predictions_score_one():
     truth = [[4, 2], [0]]
     preds = [[2, 4], [0]]
     props = np.linspace(0.2, 0.9, 6)
-    assert psp_at_k(preds, truth, props, 2) == pytest.approx(1.0)
+    assert _psp_at(preds, truth, props, 2) == pytest.approx(1.0)
 
 
 def test_psp_ignores_empty_truth_queries():
     props = np.full(4, 0.5)
-    value = psp_at_k([[0], [1]], [[0], []], props, 1)
+    value = _psp_at([[0], [1]], [[0], []], props, 1)
     assert value == pytest.approx(1.0)
-    assert psp_at_k([[0]], [[]], props, 1) == 0.0
+    assert _psp_at([[0]], [[]], props, 1) == 0.0
 
 
 def test_psp_matches_brute_force():
@@ -104,16 +116,16 @@ def test_psp_matches_brute_force():
         truth = random_positive_sets(rng, n, l, max_pos=5, allow_empty=True)
         props = rng.uniform(0.05, 1.0, size=l)
         for k in (1, 2, 4):
-            got = psp_at_k(preds, truth, props, k)
+            got = _psp_at(preds, truth, props, k)
             assert got == pytest.approx(
                 bf_psp_at_k(preds, truth, props, k), abs=1e-12)
 
 
 def test_k_must_be_positive():
     with pytest.raises(ConfigError):
-        precision_at_k([[0]], [[0]], 0)
+        metrics_report([[0]], [[0]], np.ones(2), (0,))
     with pytest.raises(ConfigError):
-        psp_at_k([[0]], [[0]], np.ones(2), -1)
+        metrics_report([[0]], [[0]], np.ones(2), (3, -1))
 
 
 def test_metrics_report_shape_and_schema():
@@ -183,6 +195,3 @@ def test_metrics_equal_the_per_query_loop_bitwise(case):
     want = loop_metrics_report(preds, truth, props, k_list)
     got = metrics_report(preds, truth, props, k_list)
     assert got == want and list(got) == list(want)
-    for k in k_list:
-        assert precision_at_k(preds, truth, k) == want[f"P@{k}"]
-        assert psp_at_k(preds, truth, props, k) == want[f"PSP@{k}"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 
@@ -19,7 +20,10 @@ from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
                      zero_grads)
 from xmclite.batching import STREAM_DROPOUT
 from xmclite.infer import MODES
-from xmclite.train import refresh
+from xmclite.train import negative_cache_size, refresh
+
+# the package's ``train`` attribute is the function, not the module
+train_module = importlib.import_module("xmclite.train")
 
 HASH = 512
 
@@ -106,7 +110,9 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     params = _reference_init(cfg, ds.num_labels)
     params.classifiers = forward(params, l_feats, heads=("de",)).de_out.copy()
     plan, cache = refresh(params, q_feats, l_feats, ds.positive_sets(), 1,
-                          seed, 0, cfg.resolved_cache_size())
+                          seed, 0, negative_cache_size(
+                              cfg.hard_negatives_per_query,
+                              cfg.refresh_interval))
     (ids,) = plan
     batch = collate_batch(ids, ds, cache, cfg.positives_per_query,
                           cfg.hard_negatives_per_query, seed, 0, 0,
@@ -306,7 +312,7 @@ def test_empty_dataset_rejected():
 @pytest.mark.parametrize("kw", [
     dict(epochs=0), dict(batch_size=0), dict(refresh_interval=0),
     dict(positives_per_query=0), dict(hard_negatives_per_query=-1),
-    dict(cache_size=-1), dict(eval_k=()), dict(hash_dim=0),
+    dict(seed=-1), dict(eval_k=()), dict(hash_dim=0),
     dict(encoder_dim=0), dict(search_dim=0), dict(dropout=1.0),
     dict(dropout=-0.1), dict(lr_encoder=0.0), dict(lr_heads=-1.0),
     dict(lr_classifiers=0.0), dict(grad_clip=-1.0), dict(eval_every=-1),
@@ -318,11 +324,21 @@ def test_config_validation_rejects(kw):
         TrainConfig(**kw).validate()
 
 
-def test_cache_size_resolution():
-    auto = TrainConfig(hard_negatives_per_query=6, refresh_interval=5)
-    assert auto.resolved_cache_size() == 30
-    assert TrainConfig(cache_size=17).resolved_cache_size() == 17
-    assert TrainConfig(hard_negatives_per_query=0).resolved_cache_size() == 0
+def test_each_refresh_mines_cap_times_interval_negatives(monkeypatch):
+    sizes = []
+    mine = train_module.mine_hard_negatives
+
+    def spy(q_vecs, l_vecs, positive_sets, cache_size):
+        sizes.append(cache_size)
+        return mine(q_vecs, l_vecs, positive_sets, cache_size)
+
+    monkeypatch.setattr(train_module, "mine_hard_negatives", spy)
+    # epochs 0 and 2 refresh; each mines enough for the two epochs it serves
+    train(_ds(), _cfg(epochs=4, refresh_interval=2, hard_negatives_per_query=3))
+    assert sizes == [6, 6]
+    sizes.clear()
+    train(_ds(), _cfg(epochs=4, refresh_interval=2, hard_negatives_per_query=0))
+    assert sizes == []
 
 
 def test_training_without_hard_negatives():
@@ -356,6 +372,16 @@ def test_mismatched_eval_dataset_is_rejected_before_training(tmp_path,
         train(_ds(), _cfg(eval_every=1), log_path=str(log),
               eval_dataset=held_out)
     assert not log.exists()
+
+
+def test_undefined_propensity_model_is_rejected_before_training(tmp_path):
+    # in-training metrics need propensities, undefined for N=2 (ln N <= 1)
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(ConfigError, match="propensity model undefined"):
+        train(_ds(n=2), _cfg(eval_every=1), log_path=str(log))
+    assert not log.exists()
+    train(_ds(n=2), _cfg(eval_every=0), log_path=str(log))
+    assert log.exists()
 
 
 def test_quick_overfit_reaches_high_precision():

@@ -1,4 +1,5 @@
-"""Print the sha256 of the parameters and train log of fixed training runs.
+"""Print the sha256 of the parameters and train log of fixed training runs,
+and of the batch statistics of a fixed ``simulate-batches`` run.
 
 Usage: python3 tools/digests.py [--src DIR]
 
@@ -14,7 +15,10 @@ one BLAS thread, which the determinism contract needs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import struct
 import sys
@@ -65,6 +69,33 @@ def _runs(xmc):
     ]
 
 
+# simulate-batches on an untrained model: negative caps 2 and 6 at refresh
+# interval 2 give cache sizes 4 and 12, mined once at 12.
+SIMULATE_FLAGS = ["--sim-positive-caps", "1,2,3", "--sim-negative-caps",
+                  "0,2,6", "--refresh-interval", "2", "--batch-size", "16"]
+
+
+def _write_corpus(dirpath: str) -> tuple[str, str]:
+    """A separable text corpus of 128 queries over 64 labels as
+    (queries.jsonl, labels.txt): each query names its 1-3 labels' tokens
+    and one of 16 noise words."""
+    import numpy as np      # here: main() first pins BLAS to one thread
+
+    rng = np.random.default_rng(0)
+    queries = os.path.join(dirpath, "queries.jsonl")
+    labels = os.path.join(dirpath, "labels.txt")
+    with open(labels, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"sig{l}\n" for l in range(64)))
+    with open(queries, "w", encoding="utf-8") as fh:
+        for _ in range(128):
+            k = int(rng.integers(1, 3, endpoint=True))
+            pos = sorted(int(x) for x in rng.choice(64, size=k, replace=False))
+            text = " ".join([f"sig{p}" for p in pos]
+                            + [f"w{int(rng.integers(16))}"])
+            fh.write(json.dumps({"text": text, "labels": pos}) + "\n")
+    return queries, labels
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -103,6 +134,21 @@ def main(argv=None) -> int:
             print(f"{name:16s} parameters {params.hexdigest()}  "
                   f"log {hashlib.sha256(_read(log)).hexdigest()}  "
                   f"{elapsed:5.2f}s", flush=True)
+
+        from xmclite.cli import main as cli_main
+        queries, labels = _write_corpus(tmp)
+        out_dir = os.path.join(tmp, "simulate")
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["simulate-batches", "--queries-path", queries,
+                           "--labels-path", labels, "--out-dir", out_dir]
+                          + SIMULATE_FLAGS)
+        elapsed = time.perf_counter() - started
+        if rc != 0:
+            raise SystemExit(f"simulate-batches exited {rc}")
+        stats = hashlib.sha256(_read(os.path.join(out_dir, "batch_stats.csv")))
+        print(f"{'simulate-batches':16s} batch_stats.csv {stats.hexdigest()}  "
+              f"{elapsed:5.2f}s", flush=True)
     return 0
 
 
