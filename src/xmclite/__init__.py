@@ -9,7 +9,7 @@ label tile) pairs of bounded memory.
 """
 
 from .batching import (CollatedBatch, batch_stats, cluster_queries,
-                       collate_batch, sample_ids)
+                       collate_batch, keyed_sample)
 from .data import (Dataset, Vocabulary, featurize_all, load_dataset,
                    make_dataset, synth_dataset)
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,

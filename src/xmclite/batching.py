@@ -12,6 +12,13 @@ mask, from the metrics' one membership test, ``data.hit_matrix``.  Its
 transpose is the label-anchored view.  Membership runs against the full
 ground truth, so a label brought in by one query also counts as a positive of
 any other query that truly has it.
+
+Every collation draw is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): each (query, label) candidate gets a
+64-bit key hashed from (seed, stream, epoch, batch, query id, label id), and
+a query keeps the ``cap`` candidates with the smallest keys.  A batch's draw
+is a few array operations and one ``lexsort``, and a query's sample depends
+on neither the order of its candidates nor the other queries in its batch.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from .data import Dataset, hit_matrix
 from .errors import ConfigError
 from .negatives import HardNegativeCache
 
-# Stream ids for the per-purpose RNGs, combined as
-# default_rng([seed, stream, epoch, batch, query]) so draws are independent
-# of iteration order.  Stream 0 is ``init_params``'s ``[seed, 0]``.
+# Stream ids, one per purpose.  Collation's draws (positives, negatives,
+# extra classifier positives) put theirs second in every sampling key,
+# (seed, stream, epoch, batch, query, label) (``sample_keys``); clustering
+# and dropout seed generators with default_rng([seed, stream, epoch, ...]).
+# Stream 0 is ``init_params``'s ``[seed, 0]``.
 STREAM_CLUSTER = 1
 STREAM_POSITIVES = 2
 STREAM_NEGATIVES = 3
@@ -100,20 +109,69 @@ def batch_count(dataset: Dataset, batch_size: int) -> int:
     return -(-dataset.num_instances // batch_size)
 
 
-def sample_ids(ids: np.ndarray, cap: int, seed) -> np.ndarray:
-    """Sorted uniform sample without replacement of min(cap, |ids|) ids.
+# splitmix64's increment and output multipliers (Steele et al., "Fast
+# splittable pseudorandom number generators", OOPSLA 2014).
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-    Draws positives, extra classifier positives and cached hard negatives.
-    ``seed`` is a ``default_rng`` seed, such as collation's ``[seed, stream,
-    epoch, batch, query]`` key, or a Generator; one is built only to draw.
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function of a uint64 array, a bijection.  Array
+    arithmetic wraps mod 2**64 silently, where numpy scalars would warn."""
+    z = x + _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def sample_keys(seed: int, stream: int, epoch: int, batch: int, qids,
+                labels) -> np.ndarray:
+    """uint64 sampling key of each (query id, label id) pair:
+    ``f(f(f(f(f(f(seed) ^ stream) ^ epoch) ^ batch) ^ qid) ^ label)`` with
+    ``f`` the splitmix64 output function and all values mod 2**64.  ``f`` is
+    a bijection, so one query's distinct labels never share a key."""
+    h = _splitmix64(np.array([seed], dtype=np.uint64))
+    for part in (stream, epoch, batch):
+        h = _splitmix64(h ^ np.uint64(part))
+    h = _splitmix64(h ^ np.asarray(qids, dtype=np.int64).astype(np.uint64))
+    return _splitmix64(h ^ np.asarray(labels, dtype=np.int64).astype(np.uint64))
+
+
+def keyed_sample(row: np.ndarray, ids: np.ndarray, qids: np.ndarray,
+                 cap: int, key: tuple) -> np.ndarray:
+    """Boolean mask of the candidates a draw keeps.
+
+    Candidate j belongs to query ``qids[row[j]]``; each query keeps its
+    min(cap, count) candidates with the smallest ``sample_keys(*key, qid,
+    id)``, ``key`` being (seed, stream, epoch, batch).  For keys that behave
+    as independent uniform draws, that is a uniform sample without
+    replacement.  No key is computed when no query has more candidates than
+    the cap.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if cap <= 0 or ids.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if ids.size <= cap:
-        return np.sort(ids)
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(ids, size=cap, replace=False))
+    keep = np.zeros(ids.size, dtype=bool)
+    if cap <= 0:
+        return keep
+    counts = np.bincount(row, minlength=len(qids))
+    if counts.max(initial=0) <= cap:
+        keep[:] = True
+        return keep
+    keys = sample_keys(*key, np.asarray(qids)[row], ids)
+    order = np.lexsort((keys, row))         # by query, then by key
+    rank = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep[order[rank < cap]] = True
+    return keep
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in ``rows``, int64 id) of every entry of the CSR ``rows``,
+    row by row in stored order."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    row = np.repeat(np.arange(rows.size), counts)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return row, indices[np.arange(row.size) + shift].astype(np.int64)
 
 
 @dataclass
@@ -153,33 +211,39 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
                   max_negatives: int, seed: int, epoch: int = 0,
                   batch_index: int = 0,
                   extra_clf_positives: int = 0) -> CollatedBatch:
-    """Sample per-query positives/negatives and assemble the label pool."""
+    """Sample per-query positives/negatives and assemble the label pool.
+
+    One ``keyed_sample`` each draws the positives from the queries' truth
+    rows (stream ``STREAM_POSITIVES``), the hard negatives from their cached
+    lists (``STREAM_NEGATIVES``) and the extra classifier positives from the
+    truth the positives left (``STREAM_EXTRA_POSITIVES``).
+    """
     if max_negatives > 0 and cache is None:
         raise ConfigError("hard-negative sampling requested without a cache")
-    empty = np.zeros(0, dtype=np.int64)
-    truth, drawn, extras = [], [], []
-    for qid in np.asarray(query_ids, dtype=np.int64).tolist():
-        key = [epoch, batch_index, qid]
-        p_i = dataset.positives(qid)
-        p_hat = sample_ids(p_i, max_positives, [seed, STREAM_POSITIVES, *key])
-        truth.append(p_i)
-        drawn.append(p_hat)
-        if max_negatives > 0:
-            drawn.append(sample_ids(cache.negatives[qid], max_negatives,
-                                    [seed, STREAM_NEGATIVES, *key]))
-        if extra_clf_positives > 0:
-            extras.append(sample_ids(
-                np.setdiff1d(p_i, p_hat, assume_unique=True),
-                extra_clf_positives, [seed, STREAM_EXTRA_POSITIVES, *key]))
-    t_row = np.repeat(np.arange(len(truth)), [p.size for p in truth])
-    t_ids = np.concatenate([empty, *truth])      # int64 for any index dtype
-    pool = np.unique(np.concatenate([empty, *drawn]))
-    positives = _pool_membership(pool, t_row, t_ids, len(truth))
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    n = query_ids.size
+    t_row, t_ids = _gather_rows(dataset.relevance.indptr,
+                                dataset.relevance.indices, query_ids)
+    picked = keyed_sample(t_row, t_ids, query_ids, max_positives,
+                          (seed, STREAM_POSITIVES, epoch, batch_index))
+    drawn = [t_ids[picked]]
+    if max_negatives > 0:
+        n_row, n_ids = _gather_rows(cache.indptr, cache.indices, query_ids)
+        drawn.append(n_ids[keyed_sample(
+            n_row, n_ids, query_ids, max_negatives,
+            (seed, STREAM_NEGATIVES, epoch, batch_index))])
+    pool = np.unique(np.concatenate(drawn))
+    positives = _pool_membership(pool, t_row, t_ids, n)
     # without extras the classifier side aliases the retrieval pool
     clf_pool, clf_positives = pool, positives
-    if any(e.size for e in extras):
-        clf_pool = np.unique(np.concatenate([pool, *extras]))
-        clf_positives = _pool_membership(clf_pool, t_row, t_ids, len(truth))
+    if extra_clf_positives > 0:
+        left_row, left_ids = t_row[~picked], t_ids[~picked]
+        extras = left_ids[keyed_sample(
+            left_row, left_ids, query_ids, extra_clf_positives,
+            (seed, STREAM_EXTRA_POSITIVES, epoch, batch_index))]
+        if extras.size:
+            clf_pool = np.unique(np.concatenate([pool, extras]))
+            clf_positives = _pool_membership(clf_pool, t_row, t_ids, n)
     return CollatedBatch(pool, positives, clf_pool, clf_positives)
 
 

@@ -28,7 +28,7 @@ from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
 from .model import init_params, load_checkpoint
 from .negatives import HardNegativeCache
-from .train import negative_cache_size, refresh, train
+from .train import check_inputs, negative_cache_size, refresh, train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -72,6 +72,8 @@ def cmd_train(config: RunConfig, explicit: set) -> int:
     dataset = _load(config, config.queries_path, vocab)
     eval_dataset = (_load(config, config.eval_queries_path, vocab)
                     if config.eval_queries_path else None)
+    # a run rejected before its first step leaves no empty out_dir behind
+    check_inputs(dataset, config.train, eval_dataset)
     log_path = _out_path(config, config.log_path, "train_log.jsonl")
     ckpt_path = _out_path(config, config.checkpoint_path, "checkpoint.bin")
     # a diverging run ends in TrainingAbort; numpy's warnings would bury it
@@ -172,7 +174,8 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
                           featurize_all(dataset.label_texts, vocab),
                           dataset.positive_sets(), num_batches, cfg.seed, 0,
                           max(sizes.values(), default=0))
-    caches = {cap: HardNegativeCache([n[:size] for n in cache.negatives])
+    caches = {cap: HardNegativeCache.from_lists(
+        [n[:size] for n in cache.negatives])
               for cap, size in sizes.items()}
 
     lines = [BATCH_STATS_HEADER]

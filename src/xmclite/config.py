@@ -46,9 +46,9 @@ class RunConfig:
         "help": "predictions TSV that predict writes (empty: in out_dir); "
                 "eval requires it"})
     metrics_path: str = field(default="", metadata={
-        "help": "metrics JSON to write (default: in out_dir)"})
+        "help": "metrics JSON that eval writes (empty: in out_dir)"})
     log_path: str = field(default="", metadata={
-        "help": "training log JSONL to write (default: in out_dir)"})
+        "help": "training log JSONL that train writes (empty: in out_dir)"})
     sim_positive_caps: tuple = field(default=(3,), metadata={
         "help": "comma list of per-query positive caps to sweep in "
                 "simulate-batches"})

@@ -11,6 +11,7 @@ between refreshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,26 @@ from .infer import topk
 
 @dataclass
 class HardNegativeCache:
-    negatives: list[np.ndarray]   # per query, ranked best-first
+    """Each query's mined negatives, ranked best-first, as CSR rows: query
+    ``q``'s list is ``indices[indptr[q]:indptr[q + 1]]``.  Collation gathers
+    a batch's rows from these two arrays."""
+
+    indptr: np.ndarray    # int64, one entry more than there are queries
+    indices: np.ndarray   # int64 label ids
+
+    @classmethod
+    def from_lists(cls, negatives: list) -> HardNegativeCache:
+        """The cache holding one ranked list of label ids per query."""
+        sizes = [len(row) for row in negatives]
+        return cls(np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+                   np.concatenate([np.zeros(0, dtype=np.int64),
+                                   *negatives]).astype(np.int64))
+
+    @cached_property
+    def negatives(self) -> list[np.ndarray]:
+        """Per-query views of ``indices``, ranked best-first."""
+        return [self.indices[a:b]
+                for a, b in zip(self.indptr[:-1], self.indptr[1:])]
 
 
 def mine_hard_negatives(query_vecs: np.ndarray, label_vecs: np.ndarray,
@@ -35,7 +55,8 @@ def mine_hard_negatives(query_vecs: np.ndarray, label_vecs: np.ndarray,
     if len(positive_sets) != n:
         raise ValueError("one positive set per query required")
     if cache_size <= 0:
-        return HardNegativeCache([np.zeros(0, dtype=np.int64)] * n)
+        return HardNegativeCache(np.zeros(n + 1, dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64))
 
     cols = [np.asarray(p, dtype=np.int64) for p in positive_sets]
     indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
@@ -43,5 +64,8 @@ def mine_hard_negatives(query_vecs: np.ndarray, label_vecs: np.ndarray,
     exclude = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
                             shape=(n, num_labels))
     ids, scores = topk(query_vecs, label_vecs, cache_size, exclude)
+    # excluded labels score -inf and rank last; row-major order keeps ranks
+    kept = np.isfinite(scores)
     return HardNegativeCache(
-        [row[np.isfinite(s)] for row, s in zip(ids, scores)])
+        np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int64),
+        ids[kept].astype(np.int64))

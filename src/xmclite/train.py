@@ -97,7 +97,7 @@ class TrainConfig:
             *((getattr(self, k) > 0, f"{k} must be > 0")
               for k in ("lr_encoder", "lr_heads", "lr_classifiers")),
             (self.grad_clip >= 0.0, "grad_clip must be >= 0"),
-            (self.seed >= 0, "seed must be >= 0"),
+            (0 <= self.seed < 2 ** 64, "seed must be in [0, 2**64)"),
             (self.eval_every >= 0, "eval_every must be >= 0"),
             (len(self.eval_k) > 0, "eval_k must not be empty"),
             (all(k >= 1 for k in self.eval_k), "eval_k entries must be >= 1"),
@@ -205,9 +205,10 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
     return parts, grads
 
 
-def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
-          checkpoint_path: str | None = None,
-          eval_dataset: Dataset | None = None) -> tuple[ModelParams, TrainReport]:
+def check_inputs(dataset: Dataset, cfg: TrainConfig,
+                 eval_dataset: Dataset | None = None) -> int:
+    """Everything ``train`` rejects before its first step, as ConfigError;
+    returns the number of batches per epoch."""
     cfg.validate()
     num_batches = batch_count(dataset, cfg.batch_size)
     if dataset.vocab.hash_dim != cfg.hash_dim:
@@ -226,7 +227,13 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
         # evaluate_model's propensities; raises if undefined for this split
         propensity(dataset.label_frequencies, dataset.num_instances,
                    cfg.propensity_a, cfg.propensity_b)
+    return num_batches
 
+
+def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
+          checkpoint_path: str | None = None,
+          eval_dataset: Dataset | None = None) -> tuple[ModelParams, TrainReport]:
+    num_batches = check_inputs(dataset, cfg, eval_dataset)
     start = time.perf_counter()
     seed = cfg.seed
     pos_cap, neg_cap = cfg.positives_per_query, cfg.hard_negatives_per_query

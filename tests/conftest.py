@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from xmclite import Dataset, Vocabulary, make_dataset, sample_ids, synth_dataset
+from xmclite import Dataset, Vocabulary, make_dataset, synth_dataset
 from xmclite.batching import (STREAM_EXTRA_POSITIVES, STREAM_NEGATIVES,
                               STREAM_POSITIVES)
 
@@ -64,23 +64,51 @@ def id_dataset(rng: np.random.Generator, n: int, num_labels: int,
     return make_dataset(texts, label_texts, sets, num_labels, vocab)
 
 
+_U64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """splitmix64's output function on a Python int, mod 2**64."""
+    z = (x + 0x9E3779B97F4A7C15) & _U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+def documented_key(seed, stream, epoch, batch_index, qid, label) -> int:
+    """Collation's documented sampling key, f(...f(f(seed) ^ stream)... ^
+    label), computed with Python integers."""
+    h = splitmix64(seed)
+    for part in (stream, epoch, batch_index, qid, label):
+        h = splitmix64(h ^ part)
+    return h
+
+
+def redraw(ids, cap: int, seed: int, stream: int, epoch: int,
+           batch_index: int, qid: int) -> np.ndarray:
+    """One query's draw: the sorted ``cap`` ids with the smallest keys."""
+    ids = [int(x) for x in ids]
+    ids.sort(key=lambda lab: documented_key(seed, stream, epoch, batch_index,
+                                            qid, lab))
+    return np.asarray(sorted(ids[:cap]), dtype=np.int64)
+
+
 def redraw_samples(dataset: Dataset, cache, query_ids, max_positives: int,
                    max_negatives: int, seed: int, epoch: int = 0,
                    batch_index: int = 0, extra_clf_positives: int = 0):
     """Each query's sampled positives, hard negatives and extra classifier
-    positives, drawn again with ``sample_ids`` under collation's documented
-    keys ``[seed, stream, epoch, batch_index, query id]``."""
+    positives, drawn again one query at a time from collation's documented
+    keys (``documented_key``)."""
     pos, neg, extras = [], [], []
     for qid in map(int, query_ids):
-        key = [epoch, batch_index, qid]
+        key = (epoch, batch_index, qid)
         truth = dataset.positives(qid)
-        p_hat = sample_ids(truth, max_positives, [seed, STREAM_POSITIVES, *key])
+        p_hat = redraw(truth, max_positives, seed, STREAM_POSITIVES, *key)
         pos.append(p_hat)
-        neg.append(sample_ids([] if cache is None else cache.negatives[qid],
-                              max_negatives, [seed, STREAM_NEGATIVES, *key]))
-        extras.append(sample_ids(np.setdiff1d(truth, p_hat),
-                                 extra_clf_positives,
-                                 [seed, STREAM_EXTRA_POSITIVES, *key]))
+        neg.append(redraw([] if cache is None else cache.negatives[qid],
+                          max_negatives, seed, STREAM_NEGATIVES, *key))
+        extras.append(redraw(np.setdiff1d(truth, p_hat), extra_clf_positives,
+                             seed, STREAM_EXTRA_POSITIVES, *key))
     return pos, neg, extras
 
 

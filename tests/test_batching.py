@@ -5,15 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xmclite.batching as batching
 from xmclite import (CollatedBatch, ConfigError, HardNegativeCache,
-                     batch_stats, cluster_queries, collate_batch, make_dataset,
-                     mine_hard_negatives, sample_ids, synth_dataset)
+                     batch_stats, cluster_queries, collate_batch, keyed_sample,
+                     make_dataset, mine_hard_negatives, synth_dataset)
 from xmclite.batching import (BATCH_STATS_HEADER, STREAM_EXTRA_POSITIVES,
                               STREAM_NEGATIVES, STREAM_POSITIVES,
-                              _pool_membership)
+                              _pool_membership, sample_keys)
 from xmclite.data import Vocabulary
 
-from conftest import id_dataset, redraw_samples, sets_of, unit_rows
+from conftest import (documented_key, id_dataset, redraw, redraw_samples,
+                      sets_of, unit_rows)
 from oracles import bf_collate, loop_pool_membership
 
 
@@ -83,55 +85,115 @@ def test_cluster_queries_rejects_bad_batch_count():
 
 # ------------------------------------------------------------------ sampling
 
+def _rows_of(sets):
+    """``keyed_sample``'s candidate arguments for per-query id lists: the
+    row of each candidate and the concatenated ids."""
+    row = _arr([r for r, ids in enumerate(sets) for _ in ids])
+    return row, _arr([x for ids in sets for x in ids])
+
+
 def test_sample_positives_contracts():
-    rng = np.random.default_rng(3)
     pool = _arr([4, 9, 11, 30])
-    full = sample_ids(pool, 10, rng)
-    assert np.array_equal(full, pool)
-    assert full.base is None and full is not pool  # a safe copy
-    sub = sample_ids(pool, 2, rng)
+    row = np.zeros(pool.size, dtype=np.int64)
+    key = (3, STREAM_POSITIVES, 0, 0)
+    full = keyed_sample(row, pool, _arr([0]), 10, key)
+    assert full.dtype == bool and full.shape == pool.shape
+    assert np.array_equal(pool[full], pool)
+    sub = pool[keyed_sample(row, pool, _arr([0]), 2, key)]
     assert sub.size == 2
     assert np.all(np.diff(sub) > 0)
     assert np.all(np.isin(sub, pool))
-    assert sample_ids(pool, 0, rng).size == 0
-    assert sample_ids(_arr([]), 3, rng).size == 0
+    assert not keyed_sample(row, pool, _arr([0]), 0, key).any()
+    assert keyed_sample(_arr([]), _arr([]), _arr([0]), 3, key).size == 0
+    # per query: rows within the cap keep all, longer rows exactly the cap
+    row, ids = _rows_of([[1, 2, 3, 4, 5], [6], [], [7, 8, 9]])
+    keep = keyed_sample(row, ids, _arr([0, 1, 2, 3]), 2, key)
+    assert np.bincount(row[keep], minlength=4).tolist() == [2, 1, 0, 2]
 
 
 def test_sample_positives_inclusion_is_uniform():
-    rng = np.random.default_rng(4)
     pool = _arr([10, 20, 30, 40])
     hits = {int(p): 0 for p in pool}
-    trials = 30000
-    for _ in range(trials):
-        for p in sample_ids(pool, 2, rng):
+    trials, queries = 30000, 100
+    row, ids = np.repeat(np.arange(queries), pool.size), np.tile(pool, queries)
+    for epoch in range(trials // queries):
+        keep = keyed_sample(row, ids, np.arange(queries), 2,
+                            (4, STREAM_POSITIVES, epoch, 0))
+        for p in ids[keep]:
             hits[int(p)] += 1
     for p in pool:
         assert abs(hits[int(p)] / trials - 0.5) < 0.01
 
 
-def test_sample_ids_builds_a_generator_only_to_draw(monkeypatch):
-    built = []
-    real = np.random.default_rng
+def test_sample_keys_follow_the_documented_formula():
+    qids, labels = _arr([0, 5, 5, 2**40]), _arr([7, 0, 3, 2**62])
+    for seed in (0, 9, 2**64 - 1):
+        keys = sample_keys(seed, STREAM_NEGATIVES, 4, 2, qids, labels)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [
+            documented_key(seed, STREAM_NEGATIVES, 4, 2, int(q), int(lab))
+            for q, lab in zip(qids, labels)]
 
-    def counting(seed=None):
-        built.append(seed)
-        return real(seed)
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    ids = _arr([7, 3, 5])
-    for cap in (0, 3, 4):
-        sample_ids(ids, cap, [1, 2, 3])
-    sample_ids(_arr([]), 2, [1, 2, 3])
-    assert built == []
-    got = sample_ids(ids, 2, [1, 2, 3])
-    assert built == [[1, 2, 3]]
-    # a key and the generator it seeds draw the same sample
-    assert np.array_equal(got, sample_ids(ids, 2, real([1, 2, 3])))
-    # collation makes no generator when no query has more ids than its cap
-    built.clear()
-    ds = _dataset_from_sets([[0, 1], [2], []], 3)
-    collate_batch(_arr([0, 1, 2]), ds, None, max_positives=2,
-                  max_negatives=0, seed=0, extra_clf_positives=1)
-    assert built == []
+
+def test_a_querys_draw_ignores_candidate_order_and_batch_mates():
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        sets = [rng.choice(40, size=int(rng.integers(0, 12)), replace=False)
+                for _ in range(6)]
+        qids = rng.choice(1000, size=6, replace=False)
+        key, cap = (trial, STREAM_NEGATIVES, 1, 2), int(rng.integers(1, 5))
+        row, ids = _rows_of(sets)
+        keep = keyed_sample(row, ids, qids, cap, key)
+        # shuffling the candidates, across queries too, keeps the same pairs
+        perm = rng.permutation(ids.size)
+        shuffled = keyed_sample(row[perm], ids[perm], qids, cap, key)
+        assert sorted(zip(row[perm][shuffled], ids[perm][shuffled])) == \
+            sorted(zip(row[keep], ids[keep]))
+        for r, cands in enumerate(sets):
+            # each query alone draws what it drew in the batch, and that is
+            # its cap smallest documented keys
+            alone = _arr(cands)[keyed_sample(np.zeros(len(cands), np.int64),
+                                             _arr(cands), qids[r:r + 1], cap,
+                                             key)]
+            assert sorted(alone) == sorted(ids[keep & (row == r)])
+            assert sorted(alone) == redraw(cands, cap, *key, int(qids[r])
+                                           ).tolist()
+    # the same holds through collation: a cache list's order and the other
+    # queries in the batch change no query's draw
+    ds = id_dataset(rng, 8, 30, max_pos=6)
+    cache = HardNegativeCache.from_lists(
+        [rng.choice(30, 8, replace=False) for _ in range(8)])
+    flipped = HardNegativeCache.from_lists([n[::-1] for n in cache.negatives])
+    whole = collate_batch(np.arange(8), ds, cache, 2, 3, seed=5)
+    for q in range(8):
+        one = collate_batch(_arr([q]), ds, flipped, 2, 3, seed=5)
+        pos, neg, _ = redraw_samples(ds, cache, [q], 2, 3, seed=5)
+        assert one.label_pool.tolist() == np.union1d(pos[0], neg[0]).tolist()
+        assert np.all(np.isin(one.label_pool, whole.label_pool))
+
+
+def test_collation_builds_no_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("collation built a Generator")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    ds = _dataset_from_sets([[0, 1, 2, 3], [2, 4, 5], [], [1, 5]], 8)
+    cache = HardNegativeCache.from_lists(
+        [_arr([6, 7, 4]), _arr([0, 1, 6, 7]), _arr([3]), _arr([])])
+    # every stream has a query with more candidates than its cap
+    batch = collate_batch(_arr([0, 1, 2, 3]), ds, cache, max_positives=1,
+                          max_negatives=2, seed=3, extra_clf_positives=1)
+    assert batch.positives.shape == (4, batch.label_pool.size)
+    assert batch.clf_pool is not batch.label_pool   # extras were drawn
+    # and no key is computed when no query has more candidates than the cap
+    keyed = []
+    monkeypatch.setattr(batching, "sample_keys",
+                        lambda *a: keyed.append(a) or sample_keys(*a))
+    collate_batch(_arr([0, 1, 2, 3]), ds, cache, max_positives=4,
+                  max_negatives=4, seed=3, extra_clf_positives=1)
+    assert keyed == []
+    collate_batch(_arr([0, 1, 2, 3]), ds, cache, max_positives=1,
+                  max_negatives=4, seed=3)
+    assert len(keyed) == 1
 
 
 # ------------------------------------------------------------------ collation
@@ -166,10 +228,10 @@ def test_pool_membership_worked_example():
 
 def test_anothers_hard_negative_counts_as_positive():
     ds = _dataset_from_sets([[0, 1], [2]], 4)
-    cache = HardNegativeCache([_arr([3]), _arr([1])])
+    cache = HardNegativeCache.from_lists([_arr([3]), _arr([1])])
     # with seed 1 query 0 draws label 0, so label 1 comes from query 1
-    assert sample_ids(ds.positives(0), 1, [1, STREAM_POSITIVES, 0, 0, 0]
-                      ).tolist() == [0]
+    assert redraw(ds.positives(0), 1, 1, STREAM_POSITIVES, 0, 0, 0
+                  ).tolist() == [0]
     batch = collate_batch(_arr([0, 1]), ds, cache, max_positives=1,
                           max_negatives=1, seed=1)
     assert batch.label_pool.tolist() == [0, 1, 2, 3]

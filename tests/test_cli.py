@@ -15,7 +15,8 @@ import pytest
 from conftest import parameter_bytes, write_text_dataset
 from xmclite import METRICS_SCHEMA, read_predictions
 from xmclite.batching import BATCH_STATS_HEADER
-from xmclite.cli import main
+from xmclite.cli import build_parser, main
+from xmclite.config import KEYS
 from xmclite.model import load_checkpoint
 
 # the package's ``train`` attribute is the function, not the module
@@ -295,6 +296,28 @@ def test_help_exits_zero(capsys):
     assert _run(["--help"])[0] == 0
     assert _run(["train", "--help"])[0] == 0
     capsys.readouterr()
+
+
+def test_every_flag_help_names_one_default():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    for name, cmd_parser in sub.choices.items():
+        flags = [a for a in cmd_parser._actions if a.dest in KEYS]
+        assert len(flags) == len(KEYS)
+        for action in flags:
+            text = action.help % {"default": action.default}
+            assert text.count("(default:") == 1, (name, action.dest, text)
+
+
+def test_rejected_train_leaves_no_out_dir(tmp_path, capsys):
+    # two queries give no propensity model, which --eval-every needs
+    queries, labels = write_text_dataset(tmp_path, 2, 4, seed=1)
+    out = tmp_path / "run"
+    rc, _ = _run(["train", "--queries-path", queries, "--labels-path", labels,
+                  "--out-dir", str(out), "--eval-every", "1"] + SMALL_DIMS)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_divergent_training_reports_abort(tmp_path, capsys):

@@ -129,6 +129,15 @@ def test_invalid_config_values_name_the_key(overrides):
         build_config({}, overrides)
 
 
+def test_seed_must_fit_the_64_bit_sampling_key():
+    TrainConfig(seed=2 ** 64 - 1).validate()
+    for seed in (2 ** 64, 2 ** 70, -1):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=seed).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        build_config({}, {"seed": str(2 ** 64)})
+
+
 def test_readme_documents_every_key():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, "r", encoding="utf-8") as fh:

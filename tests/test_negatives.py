@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from xmclite import HardNegativeCache, mine_hard_negatives, sample_ids
+from xmclite import HardNegativeCache, keyed_sample, mine_hard_negatives
 
 from conftest import random_positive_sets, unit_rows
 from oracles import bf_hard_negatives
@@ -59,25 +59,34 @@ def test_mining_truncates_and_handles_saturated_queries():
     assert cache.negatives[0].size == 2
     cache = mine_hard_negatives(q, l, [[0]], cache_size=0)
     assert cache.negatives[0].size == 0
+    assert cache.indptr.tolist() == [0, 0]
 
 
 def test_sampling_contracts_and_uniformity():
-    rng = np.random.default_rng(4)
-    cache = HardNegativeCache([np.array([3, 1, 4, 15, 5, 9], dtype=np.int64),
-                               np.zeros(0, dtype=np.int64)])
-    got = sample_ids(cache.negatives[0], 3, rng)
+    cache = HardNegativeCache.from_lists(
+        [np.array([3, 1, 4, 15, 5, 9], dtype=np.int64),
+         np.zeros(0, dtype=np.int64)])
+    assert cache.indptr.tolist() == [0, 6, 6]
+    assert cache.indices.tolist() == [3, 1, 4, 15, 5, 9]
+
+    def draw(q, cap, epoch=0):
+        ids = cache.negatives[q]
+        keep = keyed_sample(np.zeros(ids.size, dtype=np.int64), ids,
+                            np.array([q]), cap, (4, 3, epoch, 0))
+        return np.sort(ids[keep])
+
+    got = draw(0, 3)
     assert got.size == 3 and np.all(np.diff(got) > 0)
     assert np.all(np.isin(got, cache.negatives[0]))
-    assert sample_ids(cache.negatives[1], 3, rng).size == 0
-    assert sample_ids(cache.negatives[0], 0, rng).size == 0
-    everything = sample_ids(cache.negatives[0], 99, rng)
+    assert draw(1, 3).size == 0
+    assert draw(0, 0).size == 0
+    everything = draw(0, 99)
     assert everything.tolist() == sorted(cache.negatives[0].tolist())
 
     hits = {int(x): 0 for x in cache.negatives[0]}
     trials = 12000
-    for _ in range(trials):
-        for x in sample_ids(cache.negatives[0], 2, rng):
+    for epoch in range(trials):
+        for x in draw(0, 2, epoch):
             hits[int(x)] += 1
     for x, count in hits.items():
         assert abs(count / trials - 2 / 6) < 0.015
-
