@@ -170,10 +170,10 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     # order, so each smaller cache is the head of the largest one's lists.
     sizes = {cap: negative_cache_size(cap, cfg.refresh_interval)
              for cap in config.sim_negative_caps if cap > 0}
-    plan, cache = refresh(params, featurize_all(dataset.instance_texts, vocab),
-                          featurize_all(dataset.label_texts, vocab),
-                          dataset.positive_sets(), num_batches, cfg.seed, 0,
-                          max(sizes.values(), default=0))
+    plan, cache, _ = refresh(
+        params, featurize_all(dataset.instance_texts, vocab),
+        featurize_all(dataset.label_texts, vocab), dataset.positive_sets(),
+        num_batches, cfg.seed, 0, max(sizes.values(), default=0))
     caches = {cap: HardNegativeCache.from_lists(
         [n[:size] for n in cache.negatives])
               for cap, size in sizes.items()}

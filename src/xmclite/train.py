@@ -1,11 +1,12 @@
 """Joint training loop: scheduled re-clustering + cache refresh, per-batch
 collation, dual-head forward, combined loss, exact backward, Adam step.
 
-Texts are featurized once; batches slice those rows.  Every
-``refresh_interval`` epochs (including epoch 0, which bootstraps from the
-untrained model) ``refresh`` re-embeds the queries, rebuilds the balanced
+Texts are featurized once; batches gather those rows (``take_rows``).
+Every ``refresh_interval`` epochs (including epoch 0, which bootstraps from
+the untrained model) ``refresh`` re-embeds the queries, rebuilds the balanced
 batch plan from them, and re-embeds the labels to re-mine the hard-negative
-cache.  Within an epoch, each batch is collated and handed to
+cache; epoch 0's label embeddings also warm-start the classifier rows.
+Within an epoch, each batch is collated and handed to
 ``batch_loss``, the one step body: it encodes the queries through both heads
 and the pool label texts through the retrieval head, gathers classifier rows
 for the pool, and differentiates
@@ -26,7 +27,7 @@ import numpy as np
 
 from .batching import (STREAM_DROPOUT, CollatedBatch, batch_count,
                        cluster_queries, collate_batch)
-from .data import Dataset, featurize_all
+from .data import Dataset, featurize_all, take_rows
 from .errors import ConfigError, TrainingAbort
 # build_index, query_vectors and predict_vectors are unused here but stay
 # importable from this module: perfbench/tracer.py wraps them by name.
@@ -154,16 +155,19 @@ def negative_cache_size(neg_cap: int, refresh_interval: int) -> int:
 
 def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
             num_batches: int, seed: int, epoch: int, cache_size: int
-            ) -> tuple[list[np.ndarray], HardNegativeCache | None]:
-    """Batch plan for ``epoch`` from eval-mode query embeddings, and the
-    top-``cache_size`` hard-negative cache (None when ``cache_size`` is 0).
+            ) -> tuple[list[np.ndarray], HardNegativeCache | None,
+                       np.ndarray | None]:
+    """Batch plan for ``epoch`` from eval-mode query embeddings, the
+    top-``cache_size`` hard-negative cache, and the eval-mode label
+    embeddings it was mined against (both None when ``cache_size`` is 0).
     Used by ``train`` and by ``simulate-batches``."""
     q_emb = forward(params, q_feats, mode="eval", heads=("de",)).de_out
     plan = cluster_queries(q_emb, num_batches, seed, epoch=epoch)
     if cache_size <= 0:
-        return plan, None
+        return plan, None, None
     l_emb = forward(params, l_feats, mode="eval", heads=("de",)).de_out
-    return plan, mine_hard_negatives(q_emb, l_emb, positive_sets, cache_size)
+    return (plan, mine_hard_negatives(q_emb, l_emb, positive_sets, cache_size),
+            l_emb)
 
 
 def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
@@ -244,9 +248,6 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
 
     params = init_params(cfg.hash_dim, cfg.encoder_dim, cfg.search_dim,
                          dataset.num_labels, seed, cfg.dropout)
-    if cfg.warm_start_classifiers:
-        params.classifiers = forward(params, l_feats, mode="eval",
-                                     heads=("de",)).de_out.copy()
     opt = Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers)
     cache_size = negative_cache_size(neg_cap, cfg.refresh_interval)
     plan, cache = None, None
@@ -257,8 +258,17 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
         for epoch in range(cfg.epochs):
             refreshed = epoch % cfg.refresh_interval == 0
             if refreshed:
-                plan, cache = refresh(params, q_feats, l_feats, positive_sets,
-                                      num_batches, seed, epoch, cache_size)
+                plan, cache, l_emb = refresh(params, q_feats, l_feats,
+                                             positive_sets, num_batches, seed,
+                                             epoch, cache_size)
+                if epoch == 0 and cfg.warm_start_classifiers:
+                    # Classifier rows start as the labels' embeddings by the
+                    # untrained model.  Mining has just made them: no step
+                    # has run, and the de forward reads no classifier row.
+                    if l_emb is None:
+                        l_emb = forward(params, l_feats, mode="eval",
+                                        heads=("de",)).de_out
+                    params.classifiers = l_emb
 
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,
                     "clf_l2q": 0.0}
@@ -266,7 +276,8 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                 batch = collate_batch(ids, dataset, cache, pos_cap, neg_cap, seed,
                                       epoch, b, cfg.loss.extra_clf_positives)
                 parts, grads = batch_loss(
-                    params, batch, q_feats[ids], l_feats[batch.label_pool],
+                    params, batch, take_rows(q_feats, ids),
+                    take_rows(l_feats, batch.label_pool),
                     cfg.loss, np.random.default_rng([seed, STREAM_DROPOUT,
                                                      epoch, b]))
                 if not np.isfinite(parts["total"]):

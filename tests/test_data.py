@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from xmclite import (Dataset, DatasetFormatError, Vocabulary, featurize_all,
                      load_dataset, make_dataset, synth_dataset)
-from xmclite.data import TokenIds, load_label_texts
+from xmclite.data import TokenIds, load_label_texts, take_rows
 
 from oracles import loop_featurize_all
 
@@ -100,6 +100,29 @@ def test_featurize_all_matches_per_text_rows(lengths):
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got, part), getattr(want, part)
         assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
+@pytest.mark.parametrize("ids", [[], [4], [0, 2, 5, 9], [9, 0, 3, 3, 7],
+                                 list(range(10))])
+def test_take_rows_equals_scipy_row_indexing_bitwise(ids):
+    rng = np.random.default_rng(len(ids))
+    v = Vocabulary(32)
+    # rows 3 and 7 are empty texts
+    texts = [rng.integers(0, 32, size=0 if i in (3, 7) else
+                          int(rng.integers(1, 9))) for i in range(10)]
+    feats = featurize_all(texts, v)
+    ids = np.array(ids, dtype=np.int64)
+    got, want = take_rows(feats, ids), feats[ids]
+    assert got.shape == want.shape == (ids.size, 32)
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(
+            a.view(np.uint8), b.view(np.uint8)), part
+    # so the encoder's products are scipy's, bitwise
+    dense = rng.normal(size=(32, 4))
+    assert np.array_equal(got @ dense, want @ dense)
+    back = rng.normal(size=(ids.size, 4))
+    assert np.array_equal(got.T @ back, want.T @ back)
 
 
 def test_identical_token_multisets_featurize_identically():

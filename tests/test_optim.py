@@ -1,5 +1,7 @@
 """Grouped-learning-rate Adam: frozen step values, clipping, abort paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,10 +150,29 @@ def test_moments_are_kept_per_parameter():
         (np.sqrt(0.001 / (1 - 0.999 ** 2)) + 1e-8), rel=1e-12)
 
 
+def _bits(a):
+    """``a``'s float64 entries as integers: unlike ``==``, tells -0.0 from
+    +0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _signed_zeros(rows, rng):
+    """``rows`` with about a third of its entries set to -0.0 or +0.0 and,
+    when it is a matrix of two rows or more, its second row all zero."""
+    rows = rows.copy()
+    pick = rng.random(rows.shape)
+    rows[pick < 0.15] = -0.0
+    rows[(pick >= 0.15) & (pick < 0.3)] = 0.0
+    if rows.ndim == 2 and len(rows) > 1:
+        rows[1] = np.where(rng.random(rows.shape[1]) < 0.5, -0.0, 0.0)
+    return rows
+
+
 @pytest.mark.parametrize("row_block", [256, 3])
 def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
     monkeypatch.setattr(optim, "_ROW_BLOCK", row_block)
-    p = init_params(8, 3, 2, 6, seed=1)
+    p = init_params(600, 3, 2, 6, seed=1)
+    p.embed[::7, 0] = -0.0   # a zero update must keep a parameter's sign
     ref = p.copy()
     opt = Adam(lr_encoder=0.01, lr_heads=0.02, lr_classifiers=0.05)
     lrs = {"embed": 0.01, "de_w": 0.02, "de_b": 0.02, "clf_w": 0.02,
@@ -160,31 +181,42 @@ def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
     rng = np.random.default_rng(4)
     # In both lookup tables, rows 1 and 2 are touched, skipped, then touched
     # again; row 5 (embed) and row 4 (classifiers) are touched once and then
-    # only decay; classifier rows 0, 3 and 5 are never touched.
-    rows = {"embed": [[1, 2], [5], [], [1, 6], [0, 2, 3, 4, 7], [2]],
-            "classifiers": [[1, 2], [4], [], [1, 2], [2], [1]]}
+    # only decay; classifier rows 0, 3 and 5 are never touched.  Step 7
+    # activates embed rows 8-599, so the active set crosses the block
+    # boundaries of either block size, and step 8 touches rows on both
+    # sides of them.  Every gradient holds -0.0 and +0.0 entries, and each
+    # one of two rows or more has an all-zero row.
+    rows = {"embed": [[1, 2], [5], [], [1, 6], [0, 2, 3, 4, 7], [2],
+                      list(range(8, 600)), [1, 300, 599], []],
+            "classifiers": [[1, 2], [4], [], [1, 2], [2], [1], [2, 4], [1],
+                            []]}
     for step, touched in enumerate(zip(*rows.values()), start=1):
         g = zero_grads(p)
         for name, arr in g.arrays().items():
             if name not in ROW_TABLES:
-                arr[:] = rng.normal(size=arr.shape)
+                arr[:] = _signed_zeros(rng.normal(size=arr.shape), rng)
         for name, ids in zip(rows, touched):
             width = p.arrays()[name].shape[1]
-            setattr(g, name, (np.array(ids, dtype=np.int64),
-                              rng.normal(size=(len(ids), width))))
+            setattr(g, name, (np.array(ids, dtype=np.int64), _signed_zeros(
+                rng.normal(size=(len(ids), width)), rng)))
         oracle.step(ref.arrays(), dense_grads(g, p))
         opt.step(p, g)
         for name, arr in p.arrays().items():
-            assert np.array_equal(arr, ref.arrays()[name]), (step, name)
+            assert np.array_equal(_bits(arr), _bits(ref.arrays()[name])), (
+                step, name)
             # a lookup table keeps row active[s]'s moments in row s
             rows_of = (opt.active[name] if name in ROW_TABLES
                        else slice(None))
             k = len(oracle.m[name][rows_of])
             for got, want in ((opt.m, oracle.m), (opt.v, oracle.v)):
-                assert np.array_equal(got[name][:k], want[name][rows_of]), (
-                    step, name)
+                assert np.array_equal(_bits(got[name][:k]),
+                                      _bits(want[name][rows_of])), (step, name)
                 assert not got[name][k:].any(), (step, name)
-    assert sorted(opt.active["embed"].tolist()) == list(range(8))
+                # the invariant that lets rows without a gradient skip
+                # adding (1 - beta) * 0.0 (optim's module doc)
+                assert not np.any(np.signbit(got[name]) & (got[name] == 0)), (
+                    step, name)
+    assert sorted(opt.active["embed"].tolist()) == list(range(600))
     assert sorted(opt.active["classifiers"].tolist()) == [1, 2, 4]
 
     # a non-finite row of either lookup table aborts before anything moves
@@ -248,3 +280,36 @@ def test_slots_follow_first_gradient_and_are_never_relaid():
     assert {k: v.tolist() for k, v in opt.active.items()} == first
     for name in ROW_TABLES:
         assert np.array_equal(opt.slots[name], slots[name]), name
+
+
+def test_row_step_allocates_blocks_not_the_active_set():
+    # Peak traced allocation of one step: three float scratch blocks and a
+    # bool one, plus at most one float array of the given rows and 16 KiB
+    # of small ones.  A whole-set temporary would add 8 bytes per entry of
+    # every active row (5 MB at 10,000 rows of 64).
+    width, given = 64, 300
+    block = optim._ROW_BLOCK * width
+    bound = 3 * 8 * block + block + 8 * given * width + 16 * 1024
+    rng = np.random.default_rng(0)
+    peaks = []
+    for active in (10_000, 20_000):
+        p = init_params(active + 100, width, 2, 4, seed=0)
+        opt = Adam()
+        g = zero_grads(p)
+        g.embed = (np.arange(active), rng.normal(size=(active, width)))
+        opt.step(p, g)
+        # 250 rows already active, spread over the blocks, and 50 new ones
+        ids = np.sort(np.concatenate([
+            rng.choice(active, given - 50, replace=False),
+            active + rng.choice(100, 50, replace=False)]))
+        g = zero_grads(p)
+        g.embed = (ids, rng.normal(size=(given, width)))
+        tracemalloc.start()
+        try:
+            opt.step(p, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert opt.active["embed"].size == active + 50
+    assert max(peaks) <= bound, (peaks, bound)
+    assert peaks[1] <= peaks[0] + 4096, peaks

@@ -94,6 +94,32 @@ def test_warm_start_copies_label_embeddings_into_classifiers():
     assert np.array_equal(params.classifiers, expected)
 
 
+@pytest.mark.parametrize("neg", [2, 0])
+@pytest.mark.parametrize("warm", [True, False])
+def test_labels_are_embedded_once_before_the_first_step(monkeypatch, neg,
+                                                        warm):
+    # the warm start takes epoch 0's mining embeddings when there are any;
+    # ``embedded`` holds the step count at each eval forward of the labels
+    ds = _ds()
+    embedded, steps = [], []
+    forward_, step = train_module.forward, Adam.step
+
+    def spy_forward(params, feats, mode="eval", **kw):
+        if mode == "eval" and feats.shape[0] == ds.num_labels:
+            embedded.append(len(steps))
+        return forward_(params, feats, mode=mode, **kw)
+
+    def spy_step(self, *args, **kw):
+        steps.append(1)
+        return step(self, *args, **kw)
+
+    monkeypatch.setattr(train_module, "forward", spy_forward)
+    monkeypatch.setattr(Adam, "step", spy_step)
+    train(ds, _cfg(epochs=1, hard_negatives_per_query=neg,
+                   warm_start_classifiers=warm))
+    assert embedded == ([0] if warm or neg else [])
+
+
 def test_one_batch_epoch_equals_one_hand_run_step():
     # one epoch of one batch: train() must give bitwise the parameters of
     # the step assembled here from its parts.  de_weight is not 0.5, so the
@@ -109,10 +135,10 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     l_feats = featurize_all(ds.label_texts, ds.vocab)
     params = _reference_init(cfg, ds.num_labels)
     params.classifiers = forward(params, l_feats, heads=("de",)).de_out.copy()
-    plan, cache = refresh(params, q_feats, l_feats, ds.positive_sets(), 1,
-                          seed, 0, negative_cache_size(
-                              cfg.hard_negatives_per_query,
-                              cfg.refresh_interval))
+    plan, cache, _ = refresh(params, q_feats, l_feats, ds.positive_sets(), 1,
+                             seed, 0, negative_cache_size(
+                                 cfg.hard_negatives_per_query,
+                                 cfg.refresh_interval))
     (ids,) = plan
     batch = collate_batch(ids, ds, cache, cfg.positives_per_query,
                           cfg.hard_negatives_per_query, seed, 0, 0,
