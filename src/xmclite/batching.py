@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, hit_matrix
+from .data import Dataset, gather_segments, hit_matrix
 from .errors import ConfigError
 from .negatives import HardNegativeCache
 
@@ -163,17 +163,6 @@ def keyed_sample(row: np.ndarray, ids: np.ndarray, qids: np.ndarray,
     return keep
 
 
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
-                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position in ``rows``, int64 id) of every entry of the CSR ``rows``,
-    row by row in stored order."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    row = np.repeat(np.arange(rows.size), counts)
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return row, indices[np.arange(row.size) + shift].astype(np.int64)
-
-
 @dataclass
 class CollatedBatch:
     """One training batch with its label pool and positive mask.
@@ -222,16 +211,19 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
         raise ConfigError("hard-negative sampling requested without a cache")
     query_ids = np.asarray(query_ids, dtype=np.int64)
     n = query_ids.size
-    t_row, t_ids = _gather_rows(dataset.relevance.indptr,
-                                dataset.relevance.indices, query_ids)
+    # each query's truth and cached negatives: (position in query_ids, id)
+    t_ptr, t_at = gather_segments(dataset.relevance.indptr, query_ids)
+    t_row = np.repeat(np.arange(n), np.diff(t_ptr))
+    t_ids = dataset.relevance.indices[t_at].astype(np.int64)
     picked = keyed_sample(t_row, t_ids, query_ids, max_positives,
                           (seed, STREAM_POSITIVES, epoch, batch_index))
     drawn = [t_ids[picked]]
     if max_negatives > 0:
-        n_row, n_ids = _gather_rows(cache.indptr, cache.indices, query_ids)
+        n_ptr, n_at = gather_segments(cache.indptr, query_ids)
+        n_ids = cache.indices[n_at].astype(np.int64)
         drawn.append(n_ids[keyed_sample(
-            n_row, n_ids, query_ids, max_negatives,
-            (seed, STREAM_NEGATIVES, epoch, batch_index))])
+            np.repeat(np.arange(n), np.diff(n_ptr)), n_ids, query_ids,
+            max_negatives, (seed, STREAM_NEGATIVES, epoch, batch_index))])
     pool = np.unique(np.concatenate(drawn))
     positives = _pool_membership(pool, t_row, t_ids, n)
     # without extras the classifier side aliases the retrieval pool

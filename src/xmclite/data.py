@@ -3,8 +3,9 @@ encoder's row-normalized input, and synthesis.
 
 Instances are read from JSONL, one ``{"text": ..., "labels": [...]}``
 object per line; label texts come from a separate file, one label per
-line.  A label line or a query text with no ASCII letter or digit is a
-hard error, because every label and every query must be embeddable.
+line.  A label line or a query text with no letter or digit (in any
+script) is a hard error, because every label and every query must be
+embeddable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import DatasetFormatError
 
-_SPLIT = re.compile(r"[^0-9a-z]+")
+_SPLIT = re.compile(r"[\W_]+")
 
 
 def _stable_hash(token: str) -> int:
@@ -32,8 +33,10 @@ def _stable_hash(token: str) -> int:
 class Vocabulary:
     """Feature-hashing vocabulary: no build pass, fixed dimension.
 
-    Tokens are lowercased runs of ASCII alphanumerics; each token maps to
-    ``stable_64bit_hash(token) mod hash_dim``.
+    Tokens are the lowercased text's runs of Unicode letters and digits
+    (it is split at ``[\\W_]+``: punctuation, symbols such as emoji, spaces
+    and underscores), so ``東京タワー`` and ``café`` are one token each;
+    each token maps to ``stable_64bit_hash(token) mod hash_dim``.
     """
 
     hash_dim: int = 1 << 15
@@ -89,17 +92,25 @@ def featurize_all(texts: list[np.ndarray], vocab: Vocabulary) -> sp.csr_matrix:
     return sp.diags(scale).dot(counts).tocsr()
 
 
+def gather_segments(indptr: np.ndarray, rows: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows`` (int64 ids) of ``indptr``, taken in order: the
+    gathered ``indptr``, in ``indptr``'s dtype, and the positions of their
+    entries in the source ``indices``/``data``, row by row in stored order."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(sizes, out=out[1:])
+    return out, np.repeat(starts - out[:-1], sizes) + np.arange(out[-1])
+
+
 def take_rows(feats: sp.csr_matrix, ids) -> sp.csr_matrix:
     """``feats[ids]`` for a 1-d array of row ids, gathered from the
     ``indptr`` segments in numpy: the same ``indptr``, ``indices`` and
     ``data``, bitwise and in dtype, as scipy's row indexing, at half its
     cost."""
     ids = np.asarray(ids, dtype=np.int64)
-    starts = feats.indptr[ids]
-    sizes = feats.indptr[ids + 1] - starts
-    indptr = np.zeros(ids.size + 1, dtype=feats.indptr.dtype)
-    np.cumsum(sizes, out=indptr[1:])
-    at = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+    indptr, at = gather_segments(feats.indptr, ids)
     return sp.csr_matrix((feats.data[at], feats.indices[at], indptr),
                          shape=(ids.size, feats.shape[1]))
 
@@ -208,7 +219,7 @@ def load_label_texts(path: str, vocab: Vocabulary) -> list[np.ndarray]:
         tokens = token_ids.tokenize(line)
         if tokens.size == 0:
             raise DatasetFormatError(
-                "label text has no ASCII letter or digit to embed", path, lineno)
+                "label text has no letter or digit to embed", path, lineno)
         texts.append(tokens)
     return texts
 
@@ -254,7 +265,7 @@ def _load_jsonl(path: str, label_texts: list[np.ndarray],
         tokens = token_ids.tokenize(obj["text"])
         if tokens.size == 0:
             raise DatasetFormatError(
-                "query text has no ASCII letter or digit to embed", path, lineno)
+                "query text has no letter or digit to embed", path, lineno)
         instance_texts.append(tokens)
         positive_sets.append(ids)
     return make_dataset(instance_texts, label_texts, positive_sets, l, vocab)

@@ -10,9 +10,10 @@ dropout (train mode), then L2 normalization; the classifier head applies
 
 Everything is float64 by default so analytic gradients can be validated with
 central finite differences.  ``forward`` caches all intermediates needed by
-``backward``, the train-mode dropout masks among them.  Masks are drawn only
-from the pass's rng, so a generator seeded alike replays a pass
-bit-identically (as finite-difference checks need).
+``backward``, the train-mode dropout masks among them; ``backward`` takes
+every trace of a training step and builds the embedding gradient rows in
+one pass.  Masks are drawn only from the pass's rng, so a generator seeded
+alike replays a pass bit-identically (as finite-difference checks need).
 """
 
 from __future__ import annotations
@@ -192,21 +193,6 @@ class Grads:
                                  for v in self.arrays().values())))
 
 
-def merge_rows(a: tuple, b: tuple) -> tuple:
-    """Sum of two ``(row_ids, rows)`` blocks over the union of their ids.
-
-    Each block's ids must be sorted and unique.  Each row adds ``a``'s row,
-    then ``b``'s, to zero, as adding both blocks into a zeroed dense table
-    would, so the sum is bitwise the dense one.
-    """
-    row_ids = np.union1d(a[0], b[0])
-    rows = np.zeros((row_ids.size, a[1].shape[1]),
-                    dtype=np.result_type(a[1], b[1]))
-    for ids, vals in (a, b):
-        rows[np.searchsorted(row_ids, ids)] += vals
-    return row_ids, rows
-
-
 def zero_grads(params: ModelParams) -> Grads:
     """Empty row-table pairs and zeroed head groups."""
     groups = {k: (np.zeros(0, np.int64), v[:0].copy()) if k in ROW_TABLES
@@ -214,56 +200,63 @@ def zero_grads(params: ModelParams) -> Grads:
     return Grads(**groups)
 
 
-def backward(params: ModelParams, trace: ForwardTrace,
-             d_de: np.ndarray | None = None,
-             d_clf: np.ndarray | None = None,
+def backward(params: ModelParams,
+             terms: list[tuple[ForwardTrace, np.ndarray | None, np.ndarray | None]],
              out: Grads | None = None) -> Grads:
-    """Accumulate exact parameter gradients for one forward trace.
+    """Exact parameter gradients of one step, from all of its traces.
 
-    ``d_de`` / ``d_clf`` are loss gradients w.r.t. the head outputs.  Only
-    the embedding table and the heads get gradients; embedding rows come from
-    feature columns, and untouched rows/params keep zero gradient.  The
-    classifier table is not part of the trace: its gradient rows are the
-    classifier loss's, and the training step sets them itself.
+    ``terms`` holds ``(trace, d_de, d_clf)``: loss gradients w.r.t. that
+    trace's head outputs, or None.  Only the embedding table and the heads
+    get gradients; head gradients add up in term order.  One ``np.unique``
+    of the feature columns of the terms with a gradient names the embedding
+    rows, which start at zero and add each term's ``feats.T @ d_enc`` in
+    term order.  The classifier table is not part of a trace: the training
+    step sets its gradient rows itself.  ``out`` must come fresh from
+    ``zero_grads``: the heads add into it, and its embedding pair is set.
     """
     g = out if out is not None else zero_grads(params)
-    d_enc = np.zeros_like(trace.enc)
+    blocks = []                     # (feats, d_enc) of terms with a gradient
+    for trace, d_de, d_clf in terms:
+        if d_de is None and d_clf is None:
+            continue
+        d_enc = np.zeros_like(trace.enc)
+        if d_de is not None:
+            if trace.de_out is None:
+                raise ValueError("trace has no retrieval-head activations")
+            if d_de.shape != trace.de_out.shape:
+                raise ValueError(f"d_de shape {d_de.shape} != {trace.de_out.shape}")
+            u, r = trace.de_out, trace.de_norm
+            # y = t/||t||  =>  dt = (dy - y (dy.y)) / ||t||
+            d_kept = (d_de - u * np.sum(d_de * u, axis=-1, keepdims=True)) / r
+            d_act = d_kept * trace.de_mask if trace.de_mask is not None else d_kept
+            d_pre = d_act * (1.0 - trace.de_act ** 2)
+            g.de_w += trace.enc.T @ d_pre
+            g.de_b += d_pre.sum(axis=0)
+            d_enc += d_pre @ params.de_w.T
+        if d_clf is not None:
+            if trace.clf_out is None:
+                raise ValueError("trace has no classifier-head activations")
+            if d_clf.shape != trace.clf_out.shape:
+                raise ValueError(f"d_clf shape {d_clf.shape} != {trace.clf_out.shape}")
+            d_pre = d_clf * trace.clf_mask if trace.clf_mask is not None else d_clf
+            g.clf_w += trace.enc.T @ d_pre
+            g.clf_b += d_pre.sum(axis=0)
+            d_enc += d_pre @ params.clf_w.T
+        blocks.append((trace.feats, d_enc))
 
-    if d_de is not None:
-        if trace.de_out is None:
-            raise ValueError("trace has no retrieval-head activations")
-        if d_de.shape != trace.de_out.shape:
-            raise ValueError(f"d_de shape {d_de.shape} != {trace.de_out.shape}")
-        u, r = trace.de_out, trace.de_norm
-        # y = t/||t||  =>  dt = (dy - y (dy.y)) / ||t||
-        d_kept = (d_de - u * np.sum(d_de * u, axis=-1, keepdims=True)) / r
-        d_act = d_kept * trace.de_mask if trace.de_mask is not None else d_kept
-        d_pre = d_act * (1.0 - trace.de_act ** 2)
-        g.de_w += trace.enc.T @ d_pre
-        g.de_b += d_pre.sum(axis=0)
-        d_enc += d_pre @ params.de_w.T
-
-    if d_clf is not None:
-        if trace.clf_out is None:
-            raise ValueError("trace has no classifier-head activations")
-        if d_clf.shape != trace.clf_out.shape:
-            raise ValueError(f"d_clf shape {d_clf.shape} != {trace.clf_out.shape}")
-        d_pre = d_clf * trace.clf_mask if trace.clf_mask is not None else d_clf
-        g.clf_w += trace.enc.T @ d_pre
-        g.clf_b += d_pre.sum(axis=0)
-        d_enc += d_pre @ params.clf_w.T
-
-    if d_de is not None or d_clf is not None:
-        # feats.T @ d_enc over the batch's feature columns only: the compact
-        # matrix keeps each row's entry order, so every row sums its terms in
+    if blocks:
+        # feats.T @ d_enc over the step's feature columns only: each compact
+        # matrix keeps its rows' entry order, so every row sums its terms in
         # the same order as the full-width product.
-        feats = trace.feats
-        cols, local = np.unique(feats.indices, return_inverse=True)
-        compact = sp.csr_matrix((feats.data, local, feats.indptr),
-                                shape=(feats.shape[0], cols.size))
-        block = (cols.astype(np.int64), np.asarray(compact.T @ d_enc))
-        # ``cols`` is sorted and unique: an empty pair needs no merge
-        g.embed = merge_rows(g.embed, block) if g.embed[0].size else block
+        cols, local = np.unique(np.concatenate([f.indices for f, _ in blocks]),
+                                return_inverse=True)
+        rows = np.zeros((cols.size, params.encoder_dim), dtype=params.embed.dtype)
+        ends = np.cumsum([f.indices.size for f, _ in blocks])
+        for (feats, d_enc), at in zip(blocks, np.split(local, ends[:-1])):
+            compact = sp.csr_matrix((feats.data, at, feats.indptr),
+                                    shape=(feats.shape[0], cols.size))
+            rows += compact.T @ d_enc
+        g.embed = (cols.astype(np.int64), rows)
 
     return g
 

@@ -10,8 +10,8 @@ Within an epoch, each batch is collated and handed to
 ``batch_loss``, the one step body: it encodes the queries through both heads
 and the pool label texts through the retrieval head, gathers classifier rows
 for the pool, and differentiates
-``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss``; Adam
-then steps on those gradients.
+``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss`` in one
+backward pass over both traces; Adam then steps on those gradients.
 
 Single-threaded and fully deterministic for a fixed config and seed: the
 JSONL training log carries no timestamps, so reruns are byte-identical.
@@ -178,7 +178,7 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
     The only step body: train-mode forwards of the batch's query rows and
     label-pool rows (in that order, both drawing dropout masks from
     ``rng``), the retrieval loss over the label pool and the classifier loss
-    over the classifier pool, and the backward passes of
+    over the classifier pool, and one backward pass over both traces of
     ``de_weight * retrieval + (1 - de_weight) * classifier``; a loss whose
     weight is 0 gets no gradients.  ``parts`` holds the four direction
     values, their mixes ``de`` and ``clf``, and the step's ``total``.
@@ -197,12 +197,10 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
              "total": combined_loss(de_res.value, clf_res.value, w)}
 
     grads = zero_grads(params)
-    backward(params, q_trace,
-             d_de=w * de_res.d_queries if w > 0 else None,
-             d_clf=(1 - w) * clf_res.d_queries if w < 1 else None,
-             out=grads)
-    backward(params, l_trace,
-             d_de=w * de_res.d_targets if w > 0 else None, out=grads)
+    backward(params, [
+        (q_trace, w * de_res.d_queries if w > 0 else None,
+         (1 - w) * clf_res.d_queries if w < 1 else None),
+        (l_trace, w * de_res.d_targets if w > 0 else None, None)], out=grads)
     if w < 1:
         # clf_pool comes from np.unique: sorted unique row ids
         grads.classifiers = (batch.clf_pool, (1 - w) * clf_res.d_targets)

@@ -260,11 +260,12 @@ def test_file_system_errors_are_usage_errors(workspace, tmp_path, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_query_without_ascii_token_is_rejected_at_load(tmp_path, capsys):
+def test_query_without_token_is_rejected_at_load(tmp_path, capsys):
     queries, labels = write_text_dataset(tmp_path, 32, 4, seed=2)
     with open(queries, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    lines[2] = json.dumps({"text": "日本語", "labels": [0]}, ensure_ascii=False)
+    lines[2] = json.dumps({"text": "\U0001F642 ... !", "labels": [0]},
+                          ensure_ascii=False)
     with open(queries, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     out = tmp_path / "run"
@@ -272,8 +273,29 @@ def test_query_without_ascii_token_is_rejected_at_load(tmp_path, capsys):
                   "--out-dir", str(out)] + SMALL_DIMS)
     assert rc == 2
     err = capsys.readouterr().err
-    assert "no ASCII letter or digit" in err and f"{queries}, line 3" in err
+    assert "no letter or digit" in err and f"{queries}, line 3" in err
     assert not out.exists()  # rejected before training started
+
+
+def test_cjk_label_and_query_train(tmp_path, capsys):
+    queries, labels = write_text_dataset(tmp_path, 32, 4, seed=2)
+    tower = "\u6771\u4eac\u30bf\u30ef\u30fc"
+    with open(labels, encoding="utf-8") as fh:
+        label_lines = fh.read().splitlines()
+    label_lines[0] = tower
+    with open(labels, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(label_lines) + "\n")
+    with open(queries, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[2] = json.dumps({"text": f"{tower}\u3078", "labels": [0]},
+                          ensure_ascii=False)
+    with open(queries, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    rc, _ = _run(["train", "--queries-path", queries, "--labels-path", labels,
+                  "--out-dir", str(out), "--epochs", "2"] + SMALL_DIMS)
+    assert rc == 0, capsys.readouterr().err
+    assert (out / "checkpoint.bin").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "simulate-batches"])

@@ -254,8 +254,9 @@ def test_load_jsonl_rejects_bad_rows(tmp_path):
         ('{"text": "x", "labels": ' + "[" * 100000 + "]" * 100000 + '}\n',
          "invalid JSON"),
         ('{"text": "x", "labels": [' + "1" * 5000 + ']}\n', "invalid JSON"),
-        ('{"text": "日本語", "labels": [0]}\n', "no ASCII letter or digit"),
-        ('{"text": "", "labels": [0]}\n', "no ASCII letter or digit"),
+        ('{"text": "\U0001F642 -- ?!", "labels": [0]}\n', "no letter or digit"),
+        ('{"text": "___", "labels": [0]}\n', "no letter or digit"),
+        ('{"text": "", "labels": [0]}\n', "no letter or digit"),
     ]
     for body, needle in cases:
         q = _write(tmp_path / "bad.jsonl", '{"text": "ok", "labels": [0]}\n'
@@ -273,12 +274,32 @@ def test_label_file_rejects_empty_lines(tmp_path):
     assert err.value.line == 2
 
 
-def test_label_file_rejects_lines_without_ascii_tokens(tmp_path):
-    path = _write(tmp_path / "l.txt", "a\n\u65e5\u672c\u8a9e\nb\n")
+def test_label_file_rejects_lines_without_tokens(tmp_path):
+    path = _write(tmp_path / "l.txt", "a\n\U0001F5FC \u2026!\nb\n")
     with pytest.raises(DatasetFormatError) as err:
         load_label_texts(path, Vocabulary())
-    assert err.value.line == 2
-    assert "ASCII" in str(err.value)
+    assert err.value.line == 2 and err.value.path == path
+    assert "no letter or digit" in str(err.value)
+
+
+def test_tokens_are_unicode_words(tmp_path):
+    v = Vocabulary()
+    ids = lambda *words: [v.token_id(w) for w in words]
+    # ASCII text splits as before: at every character but [0-9a-z]
+    assert v.tokenize("Foo-bar_baz9, QUX!").tolist() == ids(
+        "foo", "bar", "baz9", "qux")
+    labels = _write(tmp_path / "l.txt", "\u6771\u4eac\u30bf\u30ef\u30fc\n"
+                    "Caf\u00e9 na\u00efve\n")
+    queries = _write(tmp_path / "q.jsonl",
+                     '{"text": "\u6771\u4eac\u30bf\u30ef\u30fc \U0001F5FC", '
+                     '"labels": [0]}\n'
+                     '{"text": "STRA\u00dfE_caf\u00e9", "labels": [1]}\n')
+    ds = load_dataset(queries, labels, v)
+    tower = "\u6771\u4eac\u30bf\u30ef\u30fc"      # one run of letters
+    assert [t.tolist() for t in ds.label_texts] == [
+        ids(tower), ids("caf\u00e9", "na\u00efve")]
+    assert [t.tolist() for t in ds.instance_texts] == [
+        ids(tower), ids("stra\u00dfe", "caf\u00e9")]
 
 
 # breaks that str.splitlines() knows and text mode does not

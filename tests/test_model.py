@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
                      Vocabulary, backward, featurize_all, forward, init_params,
                      load_checkpoint, save_checkpoint, zero_grads)
-from xmclite.model import _dropout_mask, merge_rows
+from xmclite.model import _dropout_mask
 
 from conftest import parameter_bytes, unit_rows
 from oracles import (assert_finite, dense_grads, finite_difference,
@@ -41,11 +41,15 @@ def _heads(params, enc):
     return trace.de_out, trace.clf_out
 
 
-def _random_feats(rng, n, hash_dim, min_tokens=1, max_tokens=5):
+def _random_feats(rng, n, hash_dim, min_tokens=1, max_tokens=5,
+                  cols_in=None):
+    """Token-count rows; their columns are drawn from range ``cols_in``
+    (default: all of ``hash_dim``)."""
+    lo, hi = cols_in or (0, hash_dim)
     rows = np.zeros((n, hash_dim))
     for i in range(n):
         k = int(rng.integers(min_tokens, max_tokens, endpoint=True))
-        cols = rng.integers(0, hash_dim, size=k)
+        cols = rng.integers(lo, hi, size=k)
         for c in cols:
             rows[i, c] += 1.0
     return sp.csr_matrix(rows)
@@ -210,7 +214,7 @@ def test_backward_matches_finite_differences():
                 + float(np.sum(t.clf_out * r_clf)))
 
     trace = forward(p, feats, mode="train", rng=np.random.default_rng(21))
-    grads = backward(p, trace, d_de=r_de, d_clf=r_clf)
+    grads = backward(p, [(trace, r_de, r_clf)])
     names = ["embed", "de_w", "de_b", "clf_w", "clf_b"]
     numeric = finite_difference(value, [p.arrays()[n] for n in names])
     analytic = [dense_grads(grads, p)[n] for n in names]
@@ -219,59 +223,55 @@ def test_backward_matches_finite_differences():
     assert grads.classifiers[0].size == 0
 
 
-@pytest.mark.parametrize("a_ids,b_ids", [
-    ([], []), ([], [0, 2, 5]), ([1, 4], []),       # empty blocks
-    ([0, 2, 5], [1, 2, 6])])                       # overlapping
-def test_merge_rows_equals_add_at_into_a_zeroed_table(a_ids, b_ids):
-    rng = np.random.default_rng(len(a_ids) * 10 + len(b_ids))
-    width = 3
-
-    def block(ids):
-        vals = rng.normal(size=(len(ids), width))
-        vals[::2, 0] = -0.0          # -0.0 + 0.0 is +0.0 in both sums
-        vals[1::3] = -0.0
-        return np.array(ids, dtype=np.int64), vals
-
-    a, b = block(a_ids), block(b_ids)
-    row_ids, rows = merge_rows(a, b)
-    dense = np.zeros((7, width))
-    np.add.at(dense, a[0], a[1])
-    np.add.at(dense, b[0], b[1])
-    assert np.array_equal(row_ids, np.union1d(a_ids, b_ids))
-    assert rows.shape == (row_ids.size, width)
-    # bitwise, signed zeros included
-    assert np.array_equal(rows.view(np.int64), dense[row_ids].view(np.int64))
+# Each case lists one (column range, has a gradient) per term; "none" is a
+# trace whose rows are all empty.
+GRADIENT_ROW_CASES = {
+    "one": [((0, 16), True)],
+    "overlapping": [((0, 16), True), ((0, 16), True)],
+    "disjoint": [((0, 8), True), ((8, 16), True)],
+    "three overlapping": [((0, 6), True)] * 3,     # where term order counts
+    "no gradient": [((0, 8), True), ((8, 16), False), ((0, 8), True)],
+    "empty rows": [((8, 16), True), ("none", True), ((0, 16), True)],
+}
 
 
 def test_embedding_gradient_rows_equal_dense_product_bitwise():
     rng = np.random.default_rng(12)
     p = init_params(16, 5, 3, 4, seed=2)
-    q_feats = _random_feats(rng, 8, 16)
-    l_feats = _random_feats(rng, 4, 16)
-    q_trace = forward(p, q_feats)
-    l_trace = forward(p, l_feats, heads=("clf",))
-    d_q, d_l = rng.normal(size=(8, 3)), rng.normal(size=(4, 3))
-    g = backward(p, q_trace, d_clf=d_q)
-    backward(p, l_trace, d_clf=d_l, out=g)
+    for case, terms in GRADIENT_ROW_CASES.items():
+        args, dense, named = [], np.zeros_like(p.embed), []
+        for cols_in, has_grad in terms:
+            n = int(rng.integers(3, 9))
+            feats = (sp.csr_matrix((n, 16)) if cols_in == "none" else
+                     _random_feats(rng, n, 16, min_tokens=0, cols_in=cols_in))
+            d = None
+            if has_grad:
+                d = rng.normal(size=(n, 3))
+                d[::3] = -0.0        # signed zeros must sum as in the table
+                # the term's full-width product, added into the zeroed table
+                product = np.asarray(feats.T @ (d @ p.clf_w.T))
+                cols = np.unique(feats.indices)
+                np.add.at(dense, cols, product[cols])
+                named.append(cols)
+            args.append((forward(p, feats, heads=("clf",)), None, d))
+        g = backward(p, args)
 
-    dense = np.zeros_like(p.embed)
-    dense += np.asarray(q_trace.feats.T @ (d_q @ p.clf_w.T))
-    dense += np.asarray(l_trace.feats.T @ (d_l @ p.clf_w.T))
-    row_ids, rows = g.embed
-    want_ids = np.union1d(q_trace.feats.indices, l_trace.feats.indices)
-    assert row_ids.dtype == np.int64
-    assert np.array_equal(row_ids, want_ids)
-    assert np.array_equal(rows, dense[row_ids])
-    assert np.array_equal(dense_grads(g, p)["embed"], dense)
+        row_ids, rows = g.embed
+        assert row_ids.dtype == np.int64, case
+        assert np.array_equal(row_ids, np.unique(np.concatenate(named))), case
+        # bitwise, signed zeros included
+        assert np.array_equal(rows.view(np.int64),
+                              dense[row_ids].view(np.int64)), case
+        assert np.array_equal(dense_grads(g, p)["embed"], dense), case
 
 
 def test_backward_validates_inputs():
     p = init_params(4, 2, 2, 5, seed=0)
     trace = forward(p, sp.csr_matrix(np.ones((1, 4))), heads=("clf",))
     with pytest.raises(ValueError):
-        backward(p, trace, d_de=np.zeros((1, 2)))  # no retrieval activations
+        backward(p, [(trace, np.zeros((1, 2)), None)])  # no de activations
     with pytest.raises(ValueError):
-        backward(p, trace, d_clf=np.zeros((2, 2)))  # wrong shape
+        backward(p, [(trace, None, np.zeros((2, 2)))])  # wrong shape
 
 
 def test_grads_arithmetic_and_norm():

@@ -13,9 +13,14 @@ _spec.loader.exec_module(quality)
 
 
 def _runs(values_by_seed):
-    """Runs whose every mode and metric read the seed's value."""
-    return [{"seed": seed, "metrics": {mode: dict.fromkeys(quality.METRICS, v)
-                                       for mode in quality.MODES}}
+    """Runs whose every mode and metric read the seed's value on all
+    queries, its double on seen and its half on unseen queries."""
+    def by_mode(metrics, v):
+        return {mode: dict.fromkeys(metrics, v) for mode in quality.MODES}
+
+    return [{"seed": seed, "metrics": by_mode(quality.METRICS, v),
+             "regimes": {"seen": by_mode(quality.REGIME_METRICS, 2 * v),
+                         "unseen": by_mode(quality.REGIME_METRICS, v / 2)}}
             for seed, v in values_by_seed.items()]
 
 
@@ -31,18 +36,36 @@ def test_summary_pairs_runs_by_seed():
     # side b lists its runs in another order: pairing goes by seed
     rows = quality.summarize(_runs(dict(enumerate(a))),
                              _runs(dict(reversed(list(enumerate(b))))))
-    assert len(rows) == len(quality.MODES) * len(quality.METRICS)
-    diff = b - a
+    assert [(r["subset"], r["mode"], r["metric"]) for r in rows] == [
+        (subset, mode, metric)
+        for subset, metrics in (("all", ("P@1", "P@5", "PSP@5")),
+                                ("seen", ("P@1", "PSP@5")),
+                                ("unseen", ("P@1", "PSP@5")))
+        for mode in quality.MODES for metric in metrics]
+    scale = {"all": 1.0, "seen": 2.0, "unseen": 0.5}
     for row in rows:
-        assert np.isclose(row["median_a"], np.median(a))
-        assert np.isclose(row["median_b"], np.median(b))
+        sa, sb = scale[row["subset"]] * a, scale[row["subset"]] * b
+        diff = sb - sa
+        assert np.isclose(row["median_a"], np.median(sa))
+        assert np.isclose(row["median_b"], np.median(sb))
         assert np.isclose(row["median_diff"], np.median(diff))
         assert row["b_above"] == np.sum(diff > 0)
         assert row["b_below"] == np.sum(diff < 0)
-        q1, q3 = np.percentile(a, [25, 75])
+        q1, q3 = np.percentile(sa, [25, 75])
         assert np.isclose(row["iqr_a"], q3 - q1)
         assert row["inside_spread_a"] == (abs(np.median(diff)) <= q3 - q1)
-    assert "| de | P@1 |" in quality.format_table(rows)
+    table = quality.format_table(rows)
+    assert "| all | de | P@1 |" in table and "| unseen | clf | PSP@5 |" in table
+
+
+def test_label_regimes_split_by_training_positives():
+    freq = np.array([3, 0, 1, 0])          # labels 1 and 3 unseen in training
+    truth = [np.array([0]), np.array([1, 2]), np.array([1]),
+             np.array([], dtype=np.int64), np.array([3, 1]), np.array([2, 0])]
+    split = quality.label_regimes(freq, truth)
+    # one seen label is enough; no positive at all is no seen positive
+    assert split["seen"].tolist() == [0, 1, 5]
+    assert split["unseen"].tolist() == [2, 3, 4]
 
 
 def test_heldout_split_is_the_benchmarks_evaluated_queries(monkeypatch,

@@ -153,10 +153,9 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     clf_res = classifier_loss(q_trace.clf_out,
                               params.classifiers[batch.clf_pool],
                               batch.clf_positives, cfg.loss)
-    grads = zero_grads(params)
-    backward(params, q_trace, d_de=w * de_res.d_queries,
-             d_clf=(1 - w) * clf_res.d_queries, out=grads)
-    backward(params, l_trace, d_de=w * de_res.d_targets, out=grads)
+    grads = backward(params, [
+        (q_trace, w * de_res.d_queries, (1 - w) * clf_res.d_queries),
+        (l_trace, w * de_res.d_targets, None)], out=zero_grads(params))
     grads.classifiers = (batch.clf_pool, (1 - w) * clf_res.d_targets)
     Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers).step(
         params, grads, cfg.grad_clip)

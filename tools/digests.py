@@ -25,10 +25,6 @@ import sys
 import tempfile
 import time
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
 
 def _runs(xmc):
     """(name, dataset, TrainConfig) of every digested run."""
@@ -115,6 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(root, "src"),
                         help="directory holding the xmclite package")
     args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    from workloads import BLAS_THREAD_VARS     # imports no numpy
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
     src = os.path.abspath(args.src)

@@ -13,15 +13,18 @@ its training split and label catalog, and the leading ``num_eval`` queries of
 the held-out split a benchmark run with seed ``HELDOUT_SEED`` evaluates.  Each
 side trains once per training seed (``TrainConfig.seed``) and is scored on
 those queries in every mode (P@1, P@5, PSP@5; propensities from the training
-split).
+split).  It is also scored, by P@1 and PSP@5, on two label regimes of those
+queries: "seen" queries have at least one positive with a training positive,
+"unseen" queries have none (a query without positives counts as unseen).
 
-The runs are paired by seed.  For every mode and metric the table gives each
-side's median, the median of the paired differences b - a, the count of
-seeds where b is above / below a, and each side's seed spread (the
-interquartile range).  A paired median inside side a's spread is smaller than
-this number of seeds can resolve.  The table is printed and written, with
-every run's numbers, as JSON to ``--out``.  The sides run as two processes
-with one BLAS thread each.  This is a decision aid, not a gate.
+The runs are paired by seed.  For every subset (all queries or one regime),
+mode and metric the table gives each side's median, the median of the paired
+differences b - a, the count of seeds where b is above / below a, and each
+side's seed spread (the interquartile range).  A paired median inside side
+a's spread is smaller than this number of seeds can resolve.  The table is
+printed and written, with every run's numbers, as JSON to ``--out``.  The
+sides run as two processes with one BLAS thread each.  This is a decision
+aid, not a gate.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 HELDOUT_SEED = 1
 MODES = ("de", "clf", "concat")
 METRICS = ("P@1", "P@5", "PSP@5")
+REGIMES = ("seen", "unseen")
+REGIME_METRICS = ("P@1", "PSP@5")
 
 
 def _seed_list(text: str) -> list[int]:
@@ -71,6 +76,15 @@ def _write_inputs(workload, out_dir: str) -> None:
         fh.writelines(lines)
 
 
+def label_regimes(label_frequencies, positive_sets: list) -> dict:
+    """Held-out query positions by label regime: "seen" when at least one
+    positive has a training positive (``label_frequencies`` > 0), "unseen"
+    otherwise."""
+    seen = np.array([bool(np.any(label_frequencies[p] > 0))
+                     for p in positive_sets], dtype=bool)
+    return {"seen": np.flatnonzero(seen), "unseen": np.flatnonzero(~seen)}
+
+
 def side_main(args) -> int:
     """One side: train every seed and print one JSON line of its metrics."""
     src = os.path.abspath(args.src)
@@ -80,7 +94,7 @@ def side_main(args) -> int:
         raise SystemExit(f"imported xmclite from {xmclite.__file__}, "
                          f"not {src}")
     from xmclite.config import build_config
-    from xmclite.data import Vocabulary, load_dataset
+    from xmclite.data import Vocabulary, load_dataset, make_dataset
     from xmclite.train import evaluate_model, train
     sys.path.insert(0, PERFBENCH)
     from workloads import WORKLOADS
@@ -93,15 +107,29 @@ def side_main(args) -> int:
                             vocab=vocab)
     held = load_dataset(os.path.join(args.inputs, "heldout.jsonl"), labels,
                         vocab=vocab)
+    truth = held.positive_sets()
+    subsets = {name: make_dataset([held.instance_texts[i] for i in idx],
+                                  held.label_texts, [truth[i] for i in idx],
+                                  held.num_labels, vocab)
+               for name, idx in label_regimes(train_ds.label_frequencies,
+                                              truth).items() if idx.size}
     runs = []
     for seed in _seed_list(args.seeds):
         values = {**{k: str(v) for k, v in base.items()}, "seed": str(seed),
                   **overrides}
         cfg = build_config({}, values)[0].train
         params, _ = train(train_ds, cfg)
-        runs.append({"seed": seed, "metrics": evaluate_model(
-            params, held, (1, 5), propensity_dataset=train_ds,
-            propensity_a=cfg.propensity_a, propensity_b=cfg.propensity_b)})
+
+        def score(dataset):
+            return evaluate_model(
+                params, dataset, (1, 5), propensity_dataset=train_ds,
+                propensity_a=cfg.propensity_a, propensity_b=cfg.propensity_b)
+
+        runs.append({"seed": seed, "metrics": score(held),
+                     "regimes": {name: score(subset)
+                                 for name, subset in subsets.items()},
+                     "regime_queries": {name: subset.num_instances
+                                        for name, subset in subsets.items()}})
         print(f"  side {args.side} seed {seed}: P@1 "
               + " ".join(f"{m} {runs[-1]['metrics'][m]['P@1']:.4f}"
                          for m in MODES), file=sys.stderr, flush=True)
@@ -109,41 +137,52 @@ def side_main(args) -> int:
     return 0
 
 
+def _subsets(run: dict) -> list[tuple[str, tuple, dict]]:
+    """(subset, metrics, metrics by mode) of one run: all queries, then each
+    label regime that has queries."""
+    return [("all", METRICS, run["metrics"])] + [
+        (name, REGIME_METRICS, run["regimes"][name])
+        for name in REGIMES if name in run["regimes"]]
+
+
 def summarize(runs_a: list, runs_b: list) -> list[dict]:
-    """One row per (mode, metric) of the paired comparison."""
-    by_seed_b = {r["seed"]: r["metrics"] for r in runs_b}
-    pairs = [(r["metrics"], by_seed_b[r["seed"]]) for r in runs_a]
+    """One row per (subset, mode, metric) of the paired comparison."""
+    by_seed_b = {r["seed"]: r for r in runs_b}
+    pairs = [(_subsets(r), _subsets(by_seed_b[r["seed"]])) for r in runs_a]
     rows = []
-    for mode in MODES:
-        for metric in METRICS:
-            a = [pa[mode][metric] for pa, _ in pairs]
-            b = [pb[mode][metric] for _, pb in pairs]
-            diff = [y - x for x, y in zip(a, b)]
-            median_diff = float(np.median(diff))
-            iqr_a, iqr_b = (float(np.subtract(*np.percentile(x, [75, 25])))
-                            for x in (a, b))
-            rows.append({
-                "mode": mode, "metric": metric,
-                "median_a": float(np.median(a)),
-                "median_b": float(np.median(b)),
-                "median_diff": median_diff,
-                "b_above": sum(d > 0 for d in diff),
-                "b_below": sum(d < 0 for d in diff),
-                "iqr_a": iqr_a, "iqr_b": iqr_b,
-                "inside_spread_a": abs(median_diff) <= iqr_a})
+    for i, (subset, metrics, _) in enumerate(pairs[0][0]):
+        for mode in MODES:
+            for metric in metrics:
+                a = [sa[i][2][mode][metric] for sa, _ in pairs]
+                b = [sb[i][2][mode][metric] for _, sb in pairs]
+                diff = [y - x for x, y in zip(a, b)]
+                median_diff = float(np.median(diff))
+                iqr_a, iqr_b = (float(np.subtract(*np.percentile(x, [75, 25])))
+                                for x in (a, b))
+                rows.append({
+                    "subset": subset, "mode": mode, "metric": metric,
+                    "median_a": float(np.median(a)),
+                    "median_b": float(np.median(b)),
+                    "median_diff": median_diff,
+                    "b_above": sum(d > 0 for d in diff),
+                    "b_below": sum(d < 0 for d in diff),
+                    "iqr_a": iqr_a, "iqr_b": iqr_b,
+                    "inside_spread_a": abs(median_diff) <= iqr_a})
     return rows
 
 
 def format_table(rows: list[dict]) -> str:
-    lines = ["| mode | metric | median a | median b | paired median b-a "
-             "| b above/below | IQR a | IQR b | inside a's spread |",
-             "|---|---|---|---|---|---|---|---|---|"]
+    lines = ["| queries | mode | metric | median a | median b "
+             "| paired median b-a | b above/below | IQR a | IQR b "
+             "| inside a's spread |",
+             "|---|---|---|---|---|---|---|---|---|---|"]
     for r in rows:
         lines.append(
-            f"| {r['mode']} | {r['metric']} | {r['median_a']:.4f} "
-            f"| {r['median_b']:.4f} | {r['median_diff']:+.4f} "
-            f"| {r['b_above']}/{r['b_below']} | {r['iqr_a']:.4f} "
-            f"| {r['iqr_b']:.4f} | {'yes' if r['inside_spread_a'] else 'no'} |")
+            f"| {r['subset']} | {r['mode']} | {r['metric']} "
+            f"| {r['median_a']:.4f} | {r['median_b']:.4f} "
+            f"| {r['median_diff']:+.4f} | {r['b_above']}/{r['b_below']} "
+            f"| {r['iqr_a']:.4f} | {r['iqr_b']:.4f} "
+            f"| {'yes' if r['inside_spread_a'] else 'no'} |")
     return "\n".join(lines)
 
 
@@ -215,9 +254,11 @@ def main(argv=None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    sizes = runs["a"][0]["regime_queries"]
     print(f"workload {args.workload}, seeds {args.seeds}, held-out "
-          f"{workload.num_eval} queries (seed {HELDOUT_SEED}), "
-          f"{time.perf_counter() - started:.0f} s")
+          f"{workload.num_eval} queries (seed {HELDOUT_SEED}; "
+          + ", ".join(f"{sizes.get(name, 0)} {name}" for name in REGIMES)
+          + f"), {time.perf_counter() - started:.0f} s")
     for name, (src, overrides) in sides.items():
         print(f"side {name}: {src} "
               + " ".join(f"{k}={v}" for k, v in overrides))
