@@ -10,7 +10,10 @@ Prediction, evaluation and hard-negative mining all rank labels with
 ``topk``, an exact scan that scores (query block x label tile) pairs of
 bounded size, so memory grows with neither the number of queries nor the
 number of labels.  Labels are cut into tiles only where a block with every
-label would hold fewer than ``MIN_BLOCK_ROWS`` queries.  Within a tile, a
+label would hold fewer than ``MIN_BLOCK_ROWS`` queries.  The pairs are
+scored on threads, one per core the process may use.  The cuts depend on
+the shapes alone, so with one BLAS thread, as determinism needs, the
+results are bitwise the same for any number of cores.  Within a tile, a
 row's k-th largest group maximum is a threshold at or below its k-th best
 score, so the few entries at or above it hold the exact top k; only those
 are sorted.  Vectors must be finite, or ``topk`` raises; scores are
@@ -20,6 +23,9 @@ lower label id.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +128,20 @@ def query_vectors(params: ModelParams, texts: list, vocab: Vocabulary,
     return query_vectors_by_mode(params, texts, vocab, (mode,))[mode]
 
 
-def _select(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _select(s: np.ndarray, k: int,
+            mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column ids and scores of each row's ``k`` best entries of the score
     tile ``s`` (``k <= s.shape[1]``), by (score descending, column
-    ascending).
+    ascending).  ``mask``, a bool array of the shape of ``s``, is
+    overwritten with the candidates.
 
     The columns fall into ``g`` groups, the residues mod ``g``, and ``t`` is
     a row's k-th largest group maximum.  k different groups each hold a
@@ -143,7 +159,8 @@ def _select(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         tail = gmax[:, :width - full]
         np.maximum(tail, s[:, full:], out=tail)
         thresh = np.partition(gmax, groups - k, axis=1)[:, groups - k]
-    flat = np.flatnonzero(s >= thresh[:, None])
+    np.greater_equal(s, thresh[:, None], out=mask)
+    flat = np.flatnonzero(mask)
     row, col = np.divmod(flat, width)
     counts = np.bincount(row, minlength=rows)
     starts = np.cumsum(counts) - counts
@@ -172,9 +189,10 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
 
     Scores are inner products ``q_vecs @ l_vecs.T``; where the (N, L) CSR
     mask ``exclude`` has an entry, the score is -inf.  A row of either
-    matrix with a NaN or an infinity raises ``DegenerateEmbeddingError``.
-    Equal scores rank the lower label id first, exactly as a stable argsort
-    of each row would.
+    matrix with a NaN or an infinity raises ``DegenerateEmbeddingError``; an
+    ``exclude`` that is not a CSR matrix of shape (N, L) raises
+    ``ValueError``.  Equal scores rank the lower label id first, exactly as
+    a stable argsort of each row would.
 
     Queries are scored in near-equal row blocks of at most about
     ``SCORE_BLOCK_BYTES`` of scores each.  When that would leave fewer than
@@ -182,6 +200,16 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
     labels are cut into near-equal tiles whose scores fit the budget.  Each
     tile's k best (see ``_select``) are merged in label order by one stable
     sort per row, which with one tile is the identity.
+
+    Each (block, tile) pair is one unit of work.  The units run on
+    ``usable_cores()`` threads, at most one per unit, the calling thread
+    among them: a scan of one unit, or on one core, starts no thread.  Each
+    thread scores into its own tile and candidate mask, which the calling
+    thread allocates once per call.  A unit writes only its block's rows of
+    the result, or its tile's columns of its block's candidates, and a
+    block's tiles are merged once they are all in.  The cuts depend on the shapes alone, so the result is
+    bitwise the same for any thread count or schedule.  An exception in a
+    unit stops the scan; ``topk`` raises it once every thread has ended.
     """
     for what, vecs in (("query", q_vecs), ("label", l_vecs)):
         bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
@@ -189,6 +217,13 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
             raise DegenerateEmbeddingError(
                 f"non-finite {what} vector in row {bad[0]}")
     n, num_labels = q_vecs.shape[0], l_vecs.shape[0]
+    if exclude is not None and not (sp.issparse(exclude)
+                                    and exclude.format == "csr"
+                                    and exclude.shape == (n, num_labels)):
+        raise ValueError(
+            f"exclude must be a CSR matrix of shape {(n, num_labels)}, got "
+            f"{type(exclude).__name__} of shape "
+            f"{getattr(exclude, 'shape', None)}")
     k = min(k, num_labels)
     ids = np.zeros((n, k), dtype=np.int64)
     scores = np.zeros((n, k))
@@ -202,29 +237,91 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
         n_blocks = -(-n // MIN_BLOCK_ROWS)
         tile = max(1, SCORE_BLOCK_BYTES // (8 * -(-n // n_blocks)))
         n_tiles = -(-num_labels // tile)
-    edges = np.arange(n_tiles + 1) * num_labels // n_tiles
-    start = 0
-    for block in np.array_split(q_vecs, n_blocks):
-        stop = start + block.shape[0]
-        if exclude is not None:
-            ptr = exclude.indptr[start:stop + 1]
-            ex_rows = np.repeat(np.arange(stop - start), np.diff(ptr))
-            ex_cols = exclude.indices[ptr[0]:ptr[-1]]
-        parts = []
-        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-            s = block @ l_vecs[lo:hi].T
-            if exclude is not None:
-                inside = (ex_cols >= lo) & (ex_cols < hi)
-                s[ex_rows[inside], ex_cols[inside] - lo] = -np.inf
-            tile_ids, tile_scores = _select(s, min(k, hi - lo))
-            parts.append((tile_ids + lo, tile_scores))
-        block_ids, block_scores = (np.hstack(p) for p in zip(*parts))
-        if n_tiles > 1:
-            order = np.argsort(-block_scores, axis=1, kind="stable")[:, :k]
-            block_ids = np.take_along_axis(block_ids, order, axis=1)
-            block_scores = np.take_along_axis(block_scores, order, axis=1)
-        ids[start:stop], scores[start:stop] = block_ids, block_scores
-        start = stop
+    blocks = np.array_split(q_vecs, n_blocks)
+    starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+    edges = (np.arange(n_tiles + 1) * num_labels // n_tiles).tolist()
+    # A block's candidates: tile t's best in columns offs[t]:offs[t + 1].
+    offs = np.cumsum([0] + [min(k, hi - lo) for lo, hi
+                            in zip(edges, edges[1:])]).tolist()
+    units = n_blocks * n_tiles
+    workers = min(usable_cores(), units)
+    tile_size = len(blocks[0]) * max(np.diff(edges))
+    scratch = [(np.empty(tile_size), np.empty(tile_size, dtype=bool))
+               for _ in range(workers)]
+    # Candidate buffers of blocks whose tiles are not all in.  A thread that
+    # opens a block holds no other unit, so the others hold at most
+    # workers - 1 open blocks: one buffer per worker always leaves one free.
+    cand_size = len(blocks[0]) * offs[-1]
+    free = [(np.empty(cand_size, dtype=np.int64), np.empty(cand_size))
+            for _ in range(workers if n_tiles > 1 else 0)]
+    lock = threading.Lock()
+    claimed, failed = 0, False
+    left = [n_tiles] * n_blocks     # each block's tiles not yet in
+    open_blocks = {}                # block -> its candidate buffers
+
+    def claim():
+        """The next unit and its block's candidate buffers, or None."""
+        nonlocal claimed
+        with lock:
+            if failed or claimed == units:
+                return None
+            b, t = divmod(claimed, n_tiles)
+            claimed += 1
+            if n_tiles > 1 and t == 0:
+                open_blocks[b] = free.pop()
+            return b, t, open_blocks.get(b)
+
+    def run(buf, mask):
+        nonlocal failed
+        try:
+            while (unit := claim()) is not None:
+                b, t, cand = unit
+                block, rows = blocks[b], slice(starts[b], starts[b + 1])
+                lo, hi = edges[t], edges[t + 1]
+                s = buf[:len(block) * (hi - lo)].reshape(len(block), hi - lo)
+                np.matmul(block, l_vecs[lo:hi].T, out=s)
+                if exclude is not None:
+                    ptr = exclude.indptr[rows.start:rows.stop + 1]
+                    ex_cols = exclude.indices[ptr[0]:ptr[-1]]
+                    ex_rows = np.repeat(np.arange(len(block)), np.diff(ptr))
+                    inside = (ex_cols >= lo) & (ex_cols < hi)
+                    s[ex_rows[inside], ex_cols[inside] - lo] = -np.inf
+                tile_ids, tile_scores = _select(
+                    s, offs[t + 1] - offs[t], mask[:s.size].reshape(s.shape))
+                if cand is None:
+                    ids[rows], scores[rows] = tile_ids, tile_scores
+                    continue
+                cand_ids, cand_scores = (
+                    a[:len(block) * offs[-1]].reshape(len(block), -1)
+                    for a in cand)
+                cand_ids[:, offs[t]:offs[t + 1]] = tile_ids + lo
+                cand_scores[:, offs[t]:offs[t + 1]] = tile_scores
+                with lock:
+                    left[b] -= 1
+                    merge = left[b] == 0
+                if merge:
+                    order = np.argsort(-cand_scores, axis=1,
+                                       kind="stable")[:, :k]
+                    ids[rows] = np.take_along_axis(cand_ids, order, axis=1)
+                    scores[rows] = np.take_along_axis(cand_scores, order,
+                                                      axis=1)
+                    with lock:
+                        free.append(open_blocks.pop(b))
+        except BaseException:
+            with lock:
+                failed = True
+            raise
+
+    if workers == 1:
+        run(*scratch[0])
+        return ids, scores
+    # The calling thread works too: one thread fewer to start, and one
+    # malloc arena fewer that keeps a unit's temporaries after the scan.
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(run, *bufs) for bufs in scratch[1:]]
+        run(*scratch[0])
+    for helper in helpers:
+        helper.result()
     return ids, scores
 
 

@@ -13,8 +13,11 @@ for the pool, and differentiates
 ``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss`` in one
 backward pass over both traces; Adam then steps on those gradients.
 
-Single-threaded and fully deterministic for a fixed config and seed: the
-JSONL training log carries no timestamps, so reruns are byte-identical.
+Fully deterministic for a fixed config and seed: every step runs on the
+calling thread with one BLAS thread, and the top-k scans of mining and
+evaluation, which ``infer.topk`` splits over the usable cores, give the
+same bits for any number of them.  The JSONL training log carries no
+timestamps, so reruns are byte-identical.
 """
 
 from __future__ import annotations

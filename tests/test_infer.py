@@ -1,5 +1,9 @@
 """Label indexing, three scoring modes, blocked exact top-k, TSV IO."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -197,6 +201,8 @@ def test_topk_equals_the_argpartition_oracle_bitwise(monkeypatch, data):
     monkeypatch.setattr(infer, "MIN_BLOCK_ROWS",
                         data.draw(st.sampled_from([64, 1, 2, 3]),
                                   label="min block rows"))
+    workers = data.draw(st.sampled_from([1, 2, 3, 5]), label="workers")
+    monkeypatch.setattr(infer, "usable_cores", lambda: workers)
     tie_k = 1
     if n:
         row = np.sort(q[0] @ l.T)[::-1]
@@ -209,6 +215,70 @@ def test_topk_equals_the_argpartition_oracle_bitwise(monkeypatch, data):
     assert ids.dtype == want_ids.dtype and scores.dtype == want_scores.dtype
     assert np.array_equal(ids, want_ids)
     assert scores.tobytes() == want_scores.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("n, num_labels, k, excluded", [
+    (300, 4096, 32, True),      # the workloads' mining shape: 2 row blocks
+    (40, 50000, 5, False),      # few queries: 1 block, 8 label tiles
+], ids=["blocks", "tiles"])
+def test_topk_of_float_vectors_equals_the_oracle_bitwise(
+        monkeypatch, workers, n, num_labels, k, excluded):
+    # Random floats round differently in a GEMM of another shape, which
+    # integer vectors cannot show.  A short switch interval makes the
+    # threads interleave between the bookkeeping steps of the scan.
+    monkeypatch.setattr(infer, "usable_cores", lambda: workers)
+    rng = np.random.default_rng(n)
+    q = rng.standard_normal((n, 32))
+    l = rng.standard_normal((num_labels, 32))
+    exclude = None
+    if excluded:
+        exclude = sp.csr_matrix(rng.random((n, num_labels)) < 0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ids, scores = topk(q, l, k, exclude)
+    finally:
+        sys.setswitchinterval(interval)
+    want_ids, want_scores = argpartition_topk(q, l, k, exclude)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(scores.view(np.int64), want_scores.view(np.int64))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_exception_in_a_unit_leaves_topk_and_no_thread(monkeypatch,
+                                                          workers):
+    monkeypatch.setattr(infer, "usable_cores", lambda: workers)
+    # 50 blocks of 64 queries against one tile each: the fifth unit fails
+    monkeypatch.setattr(infer, "SCORE_BLOCK_BYTES", 8 * 64 * 100)
+    calls = itertools.count()
+    select = infer._select
+
+    def failing(s, k, mask):
+        if next(calls) == 4:
+            raise RuntimeError("unit failed")
+        return select(s, k, mask)
+
+    monkeypatch.setattr(infer, "_select", failing)
+    rng = np.random.default_rng(0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="unit failed"):
+        topk(rng.standard_normal((50 * 64, 4)), rng.standard_normal((100, 4)),
+             3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("exclude", [
+    sp.csr_matrix(np.ones((2, 3), dtype=bool)),     # too few rows
+    sp.csr_matrix(np.ones((4, 3), dtype=bool)),     # too many rows
+    sp.csr_matrix(np.ones((3, 4), dtype=bool)),     # too many labels
+    sp.csc_matrix(np.ones((3, 3), dtype=bool)),
+    np.ones((3, 3), dtype=bool),
+], ids=["short", "tall", "wide", "csc", "dense"])
+def test_topk_rejects_an_exclude_mask_of_another_shape_or_format(exclude):
+    with pytest.raises(ValueError, match=r"CSR matrix of shape \(3, 3\), "
+                       rf"got \w+ of shape \({exclude.shape[0]}, "):
+        topk(np.eye(3), np.eye(3), 2, exclude)
 
 
 def test_topk_ranks_rows_of_ties_and_of_minus_inf_by_id():

@@ -18,6 +18,7 @@ from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
                      load_checkpoint, make_dataset, predict_vectors,
                      propensity, query_vectors, retrieval_loss, train,
                      zero_grads)
+from xmclite import infer
 from xmclite.batching import STREAM_DROPOUT
 from xmclite.infer import MODES
 from xmclite.train import negative_cache_size, refresh
@@ -259,6 +260,21 @@ def test_two_runs_are_bit_identical(tmp_path):
     for pa, pb in ((log_a, log_b), (ckpt_a, ckpt_b)):
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_scan_threads_change_no_byte_of_a_run(monkeypatch, tmp_path):
+    # Small budgets cut mining's and evaluation's 24 x 6 scans into 6
+    # blocks of 4 queries and 2 label tiles: 12 units of work each.
+    monkeypatch.setattr(infer, "SCORE_BLOCK_BYTES", 8 * 4 * 3)
+    monkeypatch.setattr(infer, "MIN_BLOCK_ROWS", 4)
+    outputs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(infer, "usable_cores", lambda: workers)
+        log, ckpt = tmp_path / f"log{workers}", tmp_path / f"ck{workers}"
+        train(_ds(), _cfg(epochs=3, eval_every=1), log_path=str(log),
+              checkpoint_path=str(ckpt))
+        outputs.append((log.read_bytes(), ckpt.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_untrained_model_scores_at_chance_level():

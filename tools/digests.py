@@ -35,6 +35,9 @@ def _runs(xmc):
         wide.instance_texts, wide.label_texts,
         [[] if i % 5 == 0 else p for i, p in enumerate(wide.positive_sets())],
         wide.num_labels, wide.vocab)
+    # 256 queries over 8192 labels: mining and evaluation each score 4
+    # query blocks of 64 rows against 2 label tiles of 4096.
+    tiled = xmc.synth_dataset(256, 8192, seed=5)
 
     def accept(neg, epochs=50, grad_clip=0.0, **loss):
         return xmc.TrainConfig(epochs=epochs, batch_size=64,
@@ -62,6 +65,11 @@ def _runs(xmc):
         ("extra_clf sum", wide, extra_clf("sum")),
         ("extra_clf mean", wide, extra_clf("mean")),
         ("empty truth rows", sparse, extra_clf("sum")),
+        ("blocks and tiles", tiled,
+         xmc.TrainConfig(epochs=2, batch_size=64, refresh_interval=1,
+                         positives_per_query=2, hard_negatives_per_query=3,
+                         encoder_dim=64, search_dim=32, seed=2,
+                         eval_every=1)),
     ]
 
 
