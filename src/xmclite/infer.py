@@ -10,10 +10,10 @@ Prediction, evaluation and hard-negative mining all rank labels with
 ``topk``, an exact scan that scores (query block x label tile) pairs of
 bounded size, so memory grows with neither the number of queries nor the
 number of labels.  Labels are cut into tiles only where a block with every
-label would hold fewer than ``MIN_BLOCK_ROWS`` queries.  The pairs are
-scored on threads, one per core the process may use.  The cuts depend on
-the shapes alone, so with one BLAS thread, as determinism needs, the
-results are bitwise the same for any number of cores.  Within a tile, a
+label would hold fewer than ``MIN_BLOCK_ROWS`` queries.  With one BLAS
+thread, as determinism needs, the query blocks are ranked on threads, one
+per core the process may use.  The cuts depend on the shapes alone, so
+the results are bitwise the same for any number of cores.  Within a tile, a
 row's k-th largest group maximum is a threshold at or below its k-th best
 score, so the few entries at or above it hold the exact top k; only those
 are sorted.  Vectors must be finite, or ``topk`` raises; scores are
@@ -24,7 +24,6 @@ lower label id.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,6 +51,10 @@ GROUPS_PER_K = 8
 # A row with more than this many candidates per wanted label is ranked on
 # its own rather than widening the block's padded sort.
 MAX_CANDIDATES_PER_K = 4
+# Thread-count variables of the BLAS runtimes numpy may load (OpenBLAS,
+# MKL, BLIS, Accelerate); each reads its own before ``OMP_NUM_THREADS``.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 @dataclass
@@ -128,9 +131,19 @@ def query_vectors(params: ModelParams, texts: list, vocab: Vocabulary,
     return query_vectors_by_mode(params, texts, vocab, (mode,))[mode]
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's core count."""
+def scan_threads() -> int:
+    """Threads a ``topk`` scan may use.  With one BLAS thread, as
+    determinism needs, that is every core this process may run on: its CPU
+    affinity where the platform reports one, else the machine's core count.
+    Otherwise it is one, because each GEMM already spreads over the cores
+    and concurrent ones contend for them (on 2 cores, two scan threads of
+    two BLAS threads each took 15-35% longer than one).  BLAS runs one
+    thread when the first of ``BLAS_THREAD_VARS`` that is set, else
+    ``OMP_NUM_THREADS``, reads 1."""
+    blas = next((os.environ[var] for var in BLAS_THREAD_VARS
+                 if var in os.environ), os.environ.get("OMP_NUM_THREADS"))
+    if blas is None or blas.strip() != "1":
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -201,15 +214,16 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
     tile's k best (see ``_select``) are merged in label order by one stable
     sort per row, which with one tile is the identity.
 
-    Each (block, tile) pair is one unit of work.  The units run on
-    ``usable_cores()`` threads, at most one per unit, the calling thread
-    among them: a scan of one unit, or on one core, starts no thread.  Each
-    thread scores into its own tile and candidate mask, which the calling
-    thread allocates once per call.  A unit writes only its block's rows of
-    the result, or its tile's columns of its block's candidates, and a
-    block's tiles are merged once they are all in.  The cuts depend on the shapes alone, so the result is
-    bitwise the same for any thread count or schedule.  An exception in a
-    unit stops the scan; ``topk`` raises it once every thread has ended.
+    Each query block, its tiles and their merge, is one unit of work.  The
+    units run on ``scan_threads()`` threads, at most one per block, the
+    calling thread among them: thread ``w`` takes blocks ``w``, ``w +
+    threads``, ...  A scan of one block, or with one scan thread, starts
+    no thread.
+    Each thread scores into its own tile and candidate mask, which the
+    calling thread allocates once per call, and writes only its blocks'
+    rows of the result.  The cuts depend on the shapes alone, so the result
+    is bitwise the same for any thread count or schedule.  An exception in
+    a unit is raised from ``topk`` once every thread has ended.
     """
     for what, vecs in (("query", q_vecs), ("label", l_vecs)):
         bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
@@ -240,86 +254,46 @@ def topk(q_vecs: np.ndarray, l_vecs: np.ndarray, k: int,
     blocks = np.array_split(q_vecs, n_blocks)
     starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
     edges = (np.arange(n_tiles + 1) * num_labels // n_tiles).tolist()
-    # A block's candidates: tile t's best in columns offs[t]:offs[t + 1].
-    offs = np.cumsum([0] + [min(k, hi - lo) for lo, hi
-                            in zip(edges, edges[1:])]).tolist()
-    units = n_blocks * n_tiles
-    workers = min(usable_cores(), units)
-    tile_size = len(blocks[0]) * max(np.diff(edges))
+    workers = min(scan_threads(), n_blocks)
+    tile_size = len(blocks[0]) * -(-num_labels // n_tiles)
     scratch = [(np.empty(tile_size), np.empty(tile_size, dtype=bool))
                for _ in range(workers)]
-    # Candidate buffers of blocks whose tiles are not all in.  A thread that
-    # opens a block holds no other unit, so the others hold at most
-    # workers - 1 open blocks: one buffer per worker always leaves one free.
-    cand_size = len(blocks[0]) * offs[-1]
-    free = [(np.empty(cand_size, dtype=np.int64), np.empty(cand_size))
-            for _ in range(workers if n_tiles > 1 else 0)]
-    lock = threading.Lock()
-    claimed, failed = 0, False
-    left = [n_tiles] * n_blocks     # each block's tiles not yet in
-    open_blocks = {}                # block -> its candidate buffers
 
-    def claim():
-        """The next unit and its block's candidate buffers, or None."""
-        nonlocal claimed
-        with lock:
-            if failed or claimed == units:
-                return None
-            b, t = divmod(claimed, n_tiles)
-            claimed += 1
-            if n_tiles > 1 and t == 0:
-                open_blocks[b] = free.pop()
-            return b, t, open_blocks.get(b)
-
-    def run(buf, mask):
-        nonlocal failed
-        try:
-            while (unit := claim()) is not None:
-                b, t, cand = unit
-                block, rows = blocks[b], slice(starts[b], starts[b + 1])
-                lo, hi = edges[t], edges[t + 1]
-                s = buf[:len(block) * (hi - lo)].reshape(len(block), hi - lo)
+    def scan(first, buf, mask):
+        """Rank blocks ``first``, ``first + workers``, ... into the result."""
+        for block, start, stop in zip(blocks[first::workers],
+                                      starts[first::workers],
+                                      starts[first + 1::workers]):
+            if exclude is not None:
+                ptr = exclude.indptr[start:stop + 1]
+                ex_rows = np.repeat(np.arange(stop - start), np.diff(ptr))
+                ex_cols = exclude.indices[ptr[0]:ptr[-1]]
+            parts = []
+            for lo, hi in zip(edges, edges[1:]):
+                s = buf[:block.shape[0] * (hi - lo)].reshape(-1, hi - lo)
                 np.matmul(block, l_vecs[lo:hi].T, out=s)
                 if exclude is not None:
-                    ptr = exclude.indptr[rows.start:rows.stop + 1]
-                    ex_cols = exclude.indices[ptr[0]:ptr[-1]]
-                    ex_rows = np.repeat(np.arange(len(block)), np.diff(ptr))
                     inside = (ex_cols >= lo) & (ex_cols < hi)
                     s[ex_rows[inside], ex_cols[inside] - lo] = -np.inf
                 tile_ids, tile_scores = _select(
-                    s, offs[t + 1] - offs[t], mask[:s.size].reshape(s.shape))
-                if cand is None:
-                    ids[rows], scores[rows] = tile_ids, tile_scores
-                    continue
-                cand_ids, cand_scores = (
-                    a[:len(block) * offs[-1]].reshape(len(block), -1)
-                    for a in cand)
-                cand_ids[:, offs[t]:offs[t + 1]] = tile_ids + lo
-                cand_scores[:, offs[t]:offs[t + 1]] = tile_scores
-                with lock:
-                    left[b] -= 1
-                    merge = left[b] == 0
-                if merge:
-                    order = np.argsort(-cand_scores, axis=1,
-                                       kind="stable")[:, :k]
-                    ids[rows] = np.take_along_axis(cand_ids, order, axis=1)
-                    scores[rows] = np.take_along_axis(cand_scores, order,
-                                                      axis=1)
-                    with lock:
-                        free.append(open_blocks.pop(b))
-        except BaseException:
-            with lock:
-                failed = True
-            raise
+                    s, min(k, hi - lo), mask[:s.size].reshape(s.shape))
+                parts.append((tile_ids + lo, tile_scores))
+            block_ids, block_scores = (np.hstack(p) for p in zip(*parts))
+            if n_tiles > 1:
+                order = np.argsort(-block_scores, axis=1, kind="stable")[:, :k]
+                block_ids = np.take_along_axis(block_ids, order, axis=1)
+                block_scores = np.take_along_axis(block_scores, order, axis=1)
+            ids[start:stop], scores[start:stop] = block_ids, block_scores
 
     if workers == 1:
-        run(*scratch[0])
+        scan(0, *scratch[0])
         return ids, scores
     # The calling thread works too: one thread fewer to start, and one
     # malloc arena fewer that keeps a unit's temporaries after the scan.
     with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(run, *bufs) for bufs in scratch[1:]]
-        run(*scratch[0])
+        helpers = [pool.submit(scan, w, *scratch[w])
+                   for w in range(1, workers)]
+        scan(0, *scratch[0])
     for helper in helpers:
         helper.result()
     return ids, scores

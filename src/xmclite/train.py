@@ -15,8 +15,8 @@ backward pass over both traces; Adam then steps on those gradients.
 
 Fully deterministic for a fixed config and seed: every step runs on the
 calling thread with one BLAS thread, and the top-k scans of mining and
-evaluation, which ``infer.topk`` splits over the usable cores, give the
-same bits for any number of them.  The JSONL training log carries no
+evaluation, which ``infer.topk`` then splits over the usable cores, give
+the same bits for any number of them.  The JSONL training log carries no
 timestamps, so reruns are byte-identical.
 """
 

@@ -202,7 +202,7 @@ def test_topk_equals_the_argpartition_oracle_bitwise(monkeypatch, data):
                         data.draw(st.sampled_from([64, 1, 2, 3]),
                                   label="min block rows"))
     workers = data.draw(st.sampled_from([1, 2, 3, 5]), label="workers")
-    monkeypatch.setattr(infer, "usable_cores", lambda: workers)
+    monkeypatch.setattr(infer, "scan_threads", lambda: workers)
     tie_k = 1
     if n:
         row = np.sort(q[0] @ l.T)[::-1]
@@ -220,14 +220,14 @@ def test_topk_equals_the_argpartition_oracle_bitwise(monkeypatch, data):
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("n, num_labels, k, excluded", [
     (300, 4096, 32, True),      # the workloads' mining shape: 2 row blocks
-    (40, 50000, 5, False),      # few queries: 1 block, 8 label tiles
+    (130, 50000, 5, False),     # few queries: 3 blocks, 9 label tiles
 ], ids=["blocks", "tiles"])
 def test_topk_of_float_vectors_equals_the_oracle_bitwise(
         monkeypatch, workers, n, num_labels, k, excluded):
     # Random floats round differently in a GEMM of another shape, which
     # integer vectors cannot show.  A short switch interval makes the
-    # threads interleave between the bookkeeping steps of the scan.
-    monkeypatch.setattr(infer, "usable_cores", lambda: workers)
+    # threads interleave between the steps of the scan.
+    monkeypatch.setattr(infer, "scan_threads", lambda: workers)
     rng = np.random.default_rng(n)
     q = rng.standard_normal((n, 32))
     l = rng.standard_normal((num_labels, 32))
@@ -245,17 +245,40 @@ def test_topk_of_float_vectors_equals_the_oracle_bitwise(
     assert np.array_equal(scores.view(np.int64), want_scores.view(np.int64))
 
 
+@pytest.mark.parametrize("env, threaded", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"MKL_NUM_THREADS": " 1 ", "OMP_NUM_THREADS": "4"}, True),
+], ids=["unset", "two", "one", "own-var-first", "omp", "mkl"])
+def test_scans_use_threads_only_with_one_blas_thread(monkeypatch, env,
+                                                     threaded):
+    # Concurrent multithreaded GEMMs contend for the same cores.
+    for var in infer.BLAS_THREAD_VARS + ("OMP_NUM_THREADS",):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(infer.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert infer.scan_threads() == (3 if threaded else 1)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_exception_in_a_unit_leaves_topk_and_no_thread(monkeypatch,
                                                           workers):
-    monkeypatch.setattr(infer, "usable_cores", lambda: workers)
-    # 50 blocks of 64 queries against one tile each: the fifth unit fails
+    monkeypatch.setattr(infer, "scan_threads", lambda: workers)
+    # 50 blocks of 64 queries against one tile each.  The fifth unit fails;
+    # with 3 threads only the helpers' units count, so the error has to
+    # cross from a helper thread to the caller.
     monkeypatch.setattr(infer, "SCORE_BLOCK_BYTES", 8 * 64 * 100)
     calls = itertools.count()
     select = infer._select
 
     def failing(s, k, mask):
-        if next(calls) == 4:
+        helper = threading.current_thread() is not threading.main_thread()
+        if (helper or workers == 1) and next(calls) == 4:
             raise RuntimeError("unit failed")
         return select(s, k, mask)
 

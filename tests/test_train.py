@@ -264,12 +264,12 @@ def test_two_runs_are_bit_identical(tmp_path):
 
 def test_scan_threads_change_no_byte_of_a_run(monkeypatch, tmp_path):
     # Small budgets cut mining's and evaluation's 24 x 6 scans into 6
-    # blocks of 4 queries and 2 label tiles: 12 units of work each.
+    # blocks of 4 queries and 2 label tiles each: 6 units of work.
     monkeypatch.setattr(infer, "SCORE_BLOCK_BYTES", 8 * 4 * 3)
     monkeypatch.setattr(infer, "MIN_BLOCK_ROWS", 4)
     outputs = []
     for workers in (1, 3):
-        monkeypatch.setattr(infer, "usable_cores", lambda: workers)
+        monkeypatch.setattr(infer, "scan_threads", lambda: workers)
         log, ckpt = tmp_path / f"log{workers}", tmp_path / f"ck{workers}"
         train(_ds(), _cfg(epochs=3, eval_every=1), log_path=str(log),
               checkpoint_path=str(ckpt))
