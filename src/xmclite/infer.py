@@ -6,6 +6,11 @@
 * ``concat``: both vectors concatenated per side, so every label's score is
   exactly its de score plus its clf score (rows have norm sqrt(2)).
 
+Label and query vectors come from ``embed_rows``, which embeds fixed row
+blocks into one preallocated array per side: ``concat`` is that array, and
+``de`` and ``clf`` are views of its halves, so a pass holds its vectors
+once plus one block's forward, bitwise as one forward over every row.
+
 Prediction, evaluation and hard-negative mining all rank labels with
 ``topk``, an exact scan that scores (query block x label tile) pairs of
 bounded size, so memory grows with neither the number of queries nor the
@@ -23,6 +28,7 @@ lower label id.
 
 from __future__ import annotations
 
+import bisect
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +57,11 @@ GROUPS_PER_K = 8
 # A row with more than this many candidates per wanted label is ranked on
 # its own rather than widening the block's padded sort.
 MAX_CANDIDATES_PER_K = 4
+# Rows an ``embed_rows`` pass puts through the forward at once: the forward's
+# temporaries then grow with the block, not with the catalog or the queries.
+EMBED_BLOCK_ROWS = 4096
+# Queries whose prediction rows ``write_predictions`` formats per write.
+WRITE_CHUNK_QUERIES = 1024
 # Thread-count variables of the BLAS runtimes numpy may load (OpenBLAS,
 # MKL, BLIS, Accelerate); each reads its own before ``OMP_NUM_THREADS``.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -69,51 +80,103 @@ def _check_modes(modes) -> None:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
-    """Rows of ``x`` scaled to unit norm.  Rows whose norm is zero or not
-    finite (say it overflowed) raise, naming ``what``."""
+def _unit_rows(x: np.ndarray, what: str, out: np.ndarray | None = None,
+               first_row: int = 0) -> np.ndarray:
+    """Rows of ``x`` scaled to unit norm, into ``out`` when given.  Rows
+    whose norm is zero or not finite (say it overflowed) raise, naming
+    ``what`` and the row indices counted from ``first_row``."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1, keepdims=True)
     bad = np.flatnonzero(~(np.isfinite(norms.ravel()) & (norms.ravel() > 0.0)))
     if bad.size:
         raise DegenerateEmbeddingError(
-            f"zero or non-finite norm in {what} {bad.tolist()}")
-    return x / norms
+            f"zero or non-finite norm in {what} {(bad + first_row).tolist()}")
+    return np.divide(x, norms, out=out)
 
 
-def _by_mode(modes, de: np.ndarray | None, clf: np.ndarray | None) -> dict:
-    """Each mode's vectors from one side's unit de and clf vectors."""
-    return {mode: de if mode == "de" else clf if mode == "clf"
-            else np.hstack([de, clf]) for mode in modes}
+def _block_edges(n: int) -> list:
+    """Row edges of the blocks of an ``embed_rows`` pass over ``n`` rows."""
+    edges = list(range(0, n, max(2, EMBED_BLOCK_ROWS))) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]                  # a one-row tail joins its predecessor
+    return edges
+
+
+def embed_rows(params: ModelParams, parts: tuple,
+               feats: sp.csr_matrix | None = None) -> np.ndarray:
+    """Unit vectors of ``parts`` side by side, one row per input row, in one
+    (rows, len(parts) * search_dim) array.
+
+    A part is ``"de"`` or ``"clf"``, that head's vectors from the eval
+    forward of ``feats``, or ``"classifiers"``, the classifier table's rows,
+    which need no ``feats``.  The rows go through ``forward`` and the
+    normalization ``EMBED_BLOCK_ROWS`` at a time, straight into the output,
+    so a pass holds one block's temporaries besides it.  No block has one
+    row unless the pass has: numpy computes a one-row product as a
+    matrix-vector product, which can round differently from the same row
+    inside a matrix product.  Every other row of the forward is computed
+    alone, so each row is bitwise what one forward over all rows gives.
+    Degenerate rows raise ``DegenerateEmbeddingError`` naming their indices
+    in the pass.
+    """
+    heads = tuple(part for part in parts if part != "classifiers")
+    n = feats.shape[0] if feats is not None else params.num_labels
+    d = params.search_dim
+    out = np.empty((n, d * len(parts)))
+    edges = _block_edges(n)
+    for lo, hi in zip(edges, edges[1:]):
+        trace = forward(params, feats[lo:hi], mode="eval", heads=heads,
+                        first_row=lo) if heads else None
+        for j, part in enumerate(parts):
+            dst = out[lo:hi, j * d:(j + 1) * d]
+            if part == "de":
+                dst[...] = trace.de_out
+            elif part == "clf":
+                _unit_rows(trace.clf_out,
+                           "classifier-head embeddings for queries", dst, lo)
+            else:
+                _unit_rows(params.classifiers[lo:hi],
+                           "classifier rows for labels", dst, lo)
+    return out
+
+
+def _by_mode(modes, vecs: np.ndarray, d: int) -> dict:
+    """Each mode's vectors from one side's ``embed_rows`` array: ``concat``
+    is all of it, ``de`` its first ``d`` columns and ``clf`` its last."""
+    width = vecs.shape[1]
+    return {mode: vecs if mode == "concat" else vecs[:, :d] if mode == "de"
+            else vecs[:, width - d:] for mode in modes}
+
+
+def _parts(modes, clf_part: str) -> tuple:
+    """``embed_rows`` parts for ``modes``: ``"de"`` when a mode reads the
+    retrieval vectors, then ``clf_part`` when one reads the classifier's."""
+    _check_modes(modes)
+    return tuple(part for part, other in (("de", "clf"), (clf_part, "de"))
+                 if any(mode != other for mode in modes))
 
 
 def label_vectors_by_mode(params: ModelParams, dataset: Dataset,
                           modes=MODES) -> dict:
-    """Label vectors of each of ``modes``, embedding the label texts at most
-    once; without ``clf`` or ``concat`` the classifier rows are not read."""
-    _check_modes(modes)
-    de = clf = None
-    if any(mode != "clf" for mode in modes):
-        feats = featurize_all(dataset.label_texts, dataset.vocab)
-        de = forward(params, feats, mode="eval", heads=("de",)).de_out
-    if any(mode != "de" for mode in modes):
-        clf = _unit_rows(params.classifiers, "classifier rows for labels")
-    return _by_mode(modes, de, clf)
+    """Label vectors of each of ``modes`` from one ``embed_rows`` pass: the
+    label texts are embedded at most once, and without ``clf`` or ``concat``
+    the classifier rows are not read.  The modes share one array, so
+    ``de`` and ``clf`` are views of ``concat``'s halves."""
+    parts = _parts(modes, "classifiers")
+    feats = featurize_all(dataset.label_texts, dataset.vocab) \
+        if "de" in parts else None
+    return _by_mode(modes, embed_rows(params, parts, feats), params.search_dim)
 
 
 def query_vectors_by_mode(params: ModelParams, texts: list, vocab: Vocabulary,
                           modes=MODES) -> dict:
-    """Query vectors of each of ``modes`` from one featurize and one forward
-    pass through the heads those modes need (eval, deterministic)."""
-    _check_modes(modes)
-    heads = tuple(head for head, other in (("de", "clf"), ("clf", "de"))
-                  if any(mode != other for mode in modes))
-    trace = forward(params, featurize_all(texts, vocab), mode="eval",
-                    heads=heads)
-    clf = None
-    if "clf" in heads:
-        clf = _unit_rows(trace.clf_out, "classifier-head embeddings for queries")
-    return _by_mode(modes, trace.de_out, clf)
+    """Query vectors of each of ``modes`` from one featurize and one
+    ``embed_rows`` pass through the heads those modes need (eval,
+    deterministic); the modes share one array, as the label vectors do."""
+    parts = _parts(modes, "clf")
+    return _by_mode(modes,
+                    embed_rows(params, parts, featurize_all(texts, vocab)),
+                    params.search_dim)
 
 
 def label_vectors(params: ModelParams, dataset: Dataset, mode: str) -> np.ndarray:
@@ -317,25 +380,32 @@ def predict(index: LabelIndex, params: ModelParams, texts: list,
 
 def write_predictions(path: str, results: list) -> None:
     """TSV rows: query_id (the row's position in ``results``), rank
-    (1-based), label_id, score; replaced atomically."""
-    lines = []
-    for qid, (labels, scores) in enumerate(results):
-        # Python ints and floats print as the numpy scalars do, only faster
-        pairs = zip(np.asarray(labels).tolist(),
-                    np.asarray(scores, dtype=np.float64).tolist())
-        lines += [f"{qid}\t{rank}\t{lab}\t{sc!r}\n"
-                  for rank, (lab, sc) in enumerate(pairs, start=1)]
+    (1-based), label_id, score; replaced atomically.  Rows are formatted
+    and written ``WRITE_CHUNK_QUERIES`` queries at a time, so the text of
+    one chunk is held at once, not that of the file."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        for first in range(0, len(results), WRITE_CHUNK_QUERIES):
+            lines = []
+            for qid, (labels, scores) in enumerate(
+                    results[first:first + WRITE_CHUNK_QUERIES], start=first):
+                # Python ints and floats print as the numpy scalars do, only
+                # faster
+                pairs = zip(np.asarray(labels).tolist(),
+                            np.asarray(scores, dtype=np.float64).tolist())
+                lines += [f"{qid}\t{rank}\t{lab}\t{sc!r}\n"
+                          for rank, (lab, sc) in enumerate(pairs, start=1)]
+            fh.write("".join(lines))
 
 
 def read_predictions(path: str) -> dict[int, list[tuple[int, float]]]:
     """Parse a predictions TSV into ranked per-query lists.
 
     Ranks start at 1 and each appears at most once per query; gaps are
-    allowed.
+    allowed.  Each query's list is built as its rows arrive, each row put
+    in place by a binary search of the query's ranks so far.
     """
-    rows: dict[int, dict[int, tuple[int, float]]] = {}
+    rows: dict[int, list[tuple[int, float]]] = {}
+    ranks: dict[int, list[int]] = {}
     # Undecodable bytes become U+FFFD, which no number parses: a ConfigError.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -353,10 +423,11 @@ def read_predictions(path: str) -> dict[int, list[tuple[int, float]]]:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             if rank < 1:
                 raise ConfigError(f"{path}:{lineno}: rank {rank} is below 1")
-            ranked = rows.setdefault(qid, {})
-            if rank in ranked:
+            ranked, seen = rows.setdefault(qid, []), ranks.setdefault(qid, [])
+            at = bisect.bisect_left(seen, rank)
+            if at < len(seen) and seen[at] == rank:
                 raise ConfigError(
                     f"{path}:{lineno}: query {qid} has rank {rank} twice")
-            ranked[rank] = (lab, score)
-    return {qid: [ranked[r] for r in sorted(ranked)]
-            for qid, ranked in rows.items()}
+            seen.insert(at, rank)
+            ranked.insert(at, (lab, score))
+    return rows

@@ -14,12 +14,16 @@ central finite differences.  ``forward`` caches all intermediates needed by
 every trace of a training step and builds the embedding gradient rows in
 one pass.  Masks are drawn only from the pass's rng, so a generator seeded
 alike replays a pass bit-identically (as finite-difference checks need).
+
+Initialization, checkpoint saves and checkpoint loads each hold one copy of
+the parameter tables: tables are drawn, written and read in place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -72,7 +76,10 @@ class ModelParams:
 def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
                 num_labels: int, seed: int = 0, dropout: float = 0.1,
                 dtype=np.float64) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; biases start at zero."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; biases start at zero.
+
+    Each table is drawn straight into its float64 array, so in float64 an
+    init holds nothing beyond the tables it returns."""
     if min(hash_dim, encoder_dim, search_dim, num_labels) < 1:
         raise ConfigError("all model dimensions must be >= 1")
     if not 0.0 <= dropout <= 1.0:
@@ -81,7 +88,7 @@ def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
 
     def uniform(shape, fan_in):
         lim = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-lim, lim, size=shape).astype(dtype)
+        return rng.uniform(-lim, lim, size=shape).astype(dtype, copy=False)
 
     return ModelParams(
         embed=uniform((hash_dim, encoder_dim), encoder_dim),
@@ -129,12 +136,14 @@ def _dropout(x: np.ndarray, train: bool, rate: float,
 
 def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
             rng: np.random.Generator | None = None,
-            heads: tuple = ("de", "clf")) -> ForwardTrace:
+            heads: tuple = ("de", "clf"), first_row: int = 0) -> ForwardTrace:
     """Run encoder + requested heads over an (n, hash_dim) block of input
     rows (``featurize_all`` rows, or slices of them).
 
     In train mode, dropout masks are drawn from ``rng``, retrieval head first,
-    then classifier head.
+    then classifier head.  A zero-norm retrieval vector raises
+    ``DegenerateEmbeddingError`` naming its rows counted from ``first_row``,
+    the block's first row in a pass over a larger matrix.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -150,7 +159,8 @@ def forward(params: ModelParams, feats: sp.csr_matrix, mode: str = "eval",
         bad = np.flatnonzero(norms.ravel() == 0.0)
         if bad.size:
             raise DegenerateEmbeddingError(
-                f"zero-norm vector before normalization at rows {bad.tolist()}")
+                f"zero-norm vector before normalization at rows "
+                f"{(bad + first_row).tolist()}")
         trace.de_norm = norms
         trace.de_out = kept / norms
 
@@ -266,6 +276,9 @@ def save_checkpoint(path: str, params: ModelParams,
     """One checkpoint file: magic, dims, dropout and the float64 matrices,
     then ``extra`` as compact sorted-key UTF-8 JSON.
 
+    Each matrix is written from its own buffer (a little-endian float64
+    C-contiguous array is written as it is, anything else through one
+    converted copy), so a save of float64 parameters holds no copy of them.
     The file is written to a temporary file and renamed into place, so a
     failed save leaves the previous checkpoint loadable.
     """
@@ -275,7 +288,8 @@ def save_checkpoint(path: str, params: ModelParams,
                              params.search_dim, params.num_labels,
                              params.dropout))
         for arr in params.arrays().values():   # in file order
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(memoryview(
+                np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
         fh.write(json.dumps(extra or {}, sort_keys=True,
                             separators=(",", ":")).encode("utf-8"))
 
@@ -283,42 +297,51 @@ def save_checkpoint(path: str, params: ModelParams,
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Validate magic, dims, dropout and finite values and rebuild params;
     returns (params, metadata).  A file that ends with its matrices, as
-    files written before the metadata moved in do, has metadata ``{}``."""
+    files written before the metadata moved in do, has metadata ``{}``.
+
+    Each matrix is read straight into the array returned for it, so a load
+    holds the parameters and the metadata bytes, and nothing the size of a
+    matrix besides."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: not a model checkpoint (bad magic)")
-    if len(blob) < 48:
-        raise ConfigError(f"{path}: truncated checkpoint header "
-                          f"({len(blob)} of 48 bytes)")
-    hash_dim, enc_dim, search_dim, num_labels, dropout = struct.unpack_from(
-        "<4Qd", blob, 8)
-    if min(hash_dim, enc_dim, search_dim, num_labels) == 0:
-        raise ConfigError(f"{path}: zero dimension in checkpoint header "
-                          f"{[hash_dim, enc_dim, search_dim, num_labels]}")
-    if not 0.0 <= dropout <= 1.0:   # NaN fails too
-        raise ConfigError(f"{path}: checkpoint dropout {dropout} is not in "
-                          f"[0, 1]")
-    shapes = [("embed", (hash_dim, enc_dim)), ("de_w", (enc_dim, search_dim)),
-              ("de_b", (search_dim,)), ("clf_w", (enc_dim, search_dim)),
-              ("clf_b", (search_dim,)), ("classifiers", (num_labels, search_dim))]
-    expected = 48 + 8 * sum(math.prod(s) for _, s in shapes)
-    if len(blob) < expected:
-        raise ConfigError(
-            f"{path}: size {len(blob)} is short of what the header dims need "
-            f"({expected})")
-    offset, fields = 48, {}
-    for name, shape in shapes:
-        count = math.prod(shape)
-        fields[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        finite = np.isfinite(fields[name])
-        if not finite.all():
-            index = np.unravel_index(np.argmin(finite), shape)
-            raise ConfigError(f"{path}: non-finite {name} value at index "
-                              f"{tuple(int(i) for i in index)}")
-        offset += 8 * count
-    tail = blob[offset:]
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(48)
+        if head[:8] != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path}: not a model checkpoint (bad magic)")
+        if len(head) < 48:
+            raise ConfigError(f"{path}: truncated checkpoint header "
+                              f"({len(head)} of 48 bytes)")
+        hash_dim, enc_dim, search_dim, num_labels, dropout = \
+            struct.unpack_from("<4Qd", head, 8)
+        if min(hash_dim, enc_dim, search_dim, num_labels) == 0:
+            raise ConfigError(f"{path}: zero dimension in checkpoint header "
+                              f"{[hash_dim, enc_dim, search_dim, num_labels]}")
+        if not 0.0 <= dropout <= 1.0:   # NaN fails too
+            raise ConfigError(f"{path}: checkpoint dropout {dropout} is not "
+                              f"in [0, 1]")
+        shapes = [("embed", (hash_dim, enc_dim)),
+                  ("de_w", (enc_dim, search_dim)), ("de_b", (search_dim,)),
+                  ("clf_w", (enc_dim, search_dim)), ("clf_b", (search_dim,)),
+                  ("classifiers", (num_labels, search_dim))]
+        expected = 48 + 8 * sum(math.prod(s) for _, s in shapes)
+        if size < expected:
+            raise ConfigError(
+                f"{path}: size {size} is short of what the header dims need "
+                f"({expected})")
+        fields = {}
+        for name, shape in shapes:
+            arr = np.empty(shape, dtype="<f8")
+            got = fh.readinto(memoryview(arr).cast("B"))
+            if got != arr.nbytes:
+                raise ConfigError(f"{path}: read {got} of the {arr.nbytes} "
+                                  f"bytes of {name}; the file is shorter "
+                                  f"than it was")
+            # min and max are NaN if any value is, and infinite if any is
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                index = np.unravel_index(np.argmin(np.isfinite(arr)), shape)
+                raise ConfigError(f"{path}: non-finite {name} value at index "
+                                  f"{tuple(int(i) for i in index)}")
+            fields[name] = arr
+        tail = fh.read()
     try:
         meta = json.loads(tail.decode("utf-8")) if tail else {}
     except (ValueError, RecursionError) as exc:   # bad UTF-8, bad JSON, too deep

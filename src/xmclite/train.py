@@ -5,7 +5,9 @@ Texts are featurized once; batches gather those rows (``take_rows``).
 Every ``refresh_interval`` epochs (including epoch 0, which bootstraps from
 the untrained model) ``refresh`` re-embeds the queries, rebuilds the balanced
 batch plan from them, and re-embeds the labels to re-mine the hard-negative
-cache; epoch 0's label embeddings also warm-start the classifier rows.
+cache; epoch 0's label embeddings also warm-start the classifier rows.  Both
+passes embed in row blocks (``infer.embed_rows``), so neither holds a
+forward over every row.
 Within an epoch, each batch is collated and handed to
 ``batch_loss``, the one step body: it encodes the queries through both heads
 and the pool label texts through the retrieval head, gathers classifier rows
@@ -34,9 +36,9 @@ from .data import Dataset, featurize_all, take_rows
 from .errors import ConfigError, TrainingAbort
 # build_index, query_vectors and predict_vectors are unused here but stay
 # importable from this module: perfbench/tracer.py wraps them by name.
-from .infer import (MODES, build_index, label_vectors_by_mode,  # noqa: F401
-                    predict_vectors, query_vectors, query_vectors_by_mode,
-                    topk)
+from .infer import (MODES, build_index, embed_rows,  # noqa: F401
+                    label_vectors_by_mode, predict_vectors, query_vectors,
+                    query_vectors_by_mode, topk)
 from .losses import LossConfig, classifier_loss, combined_loss, retrieval_loss
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (Grads, ModelParams, backward, forward, init_params,
@@ -127,10 +129,11 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
                    propensity_b: float = DEFAULT_B) -> dict:
     """P@k / PSP@k per inference mode.
 
-    The queries and the label texts are embedded once, through only the
-    heads ``modes`` need, and every mode's vectors are formed from that pass
-    (``concat`` is the de and clf vectors side by side), so each mode ranks
-    exactly what ``build_index`` and ``query_vectors`` would give it.  Each
+    The queries and the label texts are embedded once, in row blocks and
+    through only the heads ``modes`` need, and every mode's vectors are
+    views of that pass's one array per side (``concat`` is the de and clf
+    vectors side by side), so each mode ranks exactly what ``build_index``
+    and ``query_vectors`` would give it.  Each
     mode's top-``max(k_list)`` id matrix is scored for every k at once.
     Propensities come from ``propensity_dataset`` frequencies (a train split)
     when given, otherwise from the evaluated dataset itself.
@@ -163,12 +166,14 @@ def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
     """Batch plan for ``epoch`` from eval-mode query embeddings, the
     top-``cache_size`` hard-negative cache, and the eval-mode label
     embeddings it was mined against (both None when ``cache_size`` is 0).
-    Used by ``train`` and by ``simulate-batches``."""
-    q_emb = forward(params, q_feats, mode="eval", heads=("de",)).de_out
+    Used by ``train`` and by ``simulate-batches``.  Both passes embed in
+    row blocks (``infer.embed_rows``), so each holds its (rows, search_dim)
+    output and one block's forward besides."""
+    q_emb = embed_rows(params, ("de",), q_feats)
     plan = cluster_queries(q_emb, num_batches, seed, epoch=epoch)
     if cache_size <= 0:
         return plan, None, None
-    l_emb = forward(params, l_feats, mode="eval", heads=("de",)).de_out
+    l_emb = embed_rows(params, ("de",), l_feats)
     return (plan, mine_hard_negatives(q_emb, l_emb, positive_sets, cache_size),
             l_emb)
 
@@ -267,8 +272,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                     # untrained model.  Mining has just made them: no step
                     # has run, and the de forward reads no classifier row.
                     if l_emb is None:
-                        l_emb = forward(params, l_feats, mode="eval",
-                                        heads=("de",)).de_out
+                        l_emb = embed_rows(params, ("de",), l_feats)
                     params.classifiers = l_emb
 
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,

@@ -6,6 +6,7 @@ Everything is seed-driven; no test should depend on global RNG state.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -18,6 +19,18 @@ def parameter_bytes(params) -> int:
     """Length of a checkpoint's parameter section: magic, header and
     matrices, the bytes before its JSON metadata."""
     return 48 + 8 * sum(a.size for a in params.arrays().values())
+
+
+def traced_peak(fn):
+    """``(fn(), bytes)``: its result and the most memory that numpy and
+    Python held during the call beyond what they held when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -429,7 +429,7 @@ def test_simulate_batches_clusters_once_and_mines_at_most_once(
         workspace, tmp_path, monkeypatch):
     # simulate-batches refreshes through train.refresh, which looks these
     # names up in the train module
-    calls = {"cluster_queries": 0, "mine_hard_negatives": 0, "forward": 0}
+    calls = {"cluster_queries": 0, "mine_hard_negatives": 0, "embed_rows": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -446,23 +446,23 @@ def test_simulate_batches_clusters_once_and_mines_at_most_once(
         "--sim-positive-caps", "1,2,3", "--sim-negative-caps", "0,2",
         "--batch-size", "8"])
     assert rc == 0 and len(out.splitlines()) == 1 + 6
-    # one forward over the queries, one over the labels for the one cache
+    # one pass over the queries, one over the labels for the one cache
     assert calls == {"cluster_queries": 1, "mine_hard_negatives": 1,
-                     "forward": 2}
+                     "embed_rows": 2}
     # With refresh_interval 2, negative caps 2 and 3 give cache sizes 4 and
     # 6: one cache is mined, at the largest size, and the smaller size takes
     # each list's prefix.  With every negative cap 0 nothing is mined and no
     # label is embedded.
     for caps, extra, mined in (("2,3,0", ["--refresh-interval", "2"], 1),
                                ("0,0", [], 0)):
-        calls.update(cluster_queries=0, mine_hard_negatives=0, forward=0)
+        calls.update(cluster_queries=0, mine_hard_negatives=0, embed_rows=0)
         rc, _ = _run(["simulate-batches"] + workspace["common"] + [
             "--checkpoint-path", workspace["ckpt"], "--out-dir", str(tmp_path),
             "--sim-positive-caps", "1,2", "--sim-negative-caps", caps,
             "--batch-size", "8"] + extra)
         assert rc == 0
         assert calls == {"cluster_queries": 1, "mine_hard_negatives": mined,
-                         "forward": 1 + (mined > 0)}
+                         "embed_rows": 1 + (mined > 0)}
 
 
 class _ClosedPipe(io.StringIO):

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmclite import (ConfigError, DegenerateEmbeddingError, LabelIndex,
-                     build_index, init_params, label_vectors, predict,
-                     predict_vectors, query_vectors, read_predictions,
-                     synth_dataset, write_predictions)
+                     build_index, featurize_all, forward, init_params,
+                     label_vectors, predict, predict_vectors, query_vectors,
+                     read_predictions, synth_dataset, write_predictions)
 from xmclite import infer
 from xmclite.infer import topk
 
-from conftest import random_positive_sets
+from conftest import random_positive_sets, traced_peak
 from oracles import (argpartition_topk, bf_hard_negatives, bf_top_k,
                      loop_predictions_tsv)
 
@@ -437,3 +438,147 @@ def test_predict_end_to_end_shapes(setup):
         assert ids.shape == (3,) and scores.shape == (3,)
         assert np.all(np.diff(scores) <= 0)
         assert ids.min() >= 0 and ids.max() < ds.num_labels
+
+
+def _unit_oracle(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _one_pass_vectors(params, ds):
+    """Label and query vectors of every mode from one forward over all rows
+    of each side, with concat as the two halves side by side."""
+    labels = forward(params, featurize_all(ds.label_texts, ds.vocab),
+                     heads=("de",))
+    queries = forward(params, featurize_all(ds.instance_texts, ds.vocab))
+    sides = {"labels": (labels.de_out, _unit_oracle(params.classifiers)),
+             "queries": (queries.de_out, _unit_oracle(queries.clf_out))}
+    return {side: {"de": de, "clf": clf, "concat": np.hstack([de, clf])}
+            for side, (de, clf) in sides.items()}
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_blocked_vectors_equal_the_one_pass_forward_bitwise(monkeypatch,
+                                                            block_rows):
+    # 129 labels and 150 queries: blocks of 64 leave a one-row label tail
+    ds = synth_dataset(150, 129, seed=6)
+    params = init_params(ds.vocab.hash_dim, 16, 8, ds.num_labels, seed=1)
+    params.clf_b[:] = 0.1
+    want = _one_pass_vectors(params, ds)
+    monkeypatch.setattr(infer, "EMBED_BLOCK_ROWS", block_rows)
+    got = {"labels": {mode: infer.label_vectors_by_mode(params, ds, (mode,))
+                      [mode] for mode in infer.MODES},
+           "queries": {mode: infer.query_vectors_by_mode(
+               params, ds.instance_texts, ds.vocab, (mode,))[mode]
+               for mode in infer.MODES}}
+    both = {"labels": infer.label_vectors_by_mode(params, ds),
+            "queries": infer.query_vectors_by_mode(params, ds.instance_texts,
+                                                   ds.vocab)}
+    for side in got:
+        for mode in infer.MODES:
+            bits = want[side][mode].view(np.int64)
+            assert np.array_equal(got[side][mode].view(np.int64), bits)
+            assert np.array_equal(both[side][mode].view(np.int64), bits)
+        # de and clf are the halves of concat's array
+        cat = both[side]["concat"]
+        assert np.shares_memory(both[side]["de"], cat)
+        assert np.shares_memory(both[side]["clf"], cat)
+    # a strided half ranks as its contiguous copy does
+    for mode in infer.MODES:
+        q, l = both["queries"][mode], both["labels"][mode]
+        got_ids, got_scores = topk(q, l, 5)
+        ids, scores = topk(np.ascontiguousarray(q), np.ascontiguousarray(l), 5)
+        assert np.array_equal(got_ids, ids)
+        assert np.array_equal(got_scores.view(np.int64), scores.view(np.int64))
+
+
+def test_a_degenerate_row_in_a_later_block_is_named_by_its_pass_index(
+        monkeypatch):
+    # blocks of 7 rows: row 17 lies in the third block
+    monkeypatch.setattr(infer, "EMBED_BLOCK_ROWS", 7)
+    ds = synth_dataset(30, 25, seed=2)
+    params = init_params(ds.vocab.hash_dim, 12, 6, ds.num_labels, seed=4)
+    texts = list(ds.instance_texts)
+    texts[17] = np.zeros(0, dtype=np.int64)
+    with pytest.raises(DegenerateEmbeddingError,
+                       match=r"normalization at rows \[17\]"):
+        infer.query_vectors_by_mode(params, texts, ds.vocab, ("de",))
+    with pytest.raises(DegenerateEmbeddingError,
+                       match=r"embeddings for queries \[17\]"):
+        infer.query_vectors_by_mode(params, texts, ds.vocab, ("clf",))
+    broken = params.copy()
+    broken.classifiers[17] = 0.0
+    with pytest.raises(DegenerateEmbeddingError,
+                       match=r"classifier rows for labels \[17\]"):
+        infer.label_vectors_by_mode(broken, ds, ("concat",))
+
+
+def _feature_rows(rng, n, hash_dim, tokens=4):
+    """n feature rows of ``tokens`` random columns, each weighted 1/tokens."""
+    cols = rng.integers(0, hash_dim, size=(n, tokens))
+    return sp.csr_matrix((np.full(n * tokens, 1.0 / tokens), cols.ravel(),
+                          np.arange(0, n * tokens + 1, tokens)),
+                         shape=(n, hash_dim))
+
+
+@pytest.mark.parametrize("rows", [1 << 12, 1 << 14])
+def test_blocked_vectors_hold_their_output_and_one_block(monkeypatch, rows):
+    # the featurized rows are made beforehand, so the traced peak holds the
+    # output array and the temporaries of a block of 64 rows (about 200
+    # KiB), whatever the row count; one (rows, encoder_dim) encoding of all
+    # rows is 2 or 8 MiB
+    monkeypatch.setattr(infer, "EMBED_BLOCK_ROWS", 64)
+    feats = _feature_rows(np.random.default_rng(0), rows, 1024)
+    monkeypatch.setattr(infer, "featurize_all", lambda texts, vocab: feats)
+    params = init_params(1024, 64, 32, rows, seed=0)
+    catalog = SimpleNamespace(label_texts=None, vocab=None)
+    for embed in (lambda: infer.label_vectors_by_mode(params, catalog),
+                  lambda: infer.query_vectors_by_mode(params, None, None)):
+        vecs, peak = traced_peak(embed)
+        assert vecs["concat"].shape == (rows, 64)
+        assert peak < vecs["concat"].nbytes + (512 << 10)
+
+
+def _one_string_writer(results) -> bytes:
+    """The predictions text as one list of every line joined into one
+    string, as ``write_predictions`` built it before it wrote in chunks."""
+    lines = []
+    for qid, (labels, scores) in enumerate(results):
+        pairs = zip(np.asarray(labels).tolist(),
+                    np.asarray(scores, dtype=np.float64).tolist())
+        lines += [f"{qid}\t{rank}\t{lab}\t{sc!r}\n"
+                  for rank, (lab, sc) in enumerate(pairs, start=1)]
+    return "".join(lines).encode("utf-8")
+
+
+def test_chunked_predictions_equal_the_one_string_writer(tmp_path,
+                                                         monkeypatch):
+    # chunks of 2 queries over 7, the last chunk short; special and
+    # integer-valued scores
+    monkeypatch.setattr(infer, "WRITE_CHUNK_QUERIES", 2)
+    rng = np.random.default_rng(3)
+    results = [(rng.permutation(9)[:4], rng.normal(size=4)) for _ in range(7)]
+    results[1] = (np.array([3, 0, 8]), np.array([-0.0, 5e-324, 1e300]))
+    results[4] = (np.array([7, 2]), np.array([3.0, -12.0]))
+    results[5] = (np.array([], dtype=np.int64), np.array([]))
+    path = tmp_path / "p.tsv"
+    write_predictions(str(path), results)
+    want = _one_string_writer(results)
+    assert path.read_bytes() == want
+    assert b"\t-0.0\n" in want and b"\t5e-324\n" in want
+    assert b"\t1e+300\n" in want and b"\t3.0\n" in want
+    back = read_predictions(str(path))
+    assert back[1] == [(3, -0.0), (0, 5e-324), (8, 1e300)]
+    assert 5 not in back
+
+
+def test_read_predictions_places_out_of_order_ranks(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("0\t5\t1\t0.1\n0\t2\t4\t0.4\n1\t1\t9\t0.9\n0\t3\t6\t0.3\n"
+                    "0\t1\t2\t0.5\n", encoding="utf-8")
+    assert read_predictions(str(path)) == {
+        0: [(2, 0.5), (4, 0.4), (6, 0.3), (1, 0.1)], 1: [(9, 0.9)]}
+    # a repeat between two earlier ranks is still a repeat
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("0\t3\t7\t0.2\n")
+    with pytest.raises(ConfigError, match="p.tsv:6: query 0 has rank 3 twice"):
+        read_predictions(str(path))

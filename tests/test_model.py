@@ -2,6 +2,7 @@
 
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import scipy.sparse as sp
 from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
                      Vocabulary, backward, featurize_all, forward, init_params,
                      load_checkpoint, save_checkpoint, zero_grads)
+from xmclite import model as model_module
 from xmclite.model import _dropout_mask
 
-from conftest import parameter_bytes, unit_rows
+from conftest import parameter_bytes, traced_peak, unit_rows
 from oracles import (assert_finite, dense_grads, finite_difference,
                      max_relative_error)
 
@@ -395,3 +397,41 @@ def test_params_copy_is_deep():
     q = p.copy()
     q.embed[0, 0] += 1.0
     assert p.embed[0, 0] != q.embed[0, 0]
+
+
+MiB = 1 << 20
+
+
+def _nbytes(params):
+    return sum(a.nbytes for a in params.arrays().values())
+
+
+def test_init_save_and_load_hold_no_copy_of_a_table(tmp_path):
+    # a 2^15 x 64 embedding table is 16 MiB: one copy of it breaks each bound
+    path = str(tmp_path / "m.bin")
+    params, init_peak = traced_peak(
+        lambda: init_params(1 << 15, 64, 32, 64, seed=0))
+    assert init_peak < _nbytes(params) + MiB
+    _, save_peak = traced_peak(
+        lambda: save_checkpoint(path, params, extra={"epoch": 1}))
+    assert save_peak < MiB
+    (back, meta), load_peak = traced_peak(lambda: load_checkpoint(path))
+    assert load_peak < _nbytes(back) + MiB
+    assert meta == {"epoch": 1}
+    for name, arr in params.arrays().items():
+        assert np.array_equal(back.arrays()[name], arr)
+
+
+def test_a_short_read_is_a_config_error_naming_the_path(tmp_path,
+                                                        monkeypatch):
+    # the file shrinks between the size check and the reads
+    p = init_params(8, 4, 2, 3, seed=0)
+    path = tmp_path / "m.bin"
+    save_checkpoint(str(path), p)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:parameter_bytes(p) - 8])
+    monkeypatch.setattr(model_module, "os", SimpleNamespace(
+        fstat=lambda fd: SimpleNamespace(st_size=full)))
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: read ") + ".* of classifiers"):
+        load_checkpoint(str(path))

@@ -100,21 +100,21 @@ def test_warm_start_copies_label_embeddings_into_classifiers():
 def test_labels_are_embedded_once_before_the_first_step(monkeypatch, neg,
                                                         warm):
     # the warm start takes epoch 0's mining embeddings when there are any;
-    # ``embedded`` holds the step count at each eval forward of the labels
+    # ``embedded`` holds the step count at each eval pass over the labels
     ds = _ds()
     embedded, steps = [], []
-    forward_, step = train_module.forward, Adam.step
+    embed_rows, step = train_module.embed_rows, Adam.step
 
-    def spy_forward(params, feats, mode="eval", **kw):
-        if mode == "eval" and feats.shape[0] == ds.num_labels:
+    def spy_embed_rows(params, parts, feats=None):
+        if feats is not None and feats.shape[0] == ds.num_labels:
             embedded.append(len(steps))
-        return forward_(params, feats, mode=mode, **kw)
+        return embed_rows(params, parts, feats)
 
     def spy_step(self, *args, **kw):
         steps.append(1)
         return step(self, *args, **kw)
 
-    monkeypatch.setattr(train_module, "forward", spy_forward)
+    monkeypatch.setattr(train_module, "embed_rows", spy_embed_rows)
     monkeypatch.setattr(Adam, "step", spy_step)
     train(ds, _cfg(epochs=1, hard_negatives_per_query=neg,
                    warm_start_classifiers=warm))
