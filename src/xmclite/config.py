@@ -15,7 +15,6 @@ and unparsable or invalid values are rejected by name (``ConfigError``).
 
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -118,8 +117,6 @@ def coerce_value(key: str, raw: str, kind: type) -> object:
     except ValueError as exc:
         what = "a comma list of integers" if kind is tuple else kind.__name__
         raise ConfigError(f"{key} expects {what}, got {raw!r}") from exc
-    if kind is float and not math.isfinite(parsed):
-        raise ConfigError(f"{key} expects a finite float, got {raw!r}")
     return parsed
 
 

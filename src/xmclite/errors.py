@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finiteness rule of
+the config dataclasses.
 
 Every failure mode that callers are expected to handle gets its own class so
 the CLI can map them onto exit codes without string matching.
 """
+
+import math
+from dataclasses import fields
 
 
 class XmcliteError(Exception):
@@ -11,6 +15,15 @@ class XmcliteError(Exception):
 
 class ConfigError(XmcliteError):
     """Invalid, conflicting, or unknown configuration values."""
+
+
+def reject_non_finite(config) -> None:
+    """Raise ``ConfigError`` naming the first float field of the dataclass
+    ``config`` that holds a NaN or an infinity."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 class DatasetFormatError(XmcliteError):

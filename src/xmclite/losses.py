@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_non_finite
 
 _REDUCTIONS = ("mean", "sum")
 
@@ -49,6 +49,7 @@ class LossConfig:
         "help": "extra classifier-side positives per query"})
 
     def validate(self) -> None:
+        reject_non_finite(self)
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         for name in ("de_weight", "de_q2l_weight", "clf_q2l_weight"):

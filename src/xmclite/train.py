@@ -33,7 +33,7 @@ import numpy as np
 from .batching import (STREAM_DROPOUT, CollatedBatch, batch_count,
                        cluster_queries, collate_batch)
 from .data import Dataset, featurize_all, take_rows
-from .errors import ConfigError, TrainingAbort
+from .errors import ConfigError, TrainingAbort, reject_non_finite
 # build_index, query_vectors and predict_vectors are unused here but stay
 # importable from this module: perfbench/tracer.py wraps them by name.
 from .infer import (MODES, build_index, embed_rows,  # noqa: F401
@@ -90,6 +90,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
+        reject_non_finite(self)
         checks = [
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.batch_size >= 1, "batch_size must be >= 1"),

@@ -6,8 +6,10 @@ fields of ``RunConfig``, ``TrainConfig`` and ``LossConfig``.
 
 from __future__ import annotations
 
+import math
 import os
 import re
+import typing
 from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
@@ -127,6 +129,33 @@ def test_invalid_config_values_name_the_key(overrides):
     (name,) = overrides
     with pytest.raises(ConfigError, match=name):
         build_config({}, overrides)
+
+
+def _float_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in fields(cls) if hints[f.name] is float]
+
+
+FLOAT_FIELDS = [(cls, name) for cls in (TrainConfig, LossConfig)
+                for name in _float_fields(cls)]
+
+
+def test_float_fields_cover_the_learning_rates_and_the_loss():
+    names = {name for _, name in FLOAT_FIELDS}
+    assert {"temperature", "propensity_a", "propensity_b", "lr_encoder",
+            "grad_clip", "dropout", "de_weight"} <= names
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_validate_rejects_a_non_finite_float_by_name(cls, name, value):
+    config = cls(**{name: value})
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        config.validate()
+    if cls is LossConfig:
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            TrainConfig(loss=config).validate()
 
 
 def test_seed_must_fit_the_64_bit_sampling_key():

@@ -250,7 +250,7 @@ def test_slots_follow_first_gradient_and_are_never_relaid():
     rng = np.random.default_rng(7)
     seen = {name: [] for name in ROW_TABLES}
     stores = None
-    for touched in zip(*rows.values()):
+    for step, touched in enumerate(zip(*rows.values()), start=1):
         g = zero_grads(p)
         for name, ids in zip(rows, touched):
             width = p.arrays()[name].shape[1]
@@ -263,12 +263,22 @@ def test_slots_follow_first_gradient_and_are_never_relaid():
             assert active.tolist() == seen[name]
             assert slots[active].tolist() == list(range(active.size))
             assert np.all(np.delete(slots, active) == -1)
+        if step == 1:
+            # a head gives every row on every step, in order; a bias is one
+            # row, and every group's moments keep its parameter's shape
+            for name, arr in p.arrays().items():
+                if name not in ROW_TABLES:
+                    height = 1 if arr.ndim == 1 else arr.shape[0]
+                    assert opt.active[name].tolist() == list(range(height))
+                assert opt.m[name].shape == opt.v[name].shape == arr.shape
+            assert opt.active["de_b"].tolist() == [0]
+            assert opt.active["clf_b"].tolist() == [0]
         # the moment arrays are updated in place, never replaced or re-laid
         now = [opt.m[name] for name in ROW_TABLES] + [
             opt.v[name] for name in ROW_TABLES]
         assert stores is None or all(a is b for a, b in zip(now, stores))
         stores = now
-    assert {k: v.tolist() for k, v in opt.active.items()} == first
+    assert {k: opt.active[k].tolist() for k in ROW_TABLES} == first
 
     # an aborted step assigns no slot, not even to its finite new rows
     slots = {k: opt.slots[k].copy() for k in ROW_TABLES}
@@ -277,7 +287,7 @@ def test_slots_follow_first_gradient_and_are_never_relaid():
     g.classifiers = (np.array([0, 2]), np.array([[1.0, 1.0], [np.inf, 0.0]]))
     with pytest.raises(TrainingAbort, match="classifiers"):
         opt.step(p, g)
-    assert {k: v.tolist() for k, v in opt.active.items()} == first
+    assert {k: opt.active[k].tolist() for k in ROW_TABLES} == first
     for name in ROW_TABLES:
         assert np.array_equal(opt.slots[name], slots[name]), name
 
