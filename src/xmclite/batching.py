@@ -6,12 +6,13 @@ exact rebalance by assignment margin), so similar queries land together and
 their sampled positives act as informative in-batch negatives for each other.
 
 Collation then samples a capped number of positives and cached hard
-negatives per query, unions them into the batch label pool, and records which
-pool labels are true positives of which query as one boolean (queries x pool)
-mask, from the metrics' one membership test, ``data.hit_matrix``.  Its
-transpose is the label-anchored view.  Membership runs against the full
-ground truth, so a label brought in by one query also counts as a positive of
-any other query that truly has it.
+negatives per query, unions them into the batch's one label pool (both loss
+heads score it), and records which pool labels are true positives of which
+query as one boolean (queries x pool) mask, from the metrics' one membership
+test, ``data.hit_matrix``.  Its transpose is the label-anchored view.
+Membership runs against the full ground truth, so a label brought in by one
+query also counts as a positive of any other query that truly has it, and
+the loss averages over all of a query's positives in the pool.
 
 Every collation draw is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011): each (query, label) candidate gets a
@@ -31,16 +32,15 @@ from .data import Dataset, gather_segments, hit_matrix
 from .errors import ConfigError
 from .negatives import HardNegativeCache
 
-# Stream ids, one per purpose.  Collation's draws (positives, negatives,
-# extra classifier positives) put theirs second in every sampling key,
-# (seed, stream, epoch, batch, query, label) (``sample_keys``); clustering
-# and dropout seed generators with default_rng([seed, stream, epoch, ...]).
-# Stream 0 is ``init_params``'s ``[seed, 0]``.
+# Stream ids, one per purpose.  Collation's draws (positives, negatives)
+# put theirs second in every sampling key, (seed, stream, epoch, batch,
+# query, label) (``sample_keys``); clustering and dropout seed generators
+# with default_rng([seed, stream, epoch, ...]).  Stream 0 is
+# ``init_params``'s ``[seed, 0]``.
 STREAM_CLUSTER = 1
 STREAM_POSITIVES = 2
 STREAM_NEGATIVES = 3
 STREAM_DROPOUT = 4
-STREAM_EXTRA_POSITIVES = 5
 
 LLOYD_ITERS = 10  # Lloyd iterations per 2-means split
 
@@ -168,15 +168,11 @@ class CollatedBatch:
     """One training batch with its label pool and positive mask.
 
     ``positives[i, j]`` is True when ``label_pool[j]`` is a ground-truth
-    label of the i-th query.  ``clf_pool`` and ``clf_positives`` describe
-    the classifier-side pool, a superset of ``label_pool`` when extra
-    classifier positives are sampled and the very same objects otherwise.
+    label of the i-th query.
     """
 
     label_pool: np.ndarray
     positives: np.ndarray         # (queries, pool) bool
-    clf_pool: np.ndarray
-    clf_positives: np.ndarray     # (queries, clf_pool) bool
 
     @property
     def pb_idx(self) -> list[np.ndarray]:
@@ -198,14 +194,12 @@ def _pool_membership(pool: np.ndarray, t_row: np.ndarray, t_ids: np.ndarray,
 def collate_batch(query_ids: np.ndarray, dataset: Dataset,
                   cache: HardNegativeCache | None, max_positives: int,
                   max_negatives: int, seed: int, epoch: int = 0,
-                  batch_index: int = 0,
-                  extra_clf_positives: int = 0) -> CollatedBatch:
+                  batch_index: int = 0) -> CollatedBatch:
     """Sample per-query positives/negatives and assemble the label pool.
 
     One ``keyed_sample`` each draws the positives from the queries' truth
-    rows (stream ``STREAM_POSITIVES``), the hard negatives from their cached
-    lists (``STREAM_NEGATIVES``) and the extra classifier positives from the
-    truth the positives left (``STREAM_EXTRA_POSITIVES``).
+    rows (stream ``STREAM_POSITIVES``) and the hard negatives from their
+    cached lists (``STREAM_NEGATIVES``).
     """
     if max_negatives > 0 and cache is None:
         raise ConfigError("hard-negative sampling requested without a cache")
@@ -215,9 +209,8 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
     t_ptr, t_at = gather_segments(dataset.relevance.indptr, query_ids)
     t_row = np.repeat(np.arange(n), np.diff(t_ptr))
     t_ids = dataset.relevance.indices[t_at].astype(np.int64)
-    picked = keyed_sample(t_row, t_ids, query_ids, max_positives,
-                          (seed, STREAM_POSITIVES, epoch, batch_index))
-    drawn = [t_ids[picked]]
+    drawn = [t_ids[keyed_sample(t_row, t_ids, query_ids, max_positives,
+                                (seed, STREAM_POSITIVES, epoch, batch_index))]]
     if max_negatives > 0:
         n_ptr, n_at = gather_segments(cache.indptr, query_ids)
         n_ids = cache.indices[n_at].astype(np.int64)
@@ -225,18 +218,7 @@ def collate_batch(query_ids: np.ndarray, dataset: Dataset,
             np.repeat(np.arange(n), np.diff(n_ptr)), n_ids, query_ids,
             max_negatives, (seed, STREAM_NEGATIVES, epoch, batch_index))])
     pool = np.unique(np.concatenate(drawn))
-    positives = _pool_membership(pool, t_row, t_ids, n)
-    # without extras the classifier side aliases the retrieval pool
-    clf_pool, clf_positives = pool, positives
-    if extra_clf_positives > 0:
-        left_row, left_ids = t_row[~picked], t_ids[~picked]
-        extras = left_ids[keyed_sample(
-            left_row, left_ids, query_ids, extra_clf_positives,
-            (seed, STREAM_EXTRA_POSITIVES, epoch, batch_index))]
-        if extras.size:
-            clf_pool = np.unique(np.concatenate([pool, extras]))
-            clf_positives = _pool_membership(clf_pool, t_row, t_ids, n)
-    return CollatedBatch(pool, positives, clf_pool, clf_positives)
+    return CollatedBatch(pool, _pool_membership(pool, t_row, t_ids, n))
 
 
 @dataclass

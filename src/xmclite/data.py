@@ -10,9 +10,12 @@ embeddable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
+import sys
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,24 @@ import scipy.sparse as sp
 from .errors import DatasetFormatError
 
 _SPLIT = re.compile(r"[\W_]+")
+
+
+@functools.cache
+def _non_ascii_words() -> re.Pattern:
+    """A pattern whose matches are the words of a text with no underscore:
+    a letter or digit, then every letter, digit and combining mark (Unicode
+    Mn/Mc) that follows it.  Its mark class scans every code point, so it is
+    built on the first non-ASCII text, not at import."""
+    ranges = []
+    for code in range(sys.maxunicode + 1):
+        if unicodedata.category(chr(code)) in ("Mn", "Mc"):
+            if ranges and ranges[-1][1] == code - 1:
+                ranges[-1][1] = code
+            else:
+                ranges.append([code, code])
+    marks = "".join(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}"
+                    for lo, hi in ranges)
+    return re.compile(f"\\w[\\w{marks}]*")
 
 
 def _stable_hash(token: str) -> int:
@@ -35,8 +56,12 @@ class Vocabulary:
 
     Tokens are the lowercased text's runs of Unicode letters and digits
     (it is split at ``[\\W_]+``: punctuation, symbols such as emoji, spaces
-    and underscores), so ``東京タワー`` and ``café`` are one token each;
-    each token maps to ``stable_64bit_hash(token) mod hash_dim``.
+    and underscores), so ``東京タワー`` and ``café`` are one token each.
+    Combining marks (Unicode Mn/Mc) stay in the word of the letter or
+    digit before them, and non-ASCII text is NFC-normalised first, so
+    ``नमस्ते`` is one token and a decomposed ``é`` (``e`` + U+0301) gives
+    the token of a composed one.  Each token maps to
+    ``stable_64bit_hash(token) mod hash_dim``.
     """
 
     hash_dim: int = 1 << 15
@@ -70,8 +95,11 @@ class TokenIds(dict):
 
     def tokenize(self, text: str) -> np.ndarray:
         """``Vocabulary.tokenize`` of ``text``, through the memo."""
-        return np.asarray([self[t] for t in _SPLIT.split(text.lower()) if t],
-                          dtype=np.int64)
+        text = text.lower()
+        words = (_SPLIT.split(text) if text.isascii() else
+                 _non_ascii_words().findall(
+                     unicodedata.normalize("NFC", text).replace("_", " ")))
+        return np.asarray([self[t] for t in words if t], dtype=np.int64)
 
 
 def featurize_all(texts: list[np.ndarray], vocab: Vocabulary) -> sp.csr_matrix:

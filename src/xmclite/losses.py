@@ -2,11 +2,13 @@
 
 The core objective is a temperature-scaled softmax cross-entropy where each
 anchor may have several positive targets inside the pool, given as one
-boolean (anchors x targets) mask.  It is applied in two directions (queries
-scoring the label pool with the batch's positive mask, and pool labels
-scoring the queries with its transpose) and on two representation pairs
-(retrieval-head embeddings against label retrieval embeddings;
-classifier-head embeddings against classifier rows).
+boolean (anchors x targets) mask; an anchor's loss is the mean of its
+positives' negative log-probabilities (the pick-some-labels reduction over
+the positives picked into the batch).  It is applied in two directions
+(queries scoring the label pool with the batch's positive mask, and pool
+labels scoring the queries with its transpose) and on two representation
+pairs over the same one pool (retrieval-head embeddings against label
+retrieval embeddings; classifier-head embeddings against classifier rows).
 
 All losses return their gradients w.r.t. every input vector; no autodiff.
 """
@@ -28,9 +30,7 @@ class LossConfig:
 
     ``de_weight`` mixes the retrieval-head loss against the classifier loss;
     the ``*_q2l_weight`` values mix the query-anchored direction against the
-    label-anchored direction inside each of those.  ``positive_reduction``
-    selects whether an anchor's log-probabilities are averaged over its
-    positives ("mean") or summed ("sum").
+    label-anchored direction inside each of those.
     """
 
     temperature: float = field(default=0.05, metadata={
@@ -41,12 +41,8 @@ class LossConfig:
         "help": "query-anchored share inside the retrieval loss"})
     clf_q2l_weight: float = field(default=0.5, metadata={
         "help": "query-anchored share inside the classifier loss"})
-    positive_reduction: str = field(default="mean", metadata={
-        "help": "per-anchor reduction over positives: mean or sum"})
     batch_reduction: str = field(default="mean", metadata={
         "help": "reduction over anchors: mean or sum"})
-    extra_clf_positives: int = field(default=0, metadata={
-        "help": "extra classifier-side positives per query"})
 
     def validate(self) -> None:
         reject_non_finite(self)
@@ -56,12 +52,9 @@ class LossConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("positive_reduction", "batch_reduction"):
-            if getattr(self, name) not in _REDUCTIONS:
-                raise ConfigError(
-                    f"{name} must be one of {_REDUCTIONS}, got {getattr(self, name)!r}")
-        if self.extra_clf_positives < 0:
-            raise ConfigError("extra_clf_positives must be >= 0")
+        if self.batch_reduction not in _REDUCTIONS:
+            raise ConfigError(f"batch_reduction must be one of {_REDUCTIONS}, "
+                              f"got {self.batch_reduction!r}")
 
 
 @dataclass
@@ -74,15 +67,15 @@ class PoolLossResult:
 
 def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
                         positives: np.ndarray, temperature: float,
-                        positive_reduction: str = "mean",
                         batch_reduction: str = "mean",
                         with_grads: bool = True) -> PoolLossResult:
     """Multi-positive softmax cross-entropy of anchors against a target pool.
 
     ``positives`` is a boolean (anchors, targets) mask whose row i marks
-    the positives of anchor i; anchors with no positives contribute nothing
-    (and do not count toward the batch mean).  Log-sum-exp uses max
-    subtraction.
+    the positives of anchor i; an anchor's value is the mean of its
+    positives' negative log-probabilities.  Anchors with no positives
+    contribute nothing (and do not count toward the batch mean).
+    Log-sum-exp uses max subtraction.
 
     Reference cases (any temperature):
 
@@ -90,14 +83,12 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     * one anchor scoring two pool labels identically, one positive:
       loss = ln 2 = 0.6931471805599453;
     * one anchor scoring three pool labels identically, two positives:
-      ln 3 = 1.0986122886681098 under "mean" positive reduction, and
-      2 ln 3 under "sum" (for any scores, an anchor's "sum" value is
-      |positives| times its "mean" value).
+      ln 3 = 1.0986122886681098.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    if positive_reduction not in _REDUCTIONS or batch_reduction not in _REDUCTIONS:
-        raise ConfigError("reductions must be 'mean' or 'sum'")
+    if batch_reduction not in _REDUCTIONS:
+        raise ConfigError("batch_reduction must be 'mean' or 'sum'")
     n, m = anchors.shape[0], targets.shape[0]
     positives = np.asarray(positives)
     if positives.dtype != bool or positives.shape != (n, m):
@@ -116,13 +107,8 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     # pos_w[i, p] = per-positive weight; True / size is the float 1.0 / size
     sizes = positives.sum(axis=1)
     active = sizes > 0
-    if positive_reduction == "mean":
-        pos_w = np.divide(positives, sizes[:, None], out=np.zeros((n, m)),
-                          where=positives)
-        coef = active.astype(np.float64)      # multiplier on the softmax term
-    else:
-        pos_w = positives.astype(np.float64)
-        coef = sizes.astype(np.float64)
+    pos_w = np.divide(positives, sizes[:, None], out=np.zeros((n, m)),
+                      where=positives)
 
     per_anchor = -(pos_w * logp).sum(axis=1)
     n_active = int(active.sum())
@@ -135,7 +121,7 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
 
     if not with_grads:
         return PoolLossResult(value, per_anchor, None, None)
-    d_logits = weight * (coef[:, None] * np.exp(logp) - pos_w)
+    d_logits = weight * (np.exp(logp) - pos_w)
     d_logits[~active] = 0.0
     d_anchors = (d_logits @ targets) / temperature
     d_targets = (d_logits.T @ anchors) / temperature
@@ -154,14 +140,12 @@ class SymmetricLossResult:
 def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
                         positives: np.ndarray, temperature: float,
                         q2l_weight: float,
-                        positive_reduction: str = "mean",
                         batch_reduction: str = "mean",
                         with_grads: bool = True) -> SymmetricLossResult:
     """Convex mix of the two anchoring directions over one pool: queries
     anchored with the (queries, targets) mask ``positives``, targets with its
     transpose."""
-    kw = dict(positive_reduction=positive_reduction,
-              batch_reduction=batch_reduction, with_grads=with_grads)
+    kw = dict(batch_reduction=batch_reduction, with_grads=with_grads)
     fwd = pooled_softmax_loss(query_vecs, target_vecs, positives,
                               temperature, **kw)
     rev = pooled_softmax_loss(target_vecs, query_vecs, positives.T,
@@ -180,21 +164,16 @@ def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: LossConfig,
     """Symmetric pool loss on the (unit-norm) retrieval-head embeddings."""
     return symmetric_pool_loss(
         query_de_vecs, label_de_vecs, positives, cfg.temperature,
-        cfg.de_q2l_weight, cfg.positive_reduction, cfg.batch_reduction,
-        with_grads)
+        cfg.de_q2l_weight, cfg.batch_reduction, with_grads)
 
 
 def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: LossConfig,
                     with_grads: bool = True) -> SymmetricLossResult:
-    """Symmetric pool loss on classifier-head outputs vs classifier rows.
-
-    Inputs are deliberately not normalized; the pool may be larger than the
-    retrieval pool when extra classifier-side positives are configured.
-    """
+    """Symmetric pool loss on classifier-head outputs vs the classifier rows
+    of the retrieval loss's pool; inputs are deliberately not normalized."""
     return symmetric_pool_loss(
         query_clf_vecs, classifier_rows, positives, cfg.temperature,
-        cfg.clf_q2l_weight, cfg.positive_reduction, cfg.batch_reduction,
-        with_grads)
+        cfg.clf_q2l_weight, cfg.batch_reduction, with_grads)
 
 
 def combined_loss(retrieval_value: float, classifier_value: float,

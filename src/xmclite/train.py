@@ -186,8 +186,8 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
 
     The only step body: train-mode forwards of the batch's query rows and
     label-pool rows (in that order, both drawing dropout masks from
-    ``rng``), the retrieval loss over the label pool and the classifier loss
-    over the classifier pool, and one backward pass over both traces of
+    ``rng``), the retrieval and classifier losses over the one label pool,
+    and one backward pass over both traces of
     ``de_weight * retrieval + (1 - de_weight) * classifier``; a loss whose
     weight is 0 gets no gradients.  ``parts`` holds the four direction
     values, their mixes ``de`` and ``clf``, and the step's ``total``.
@@ -198,8 +198,8 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
     de_res = retrieval_loss(q_trace.de_out, l_trace.de_out, batch.positives,
                             loss_cfg, with_grads=w > 0)
     clf_res = classifier_loss(q_trace.clf_out,
-                              params.classifiers[batch.clf_pool],
-                              batch.clf_positives, loss_cfg, with_grads=w < 1)
+                              params.classifiers[batch.label_pool],
+                              batch.positives, loss_cfg, with_grads=w < 1)
     parts = {"de_q2l": de_res.q2l_value, "de_l2q": de_res.l2q_value,
              "clf_q2l": clf_res.q2l_value, "clf_l2q": clf_res.l2q_value,
              "de": de_res.value, "clf": clf_res.value,
@@ -211,8 +211,8 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
          (1 - w) * clf_res.d_queries if w < 1 else None),
         (l_trace, w * de_res.d_targets if w > 0 else None, None)], out=grads)
     if w < 1:
-        # clf_pool comes from np.unique: sorted unique row ids
-        grads.classifiers = (batch.clf_pool, (1 - w) * clf_res.d_targets)
+        # label_pool comes from np.unique: sorted unique row ids
+        grads.classifiers = (batch.label_pool, (1 - w) * clf_res.d_targets)
     return parts, grads
 
 
@@ -279,8 +279,8 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,
                     "clf_l2q": 0.0}
             for b, ids in enumerate(plan):
-                batch = collate_batch(ids, dataset, cache, pos_cap, neg_cap, seed,
-                                      epoch, b, cfg.loss.extra_clf_positives)
+                batch = collate_batch(ids, dataset, cache, pos_cap, neg_cap,
+                                      seed, epoch, b)
                 parts, grads = batch_loss(
                     params, batch, take_rows(q_feats, ids),
                     take_rows(l_feats, batch.label_pool),

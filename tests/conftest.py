@@ -11,8 +11,7 @@ import tracemalloc
 import numpy as np
 
 from xmclite import Dataset, Vocabulary, make_dataset, synth_dataset
-from xmclite.batching import (STREAM_EXTRA_POSITIVES, STREAM_NEGATIVES,
-                              STREAM_POSITIVES)
+from xmclite.batching import STREAM_NEGATIVES, STREAM_POSITIVES
 
 
 def parameter_bytes(params) -> int:
@@ -108,21 +107,17 @@ def redraw(ids, cap: int, seed: int, stream: int, epoch: int,
 
 def redraw_samples(dataset: Dataset, cache, query_ids, max_positives: int,
                    max_negatives: int, seed: int, epoch: int = 0,
-                   batch_index: int = 0, extra_clf_positives: int = 0):
-    """Each query's sampled positives, hard negatives and extra classifier
-    positives, drawn again one query at a time from collation's documented
-    keys (``documented_key``)."""
-    pos, neg, extras = [], [], []
+                   batch_index: int = 0):
+    """Each query's sampled positives and hard negatives, drawn again one
+    query at a time from collation's documented keys (``documented_key``)."""
+    pos, neg = [], []
     for qid in map(int, query_ids):
         key = (epoch, batch_index, qid)
-        truth = dataset.positives(qid)
-        p_hat = redraw(truth, max_positives, seed, STREAM_POSITIVES, *key)
-        pos.append(p_hat)
+        pos.append(redraw(dataset.positives(qid), max_positives, seed,
+                          STREAM_POSITIVES, *key))
         neg.append(redraw([] if cache is None else cache.negatives[qid],
                           max_negatives, seed, STREAM_NEGATIVES, *key))
-        extras.append(redraw(np.setdiff1d(truth, p_hat), extra_clf_positives,
-                             seed, STREAM_EXTRA_POSITIVES, *key))
-    return pos, neg, extras
+    return pos, neg
 
 
 def text_dataset(n: int, num_labels: int, seed: int = 0,

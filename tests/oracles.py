@@ -13,8 +13,9 @@ import numpy as np
 
 
 def bf_pool_loss(anchors, targets, positive_sets, temperature,
-                 positive_reduction="mean", batch_reduction="mean"):
-    """Multi-positive softmax cross-entropy by direct enumeration."""
+                 batch_reduction="mean"):
+    """Multi-positive softmax cross-entropy by direct enumeration: each
+    anchor's mean over its positives."""
     anchors = [list(map(float, a)) for a in np.asarray(anchors)]
     targets = [list(map(float, t)) for t in np.asarray(targets)]
     per_anchor = []
@@ -27,10 +28,7 @@ def bf_pool_loss(anchors, targets, positive_sets, temperature,
             scores.append(sum(x * y for x, y in zip(a, t)) / temperature)
         mx = max(scores)
         log_z = mx + math.log(sum(math.exp(s - mx) for s in scores))
-        total = sum(-(scores[p] - log_z) for p in pos)
-        if positive_reduction == "mean":
-            total /= len(pos)
-        per_anchor.append(total)
+        per_anchor.append(sum(-(scores[p] - log_z) for p in pos) / len(pos))
     if not per_anchor:
         return 0.0
     value = sum(per_anchor)
@@ -40,12 +38,11 @@ def bf_pool_loss(anchors, targets, positive_sets, temperature,
 
 
 def bf_symmetric_loss(query_vecs, target_vecs, pos_by_query, pos_by_target,
-                      temperature, q2l_weight, positive_reduction="mean",
-                      batch_reduction="mean"):
+                      temperature, q2l_weight, batch_reduction="mean"):
     fwd = bf_pool_loss(query_vecs, target_vecs, pos_by_query, temperature,
-                       positive_reduction, batch_reduction)
+                       batch_reduction)
     rev = bf_pool_loss(target_vecs, query_vecs, pos_by_target, temperature,
-                       positive_reduction, batch_reduction)
+                       batch_reduction)
     return q2l_weight * fwd + (1.0 - q2l_weight) * rev, fwd, rev
 
 
@@ -123,7 +120,6 @@ def loop_predictions_tsv(results):
 
 
 def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
-                             positive_reduction="mean",
                              batch_reduction="mean"):
     """``losses.pooled_softmax_loss`` with its positive weights set anchor by
     anchor.  Returns ``(value, per_anchor, d_anchors, d_targets)``; every
@@ -137,26 +133,20 @@ def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
     lse = row_max + np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
     logp = logits - lse
     pos_w = np.zeros((n, m))
-    coef = np.zeros(n)
     active = np.zeros(n, dtype=bool)
     for i, pos in enumerate(positive_sets):
         pos = np.asarray(pos, dtype=np.int64)
         if pos.size == 0:
             continue
         active[i] = True
-        if positive_reduction == "mean":
-            pos_w[i, pos] = 1.0 / pos.size
-            coef[i] = 1.0
-        else:
-            pos_w[i, pos] = 1.0
-            coef[i] = float(pos.size)
+        pos_w[i, pos] = 1.0 / pos.size
     per_anchor = -(pos_w * logp).sum(axis=1)
     n_active = int(active.sum())
     if n_active == 0:
         return 0.0, per_anchor, np.zeros_like(anchors), np.zeros_like(targets)
     weight = 1.0 / n_active if batch_reduction == "mean" else 1.0
     value = float(per_anchor[active].sum() * weight)
-    d_logits = weight * (coef[:, None] * np.exp(logp) - pos_w)
+    d_logits = weight * (np.exp(logp) - pos_w)
     d_logits[~active] = 0.0
     return (value, per_anchor, (d_logits @ targets) / temperature,
             (d_logits.T @ anchors) / temperature)

@@ -14,9 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (id_dataset, mask_of, random_positive_sets,
-                      redraw_samples, sets_of, text_dataset, unit_rows,
-                      write_text_dataset)
+from conftest import (id_dataset, random_positive_sets, redraw_samples,
+                      sets_of, text_dataset, unit_rows, write_text_dataset)
 from oracles import (bf_collate, bf_hard_negatives, bf_pool_loss,
                      bf_precision_at_k, bf_psp_at_k, bf_symmetric_loss,
                      bf_top_k, dense_grads, finite_difference,
@@ -95,29 +94,27 @@ def test_criterion_02_losses_match_brute_force_oracles():
         member = rng.random((n, m)) < 0.4
         pos, pos_t = sets_of(member), sets_of(member.T)
         temp = float(rng.uniform(0.05, 1.0))
-        pr = ("mean", "sum")[int(rng.integers(2))]
         br = ("mean", "sum")[int(rng.integers(2))]
         wd = float(rng.random())
         cfg = LossConfig(temperature=temp, de_q2l_weight=wd,
-                         clf_q2l_weight=1.0 - wd, positive_reduction=pr,
-                         batch_reduction=br)
+                         clf_q2l_weight=1.0 - wd, batch_reduction=br)
 
-        q2l = pooled_softmax_loss(anchors, targets, member, temp, pr, br,
+        q2l = pooled_softmax_loss(anchors, targets, member, temp, br,
                                   with_grads=False).value
         worst = max(worst, abs(q2l - bf_pool_loss(anchors, targets, pos,
-                                                  temp, pr, br)))
-        l2q = pooled_softmax_loss(targets, anchors, member.T, temp, pr, br,
+                                                  temp, br)))
+        l2q = pooled_softmax_loss(targets, anchors, member.T, temp, br,
                                   with_grads=False).value
         worst = max(worst, abs(l2q - bf_pool_loss(targets, anchors, pos_t,
-                                                  temp, pr, br)))
+                                                  temp, br)))
         de = retrieval_loss(anchors, targets, member, cfg,
                             with_grads=False).value
         worst = max(worst, abs(de - bf_symmetric_loss(
-            anchors, targets, pos, pos_t, temp, wd, pr, br)[0]))
+            anchors, targets, pos, pos_t, temp, wd, br)[0]))
         clf = classifier_loss(anchors, targets, member, cfg,
                               with_grads=False).value
         worst = max(worst, abs(clf - bf_symmetric_loss(
-            anchors, targets, pos, pos_t, temp, 1.0 - wd, pr, br)[0]))
+            anchors, targets, pos, pos_t, temp, 1.0 - wd, br)[0]))
     _verdict("criterion 02 loss oracles", bool(worst < 1e-10),
              f"100 random instances, worst |diff| {worst:.3e} (budget 1e-10)")
 
@@ -129,31 +126,11 @@ def test_criterion_03_closed_form_reference_values():
     v2 = pooled_softmax_loss(a, two, np.array([[True, False]]), 0.05,
                              with_grads=False).value
     pos3 = np.array([[True, False, True]])
-    mean3 = pooled_softmax_loss(a, three, pos3, 0.37, "mean",
+    mean3 = pooled_softmax_loss(a, three, pos3, 0.37,
                                 with_grads=False).value
-    sum3 = pooled_softmax_loss(a, three, pos3, 0.37, "sum",
-                               with_grads=False).value
-    closed = max(abs(v2 - math.log(2.0)), abs(mean3 - math.log(3.0)),
-                 abs(sum3 - 2.0 * math.log(3.0)))
-
-    # on arbitrary scores, flipping only the positive-reduction flag scales
-    # each per-anchor term by its positive count
-    rng = np.random.default_rng(3)
-    anchors = rng.normal(size=(6, 4))
-    targets = rng.normal(size=(9, 4))
-    pos = random_positive_sets(rng, 6, 9, max_pos=4)
-    mask = mask_of(pos, 9)
-    res_mean = pooled_softmax_loss(anchors, targets, mask, 0.1, "mean",
-                                   "mean", with_grads=False)
-    res_sum = pooled_softmax_loss(anchors, targets, mask, 0.1, "sum", "mean",
-                                  with_grads=False)
-    counts = np.array([len(p) for p in pos], dtype=np.float64)
-    scale = float(np.max(np.abs(res_sum.per_anchor
-                                - counts * res_mean.per_anchor)))
-    _verdict("criterion 03 closed-form values",
-             bool(closed < 1e-12 and scale < 1e-12),
-             f"ln2/ln3 cases off by {closed:.3e}, sum-vs-mean off by "
-             f"{scale:.3e} (budget 1e-12)")
+    closed = max(abs(v2 - math.log(2.0)), abs(mean3 - math.log(3.0)))
+    _verdict("criterion 03 closed-form values", bool(closed < 1e-12),
+             f"ln2/ln3 cases off by {closed:.3e} (budget 1e-12)")
 
 
 def test_criterion_04_collation_matches_definitions():
@@ -174,7 +151,7 @@ def test_criterion_04_collation_matches_definitions():
                                  replace=False))
         seed = int(rng.integers(1000))
         batch = collate_batch(ids, ds, cache, pos_cap, neg_cap, seed)
-        pos, neg, _ = redraw_samples(ds, cache, ids, pos_cap, neg_cap, seed)
+        pos, neg = redraw_samples(ds, cache, ids, pos_cap, neg_cap, seed)
         pool, pb, pl = bf_collate(ids, ds.positive_sets(), pos, neg)
         if not np.array_equal(batch.label_pool, np.asarray(pool)):
             ok, note = False, f"trial {trial}: pool mismatch"
@@ -206,9 +183,9 @@ def test_criterion_05_single_batch_reproduces_pooled_loss():
 
     union = np.unique(np.concatenate(ds.positive_sets()))
     mapped = [np.searchsorted(union, p) for p in ds.positive_sets()]
-    want = bf_pool_loss(q_vecs, l_vecs[union], mapped, 0.1, "mean", "mean")
+    want = bf_pool_loss(q_vecs, l_vecs[union], mapped, 0.1, "mean")
     got = pooled_softmax_loss(q_vecs, l_vecs[batch.label_pool],
-                              batch.positives, 0.1, "mean", "mean",
+                              batch.positives, 0.1, "mean",
                               with_grads=False).value
     diff = abs(got - want)
     _verdict("criterion 05 full-batch equivalence",

@@ -9,8 +9,8 @@ import xmclite.batching as batching
 from xmclite import (CollatedBatch, ConfigError, HardNegativeCache,
                      batch_stats, cluster_queries, collate_batch, keyed_sample,
                      make_dataset, mine_hard_negatives, synth_dataset)
-from xmclite.batching import (BATCH_STATS_HEADER, STREAM_EXTRA_POSITIVES,
-                              STREAM_NEGATIVES, STREAM_POSITIVES,
+from xmclite.batching import (BATCH_STATS_HEADER, STREAM_NEGATIVES,
+                              STREAM_POSITIVES,
                               _pool_membership, sample_keys)
 from xmclite.data import Vocabulary
 
@@ -167,7 +167,7 @@ def test_a_querys_draw_ignores_candidate_order_and_batch_mates():
     whole = collate_batch(np.arange(8), ds, cache, 2, 3, seed=5)
     for q in range(8):
         one = collate_batch(_arr([q]), ds, flipped, 2, 3, seed=5)
-        pos, neg, _ = redraw_samples(ds, cache, [q], 2, 3, seed=5)
+        pos, neg = redraw_samples(ds, cache, [q], 2, 3, seed=5)
         assert one.label_pool.tolist() == np.union1d(pos[0], neg[0]).tolist()
         assert np.all(np.isin(one.label_pool, whole.label_pool))
 
@@ -181,15 +181,14 @@ def test_collation_builds_no_generator(monkeypatch):
         [_arr([6, 7, 4]), _arr([0, 1, 6, 7]), _arr([3]), _arr([])])
     # every stream has a query with more candidates than its cap
     batch = collate_batch(_arr([0, 1, 2, 3]), ds, cache, max_positives=1,
-                          max_negatives=2, seed=3, extra_clf_positives=1)
+                          max_negatives=2, seed=3)
     assert batch.positives.shape == (4, batch.label_pool.size)
-    assert batch.clf_pool is not batch.label_pool   # extras were drawn
     # and no key is computed when no query has more candidates than the cap
     keyed = []
     monkeypatch.setattr(batching, "sample_keys",
                         lambda *a: keyed.append(a) or sample_keys(*a))
     collate_batch(_arr([0, 1, 2, 3]), ds, cache, max_positives=4,
-                  max_negatives=4, seed=3, extra_clf_positives=1)
+                  max_negatives=4, seed=3)
     assert keyed == []
     collate_batch(_arr([0, 1, 2, 3]), ds, cache, max_positives=1,
                   max_negatives=4, seed=3)
@@ -220,7 +219,7 @@ def test_pool_membership_worked_example():
     # a pool label counts for every query whose truth holds it
     assert mask.tolist() == [[True, True, False, False],
                              [False, True, True, False]]
-    batch = CollatedBatch(pool, mask, pool, mask)
+    batch = CollatedBatch(pool, mask)
     assert [v.tolist() for v in batch.pb_idx] == [[0, 1], [1, 2]]
     # transpose view, positions into the query list
     assert [v.tolist() for v in sets_of(mask.T)] == [[0], [0, 1], [1], []]
@@ -244,21 +243,14 @@ def test_anothers_hard_negative_counts_as_positive():
 def test_collate_keeps_a_mask_row_for_queries_without_positives():
     ds = _dataset_from_sets([[0, 1, 2], [3], []], 5)
     batch = collate_batch(_arr([0, 1, 2]), ds, None, max_positives=3,
-                          max_negatives=0, seed=0, extra_clf_positives=1)
+                          max_negatives=0, seed=0)
     assert batch.label_pool.tolist() == [0, 1, 2, 3]
     assert batch.positives.tolist() == [[True, True, True, False],
                                         [False, False, False, True],
                                         [False, False, False, False]]
-    # no query has a positive left over: the classifier side aliases
-    assert batch.clf_pool is batch.label_pool
-    assert batch.clf_positives is batch.positives
     batch = collate_batch(_arr([0, 1, 2]), ds, None, max_positives=1,
-                          max_negatives=0, seed=0, extra_clf_positives=2)
+                          max_negatives=0, seed=0)
     assert batch.positives.shape == (3, 2)
-    assert batch.clf_pool.tolist() == [0, 1, 2, 3]
-    assert batch.clf_positives.tolist() == [[True, True, True, False],
-                                            [False, False, False, True],
-                                            [False, False, False, False]]
 
 
 def _case(truth, num_labels, query_ids, pool):
@@ -320,8 +312,8 @@ def test_collate_batch_matches_brute_force_definitions():
                                     cache_size=max(neg_cap, 1) * 2)
         batch = collate_batch(query_ids, ds, cache, pos_cap, neg_cap,
                               seed=trial, epoch=1, batch_index=2)
-        pos, neg, _ = redraw_samples(ds, cache, query_ids, pos_cap, neg_cap,
-                                     seed=trial, epoch=1, batch_index=2)
+        pos, neg = redraw_samples(ds, cache, query_ids, pos_cap, neg_cap,
+                                  seed=trial, epoch=1, batch_index=2)
         pool, pb, pl = bf_collate(
             query_ids.tolist(),
             {int(q): ds.positives(int(q)) for q in query_ids}, pos, neg)
@@ -342,8 +334,7 @@ def test_collate_batch_matches_brute_force_definitions():
 
 def test_collation_keys_each_draw_by_seed_stream_epoch_batch_and_query():
     # the stream ids are part of every checkpoint digest
-    assert (STREAM_POSITIVES, STREAM_NEGATIVES, STREAM_EXTRA_POSITIVES) == \
-        (2, 3, 5)
+    assert (STREAM_POSITIVES, STREAM_NEGATIVES) == (2, 3)
     rng = np.random.default_rng(14)
     for trial in range(40):
         ds = id_dataset(rng, 12, 30, max_pos=6, allow_empty=True)
@@ -354,14 +345,11 @@ def test_collation_keys_each_draw_by_seed_stream_epoch_batch_and_query():
                                        replace=False))
         epoch, batch_index = trial % 3, 3 + trial % 4
         batch = collate_batch(query_ids, ds, cache, 2, 3, seed=trial,
-                              epoch=epoch, batch_index=batch_index,
-                              extra_clf_positives=2)
-        pos, neg, extras = redraw_samples(ds, cache, query_ids, 2, 3, trial,
-                                          epoch, batch_index, 2)
+                              epoch=epoch, batch_index=batch_index)
+        pos, neg = redraw_samples(ds, cache, query_ids, 2, 3, trial, epoch,
+                                  batch_index)
         pool = np.unique(np.concatenate([_arr([])] + pos + neg))
         assert np.array_equal(batch.label_pool, pool)
-        assert np.array_equal(batch.clf_pool,
-                              np.unique(np.concatenate([pool] + extras)))
         assert batch.positives.shape == (query_ids.size, pool.size)
 
 
@@ -408,30 +396,6 @@ def test_collate_without_cache_requires_eta_zero():
     batch = collate_batch(np.arange(4), ds, None, max_positives=2, max_negatives=0, seed=0)
     # no negatives: every pool label is some query's positive
     assert batch.positives.any(axis=0).all()
-
-
-def test_extra_classifier_positives_extend_only_the_classifier_pool():
-    rng = np.random.default_rng(9)
-    ds = id_dataset(rng, 8, 30, max_pos=6)
-    base = collate_batch(np.arange(8), ds, None, max_positives=1, max_negatives=0, seed=1)
-    extra = collate_batch(np.arange(8), ds, None, max_positives=1, max_negatives=0, seed=1,
-                          extra_clf_positives=2)
-    pos, _, extras = redraw_samples(ds, None, np.arange(8), 1, 0, seed=1,
-                                    extra_clf_positives=2)
-    # the retrieval-side pool is untouched
-    assert base.label_pool.tolist() == extra.label_pool.tolist()
-    assert extra.clf_pool.tolist() == \
-        np.union1d(extra.label_pool, np.concatenate(extras)).tolist()
-    grew = False
-    for i in range(8):
-        e = extras[i]
-        assert not np.any(np.isin(e, pos[i]))
-        assert np.all(np.isin(e, ds.positives(i)))
-        assert e.size <= 2
-        grew = grew or e.size > 0
-        assert extra.clf_pool[extra.clf_positives[i]].tolist() == \
-            np.intersect1d(ds.positives(i), extra.clf_pool).tolist()
-    assert grew  # with up to 6 positives and max_positives=1 some query has leftovers
 
 
 # ---------------------------------------------------------------- statistics

@@ -169,7 +169,9 @@ def test_unknown_search_backend_is_rejected(workspace, capsys):
 
 @pytest.mark.parametrize("argv", [["--search", "16"], ["--mining", "exact"],
                                   ["--data-format", "xmc-sparse"],
-                                  ["--cache-size", "5"]])
+                                  ["--cache-size", "5"],
+                                  ["--positive-reduction", "sum"],
+                                  ["--extra-clf-positives", "2"]])
 def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
     # "--search" must not be taken as an abbreviation of "--search-dim"
     rc, _ = _run(["predict"] + workspace["common"] + [
@@ -181,7 +183,8 @@ def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
 
 
 @pytest.mark.parametrize("key", ["search", "mining", "data_format",
-                                 "cache_size"])
+                                 "cache_size", "positive_reduction",
+                                 "extra_clf_positives"])
 def test_removed_search_and_mining_keys_are_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}=exact\n")

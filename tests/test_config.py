@@ -19,23 +19,23 @@ from xmclite.cli import build_parser, resolve_config
 from xmclite.config import KEYS, RunConfig, build_config, parse_config_file
 
 # The 41 keys of the flat RunConfig this schema replaced, minus the unused
-# ``triplet_margin`` and the removed ``data_format`` and ``cache_size``.
+# ``triplet_margin``, the removed ``data_format`` and ``cache_size``, and the
+# ``positive_reduction`` and ``extra_clf_positives`` that no workload chose.
 PINNED_KEYS = {
     "queries_path", "labels_path", "eval_queries_path",
     "hash_dim", "encoder_dim", "search_dim", "dropout",
     "warm_start_classifiers", "epochs", "batch_size", "refresh_interval",
-    "positives_per_query", "hard_negatives_per_query", "extra_clf_positives",
+    "positives_per_query", "hard_negatives_per_query",
     "lr_encoder", "lr_heads", "lr_classifiers", "grad_clip",
     "seed", "eval_every", "temperature", "de_weight", "de_q2l_weight",
-    "clf_q2l_weight", "positive_reduction", "batch_reduction", "mode",
+    "clf_q2l_weight", "batch_reduction", "mode",
     "top_k", "eval_k", "propensity_a", "propensity_b", "out_dir",
     "checkpoint_path", "predictions_path", "metrics_path", "log_path",
     "sim_positive_caps", "sim_negative_caps",
 }
 
 # A valid non-default value for every key whose type alone does not give one.
-_CHOICES = {"mode": "de", "positive_reduction": "sum",
-            "batch_reduction": "sum"}
+_CHOICES = {"mode": "de", "batch_reduction": "sum"}
 
 
 def _leaf_fields():
@@ -71,7 +71,7 @@ def _other_value(key):
 
 def test_flat_key_set_is_pinned():
     assert set(KEYS) == PINNED_KEYS
-    assert len(KEYS) == 38
+    assert len(KEYS) == 36
 
 
 def test_keys_are_unique_across_dataclasses_and_documented():

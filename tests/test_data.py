@@ -302,6 +302,31 @@ def test_tokens_are_unicode_words(tmp_path):
         ids(tower), ids("stra\u00dfe", "caf\u00e9")]
 
 
+def test_combining_marks_stay_in_their_word(tmp_path):
+    v = Vocabulary()
+    ids = lambda *words: [v.token_id(w) for w in words]
+    namaste = "\u0928\u092e\u0938\u094d\u0924\u0947"   # virama, vowel sign
+    cafe = "caf\u00e9"                                  # composed
+    # Devanagari keeps its marks; a decomposed e + U+0301 becomes the
+    # composed word; a mark with no letter before it is no word
+    assert v.tokenize(f"{namaste}, \u0928\u092e\u0938\u094d\u0924\u0947!"
+                      ).tolist() == ids(namaste, namaste)
+    assert v.tokenize("CAFE\u0301 cafe\u0301_x \u0301 e\u0301te\u0301"
+                      ).tolist() == ids(cafe, cafe, "x", "\u00e9t\u00e9")
+    assert v.tokenize("\u0301\u0903 !").size == 0
+    labels = _write(tmp_path / "l.txt", f"{namaste} duniya\ncafe\u0301\n")
+    queries = _write(tmp_path / "q.jsonl",
+                     f'{{"text": "{namaste}", "labels": [0]}}\n'
+                     f'{{"text": "{cafe} noir", "labels": [1]}}\n')
+    ds = load_dataset(queries, labels, v)
+    assert [t.tolist() for t in ds.label_texts] == [
+        ids(namaste, "duniya"), ids(cafe)]
+    assert [t.tolist() for t in ds.instance_texts] == [
+        ids(namaste), ids(cafe, "noir")]
+    with pytest.raises(DatasetFormatError, match="no letter or digit"):
+        load_label_texts(_write(tmp_path / "marks.txt", "\u0301\n"), v)
+
+
 # breaks that str.splitlines() knows and text mode does not
 INLINE_BREAKS = pytest.mark.parametrize(
     "char", ["\u2028", "\f", "\x85"], ids=["U+2028", "form_feed", "NEL"])

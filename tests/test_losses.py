@@ -34,16 +34,12 @@ def test_two_equal_scores_one_positive_is_ln2():
         assert res.value == pytest.approx(LN2, abs=1e-12)
 
 
-def test_three_equal_scores_two_positives_ln3_and_sum_doubles():
+def test_three_equal_scores_two_positives_is_ln3():
     anchors = np.array([[1.0, -1.0]])
     targets = np.tile(np.array([[0.2, 0.9]]), (3, 1))
     pos = np.array([[True, True, False]])
-    mean = pooled_softmax_loss(anchors, targets, pos, 0.05,
-                               positive_reduction="mean")
-    total = pooled_softmax_loss(anchors, targets, pos, 0.05,
-                                positive_reduction="sum")
-    assert mean.value == pytest.approx(LN3, abs=1e-12)
-    assert total.value == pytest.approx(2 * LN3, abs=1e-12)
+    res = pooled_softmax_loss(anchors, targets, pos, 0.05)
+    assert res.value == pytest.approx(LN3, abs=1e-12)
 
 
 def test_uniform_scores_give_log_pool_size():
@@ -61,20 +57,6 @@ def test_two_point_logit_gap_value():
     res = pooled_softmax_loss(anchors, targets, np.array([[True, False]]),
                               temperature=0.5)
     assert res.value == pytest.approx(LN_1P_EXP_M2, abs=1e-12)
-
-
-def test_per_anchor_sum_is_positive_count_times_mean():
-    rng = np.random.default_rng(0)
-    anchors, targets = unit_rows(rng, 6, 4), unit_rows(rng, 9, 4)
-    pos = random_positive_sets(rng, 6, 9, max_pos=5)
-    mask = mask_of(pos, 9)
-    mean = pooled_softmax_loss(anchors, targets, mask, 0.1,
-                               positive_reduction="mean")
-    total = pooled_softmax_loss(anchors, targets, mask, 0.1,
-                                positive_reduction="sum")
-    for i, p in enumerate(pos):
-        assert total.per_anchor[i] == pytest.approx(
-            len(p) * mean.per_anchor[i], rel=1e-12)
 
 
 def test_adding_a_constant_per_anchor_logit_row_changes_nothing():
@@ -137,12 +119,11 @@ def test_pool_loss_matches_brute_force_on_random_instances():
         targets = rng.normal(size=(m, d))
         pos = random_positive_sets(rng, n, m, max_pos=4, allow_empty=True)
         temp = float(rng.uniform(0.05, 2.0))
-        for p_red in ("mean", "sum"):
-            for b_red in ("mean", "sum"):
-                got = pooled_softmax_loss(anchors, targets, mask_of(pos, m),
-                                          temp, p_red, b_red).value
-                want = bf_pool_loss(anchors, targets, pos, temp, p_red, b_red)
-                assert got == pytest.approx(want, abs=1e-10)
+        for b_red in ("mean", "sum"):
+            got = pooled_softmax_loss(anchors, targets, mask_of(pos, m),
+                                      temp, b_red).value
+            want = bf_pool_loss(anchors, targets, pos, temp, b_red)
+            assert got == pytest.approx(want, abs=1e-10)
 
 
 @st.composite
@@ -164,32 +145,29 @@ def _pool_loss_cases(draw):
           mask_of([[2, 0], []], 3), 0.3))
 def test_pool_loss_equals_the_per_anchor_loop_bitwise(case):
     anchors, targets, mask, temp = case
-    for p_red in ("mean", "sum"):
-        for b_red in ("mean", "sum"):
-            got = pooled_softmax_loss(anchors, targets, mask, temp,
-                                      p_red, b_red)
-            value, per_anchor, d_anchors, d_targets = \
-                loop_pooled_softmax_loss(anchors, targets, sets_of(mask),
-                                         temp, p_red, b_red)
-            assert got.value == value
-            assert np.array_equal(got.per_anchor, per_anchor)
-            assert np.array_equal(got.d_anchors, d_anchors)
-            assert np.array_equal(got.d_targets, d_targets)
+    for b_red in ("mean", "sum"):
+        got = pooled_softmax_loss(anchors, targets, mask, temp, b_red)
+        value, per_anchor, d_anchors, d_targets = \
+            loop_pooled_softmax_loss(anchors, targets, sets_of(mask), temp,
+                                     b_red)
+        assert got.value == value
+        assert np.array_equal(got.per_anchor, per_anchor)
+        assert np.array_equal(got.d_anchors, d_anchors)
+        assert np.array_equal(got.d_targets, d_targets)
 
 
 def test_pool_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
-    for p_red, b_red in (("mean", "mean"), ("sum", "mean"),
-                         ("mean", "sum"), ("sum", "sum")):
+    for b_red in ("mean", "sum"):
         anchors = rng.normal(size=(4, 3))
         targets = rng.normal(size=(6, 3))
         pos = mask_of([[0, 2], [5], [], [1, 3, 4]], 6)
 
         def value():
-            return pooled_softmax_loss(anchors, targets, pos, 0.3,
-                                       p_red, b_red, with_grads=False).value
+            return pooled_softmax_loss(anchors, targets, pos, 0.3, b_red,
+                                       with_grads=False).value
 
-        res = pooled_softmax_loss(anchors, targets, pos, 0.3, p_red, b_red)
+        res = pooled_softmax_loss(anchors, targets, pos, 0.3, b_red)
         numeric = finite_difference(value, [anchors, targets])
         assert max_relative_error([res.d_anchors, res.d_targets],
                                   numeric) < 1e-6
@@ -262,8 +240,7 @@ def test_loss_config_validation():
     LossConfig().validate()
     bad = [dict(temperature=0.0), dict(temperature=-1.0),
            dict(de_weight=1.2), dict(de_q2l_weight=-0.1),
-           dict(clf_q2l_weight=2.0), dict(positive_reduction="avg"),
-           dict(batch_reduction="none"), dict(extra_clf_positives=-2)]
+           dict(clf_q2l_weight=2.0), dict(batch_reduction="none")]
     for kw in bad:
         with pytest.raises(ConfigError):
             LossConfig(**kw).validate()
@@ -275,7 +252,7 @@ def test_pool_loss_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         pooled_softmax_loss(a, t, pos, temperature=0.0)
     with pytest.raises(ConfigError):
-        pooled_softmax_loss(a, t, pos, 0.1, positive_reduction="max")
+        pooled_softmax_loss(a, t, pos, 0.1, batch_reduction="max")
     with pytest.raises(ValueError, match="mask"):
         pooled_softmax_loss(a, t, np.eye(2, dtype=bool), 0.1)   # 2 anchors
     with pytest.raises(ValueError, match="mask"):

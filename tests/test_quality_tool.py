@@ -1,9 +1,10 @@
-"""The paired-seed summary of ``tools/quality.py``."""
+"""The paired-seed summary and the side processes of ``tools/quality.py``."""
 
 import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                      "quality.py")
@@ -81,3 +82,23 @@ def test_heldout_split_is_the_benchmarks_evaluated_queries(monkeypatch,
                  for d in ("cut", "full"))
     assert len(cut) == workload.num_eval < len(full)
     assert cut == full[:workload.num_eval]
+
+
+def test_a_bad_override_stops_both_sides(capfd, monkeypatch):
+    started = []
+    popen = quality.subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(quality.subprocess, "Popen", recording_popen)
+    # side a alone would train for half a minute; side b's key is misspelt
+    with pytest.raises(SystemExit, match="side b exited 2"):
+        quality.main(["--workload", "sig-dense", "--seeds", "0-99",
+                      "--set-b", "positive_reductio=sum"])
+    assert "side b: unknown config key 'positive_reductio'" in \
+        capfd.readouterr().err
+    side_a, side_b = started
+    assert side_b.returncode == 2
+    assert side_a.returncode < 0            # stopped by a signal

@@ -124,11 +124,10 @@ def test_labels_are_embedded_once_before_the_first_step(monkeypatch, neg,
 def test_one_batch_epoch_equals_one_hand_run_step():
     # one epoch of one batch: train() must give bitwise the parameters of
     # the step assembled here from its parts.  de_weight is not 0.5, so the
-    # two loss weights differ, and extra classifier positives make the
-    # classifier pool differ from the retrieval pool.
+    # two loss weights differ; both losses score the one label pool.
     ds = _ds(num_labels=120)
     cfg = _cfg(epochs=1, batch_size=ds.num_instances,
-               loss=LossConfig(de_weight=0.25, extra_clf_positives=1))
+               loss=LossConfig(de_weight=0.25))
     got, _ = train(ds, cfg)
 
     seed, w = cfg.seed, cfg.loss.de_weight
@@ -142,9 +141,7 @@ def test_one_batch_epoch_equals_one_hand_run_step():
                                  cfg.refresh_interval))
     (ids,) = plan
     batch = collate_batch(ids, ds, cache, cfg.positives_per_query,
-                          cfg.hard_negatives_per_query, seed, 0, 0,
-                          cfg.loss.extra_clf_positives)
-    assert batch.clf_pool.size > batch.label_pool.size
+                          cfg.hard_negatives_per_query, seed, 0, 0)
     rng = np.random.default_rng([seed, STREAM_DROPOUT, 0, 0])
     q_trace = forward(params, q_feats[ids], mode="train", rng=rng)
     l_trace = forward(params, l_feats[batch.label_pool], mode="train",
@@ -152,12 +149,12 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     de_res = retrieval_loss(q_trace.de_out, l_trace.de_out, batch.positives,
                             cfg.loss)
     clf_res = classifier_loss(q_trace.clf_out,
-                              params.classifiers[batch.clf_pool],
-                              batch.clf_positives, cfg.loss)
+                              params.classifiers[batch.label_pool],
+                              batch.positives, cfg.loss)
     grads = backward(params, [
         (q_trace, w * de_res.d_queries, (1 - w) * clf_res.d_queries),
         (l_trace, w * de_res.d_targets, None)], out=zero_grads(params))
-    grads.classifiers = (batch.clf_pool, (1 - w) * clf_res.d_targets)
+    grads.classifiers = (batch.label_pool, (1 - w) * clf_res.d_targets)
     Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers).step(
         params, grads, cfg.grad_clip)
 

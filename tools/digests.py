@@ -46,15 +46,12 @@ def _runs(xmc):
                                search_dim=32, seed=0, grad_clip=grad_clip,
                                loss=xmc.LossConfig(**loss))
 
-    def extra_clf(reduction):
+    def wide_run(reduction):
         return xmc.TrainConfig(epochs=6, batch_size=32, refresh_interval=2,
                                positives_per_query=2,
                                hard_negatives_per_query=3, encoder_dim=64,
                                search_dim=32, seed=1,
-                               loss=xmc.LossConfig(
-                                   extra_clf_positives=2,
-                                   positive_reduction=reduction,
-                                   batch_reduction=reduction))
+                               loss=xmc.LossConfig(batch_reduction=reduction))
 
     return [
         ("acceptance neg2", acceptance, accept(2)),
@@ -62,9 +59,10 @@ def _runs(xmc):
         ("de_weight 0", acceptance, accept(2, epochs=10, de_weight=0.0)),
         ("de_weight 1", acceptance, accept(2, epochs=10, de_weight=1.0)),
         ("grad_clip 0.5", acceptance, accept(2, epochs=10, grad_clip=0.5)),
-        ("extra_clf sum", wide, extra_clf("sum")),
-        ("extra_clf mean", wide, extra_clf("mean")),
-        ("empty truth rows", sparse, extra_clf("sum")),
+        ("wide batch sum", wide, wide_run("sum")),
+        ("wide batch mean", wide, wide_run("mean")),
+        ("empty rows sum", sparse, wide_run("sum")),
+        ("empty rows mean", sparse, wide_run("mean")),
         ("blocks and tiles", tiled,
          xmc.TrainConfig(epochs=2, batch_size=64, refresh_interval=1,
                          positives_per_query=2, hard_negatives_per_query=3,

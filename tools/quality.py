@@ -23,8 +23,9 @@ differences b - a, the count of seeds where b is above / below a, and each
 side's seed spread (the interquartile range).  A paired median inside side
 a's spread is smaller than this number of seeds can resolve.  The table is
 printed and written, with every run's numbers, as JSON to ``--out``.  The
-sides run as two processes with one BLAS thread each.  This is a decision
-aid, not a gate.
+sides run as two processes with one BLAS thread each.  Each side checks its
+config for every seed before it loads data; a side that exits non-zero
+stops the other one and the tool.  This is a decision aid, not a gate.
 """
 
 from __future__ import annotations
@@ -95,13 +96,21 @@ def side_main(args) -> int:
                          f"not {src}")
     from xmclite.config import build_config
     from xmclite.data import Vocabulary, load_dataset, make_dataset
+    from xmclite.errors import ConfigError
     from xmclite.train import evaluate_model, train
     sys.path.insert(0, PERFBENCH)
     from workloads import WORKLOADS
 
-    base = WORKLOADS[args.workload].train
+    base = {k: str(v) for k, v in WORKLOADS[args.workload].train.items()}
     overrides = dict(json.loads(args.overrides))
-    vocab = Vocabulary(int(overrides.get("hash_dim", base["hash_dim"])))
+    try:
+        configs = {seed: build_config({}, {**base, "seed": str(seed),
+                                           **overrides})[0].train
+                   for seed in _seed_list(args.seeds)}
+    except ConfigError as exc:
+        print(f"side {args.side}: {exc}", file=sys.stderr, flush=True)
+        return 2
+    vocab = Vocabulary(next(iter(configs.values())).hash_dim)
     labels = os.path.join(args.inputs, "labels.txt")
     train_ds = load_dataset(os.path.join(args.inputs, "train.jsonl"), labels,
                             vocab=vocab)
@@ -114,10 +123,7 @@ def side_main(args) -> int:
                for name, idx in label_regimes(train_ds.label_frequencies,
                                               truth).items() if idx.size}
     runs = []
-    for seed in _seed_list(args.seeds):
-        values = {**{k: str(v) for k, v in base.items()}, "seed": str(seed),
-                  **overrides}
-        cfg = build_config({}, values)[0].train
+    for seed, cfg in configs.items():
         params, _ = train(train_ds, cfg)
 
         def score(dataset):
@@ -135,6 +141,27 @@ def side_main(args) -> int:
                          for m in MODES), file=sys.stderr, flush=True)
     print(json.dumps(runs))
     return 0
+
+
+def _wait(procs: dict) -> None:
+    """Wait for every side process.  When one exits non-zero, stop the
+    others and exit naming it; stop them too if the wait is interrupted."""
+    pending = dict(procs)
+    try:
+        while pending:
+            for name, proc in list(pending.items()):
+                code = proc.poll()
+                if code is None:
+                    continue
+                del pending[name]
+                if code != 0:
+                    raise SystemExit(f"side {name} exited {code}")
+            if pending:
+                time.sleep(0.1)
+    finally:
+        for proc in pending.values():
+            proc.kill()
+            proc.wait()
 
 
 def _subsets(run: dict) -> list[tuple[str, tuple, dict]]:
@@ -226,19 +253,24 @@ def main(argv=None) -> int:
              "b": (os.path.abspath(args.src_b), args.set + args.set_b)}
     with tempfile.TemporaryDirectory(prefix="xmclite-quality-") as inputs:
         _write_inputs(workload, inputs)
-        procs = {name: subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--side", name,
-             "--src", src, "--workload", args.workload,
-             "--inputs", inputs, "--seeds", args.seeds,
-             "--overrides", json.dumps(overrides)],
-            stdout=subprocess.PIPE, env=env, text=True)
-            for name, (src, overrides) in sides.items()}
+        # each side prints its runs to a file: a pipe would block a side
+        # that outputs more than the pipe holds while the other is awaited
+        outs = {name: os.path.join(inputs, f"side-{name}.out")
+                for name in sides}
+        procs = {}
+        for name, (src, overrides) in sides.items():
+            with open(outs[name], "w", encoding="utf-8") as out:
+                procs[name] = subprocess.Popen(
+                    [sys.executable, os.path.abspath(__file__), "--side", name,
+                     "--src", src, "--workload", args.workload,
+                     "--inputs", inputs, "--seeds", args.seeds,
+                     "--overrides", json.dumps(overrides)],
+                    stdout=out, env=env)
+        _wait(procs)
         runs = {}
-        for name, proc in procs.items():
-            out, _ = proc.communicate()
-            if proc.returncode != 0:
-                raise SystemExit(f"side {name} exited {proc.returncode}")
-            runs[name] = json.loads(out.splitlines()[-1])
+        for name, path in outs.items():
+            with open(path, encoding="utf-8") as fh:
+                runs[name] = json.loads(fh.read().splitlines()[-1])
 
     rows = summarize(runs["a"], runs["b"])
     # the record first: a reader that closes stdout early loses no runs
