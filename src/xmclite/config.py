@@ -96,18 +96,9 @@ def _walk(obj):
 KEYS = {key.name: key for key in _walk(RunConfig())}
 
 
-_TRUE, _FALSE = {"1", "true", "yes", "on"}, {"0", "false", "no", "off"}
-
-
 def coerce_value(key: str, raw: str, kind: type) -> object:
     """Parse the raw string value of ``key`` as ``kind``."""
     text = raw.strip()
-    if kind is bool:
-        if text.lower() in _TRUE:
-            return True
-        if text.lower() in _FALSE:
-            return False
-        raise ConfigError(f"{key} expects a boolean, got {raw!r}")
     if kind is str:
         return text
     try:

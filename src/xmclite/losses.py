@@ -9,6 +9,8 @@ the positives picked into the batch).  It is applied in two directions
 labels scoring the queries with its transpose) and on two representation
 pairs over the same one pool (retrieval-head embeddings against label
 retrieval embeddings; classifier-head embeddings against classifier rows).
+The retrieval loss is always the even mix of its two directions
+(``DE_Q2L_WEIGHT``); the classifier loss's mix is ``clf_q2l_weight``.
 
 All losses return their gradients w.r.t. every input vector; no autodiff.
 """
@@ -22,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, reject_non_finite
 
 _REDUCTIONS = ("mean", "sum")
+# query-anchored share inside the retrieval loss, the rest label-anchored
+DE_Q2L_WEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -29,16 +33,14 @@ class LossConfig:
     """Mixing weights and options for the combined objective.
 
     ``de_weight`` mixes the retrieval-head loss against the classifier loss;
-    the ``*_q2l_weight`` values mix the query-anchored direction against the
-    label-anchored direction inside each of those.
+    ``clf_q2l_weight`` mixes the query-anchored direction against the
+    label-anchored direction inside the classifier loss.
     """
 
     temperature: float = field(default=0.05, metadata={
         "help": "softmax temperature for all pool losses"})
     de_weight: float = field(default=0.5, metadata={
         "help": "weight of the retrieval loss in the total (1 = retrieval only)"})
-    de_q2l_weight: float = field(default=0.5, metadata={
-        "help": "query-anchored share inside the retrieval loss"})
     clf_q2l_weight: float = field(default=0.5, metadata={
         "help": "query-anchored share inside the classifier loss"})
     batch_reduction: str = field(default="mean", metadata={
@@ -48,7 +50,7 @@ class LossConfig:
         reject_non_finite(self)
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        for name in ("de_weight", "de_q2l_weight", "clf_q2l_weight"):
+        for name in ("de_weight", "clf_q2l_weight"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
@@ -94,7 +96,9 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     if positives.dtype != bool or positives.shape != (n, m):
         raise ValueError(f"positives must be a boolean ({n}, {m}) mask, got "
                          f"{positives.dtype} {positives.shape}")
-    if n == 0 or m == 0:
+    sizes = positives.sum(axis=1)
+    if not sizes.any():
+        # no anchor, no target or no positive: nothing to learn from
         d_a = np.zeros_like(anchors) if with_grads else None
         d_t = np.zeros_like(targets) if with_grads else None
         return PoolLossResult(0.0, np.zeros(n), d_a, d_t)
@@ -105,17 +109,12 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     logp = logits - lse
 
     # pos_w[i, p] = per-positive weight; True / size is the float 1.0 / size
-    sizes = positives.sum(axis=1)
     active = sizes > 0
     pos_w = np.divide(positives, sizes[:, None], out=np.zeros((n, m)),
                       where=positives)
 
     per_anchor = -(pos_w * logp).sum(axis=1)
     n_active = int(active.sum())
-    if n_active == 0:
-        d_a = np.zeros_like(anchors) if with_grads else None
-        d_t = np.zeros_like(targets) if with_grads else None
-        return PoolLossResult(0.0, per_anchor, d_a, d_t)
     weight = 1.0 / n_active if batch_reduction == "mean" else 1.0
     value = float(per_anchor[active].sum() * weight)
 
@@ -161,10 +160,11 @@ def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
 
 def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: LossConfig,
                    with_grads: bool = True) -> SymmetricLossResult:
-    """Symmetric pool loss on the (unit-norm) retrieval-head embeddings."""
+    """Symmetric pool loss on the (unit-norm) retrieval-head embeddings,
+    the even mix of its two directions."""
     return symmetric_pool_loss(
         query_de_vecs, label_de_vecs, positives, cfg.temperature,
-        cfg.de_q2l_weight, cfg.batch_reduction, with_grads)
+        DE_Q2L_WEIGHT, cfg.batch_reduction, with_grads)
 
 
 def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: LossConfig,

@@ -39,7 +39,8 @@ from .errors import ConfigError, TrainingAbort, reject_non_finite
 from .infer import (MODES, build_index, embed_rows,  # noqa: F401
                     label_vectors_by_mode, predict_vectors, query_vectors,
                     query_vectors_by_mode, topk)
-from .losses import LossConfig, classifier_loss, combined_loss, retrieval_loss
+from .losses import (DE_Q2L_WEIGHT, LossConfig, classifier_loss,
+                     combined_loss, retrieval_loss)
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (Grads, ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
@@ -67,8 +68,6 @@ class TrainConfig:
         "help": "width of the retrieval/classifier embedding space"})
     dropout: float = field(default=0.1, metadata={
         "help": "dropout rate in both projection heads"})
-    warm_start_classifiers: bool = field(default=True, metadata={
-        "help": "seed classifier rows from label text embeddings"})
     lr_encoder: float = field(default=1e-4, metadata={
         "help": "Adam learning rate for the embedding table"})
     lr_heads: float = field(default=2e-4, metadata={
@@ -268,7 +267,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                 plan, cache, l_emb = refresh(params, q_feats, l_feats,
                                              positive_sets, num_batches, seed,
                                              epoch, cache_size)
-                if epoch == 0 and cfg.warm_start_classifiers:
+                if epoch == 0:
                     # Classifier rows start as the labels' embeddings by the
                     # untrained model.  Mining has just made them: no step
                     # has run, and the de forward reads no classifier row.
@@ -295,7 +294,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                     sums[key] += parts[key]
 
             means = {k: v / num_batches for k, v in sums.items()}
-            w_d, w_c = cfg.loss.de_q2l_weight, cfg.loss.clf_q2l_weight
+            w_d, w_c = DE_Q2L_WEIGHT, cfg.loss.clf_q2l_weight
             de_mean = w_d * means["de_q2l"] + (1 - w_d) * means["de_l2q"]
             clf_mean = w_c * means["clf_q2l"] + (1 - w_c) * means["clf_l2q"]
             record = {"epoch": epoch, **means, "de": de_mean, "clf": clf_mean,

@@ -50,8 +50,7 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
                 "cedar grove"]]
     ds = make_dataset(q_texts, l_texts, [[0, 2], [1, 3], [2, 4]], 5, vocab)
     params = init_params(8, 4, 3, 5, seed=1, dropout=0.1)
-    cfg = LossConfig(temperature=0.05, de_weight=0.5,
-                     de_q2l_weight=0.5, clf_q2l_weight=0.5)
+    cfg = LossConfig(temperature=0.05, de_weight=0.5, clf_q2l_weight=0.5)
     q_feats = featurize_all(ds.instance_texts, vocab)
     l_feats_all = featurize_all(ds.label_texts, vocab)
 
@@ -95,9 +94,9 @@ def test_criterion_02_losses_match_brute_force_oracles():
         pos, pos_t = sets_of(member), sets_of(member.T)
         temp = float(rng.uniform(0.05, 1.0))
         br = ("mean", "sum")[int(rng.integers(2))]
-        wd = float(rng.random())
-        cfg = LossConfig(temperature=temp, de_q2l_weight=wd,
-                         clf_q2l_weight=1.0 - wd, batch_reduction=br)
+        wc = float(rng.random())
+        cfg = LossConfig(temperature=temp, clf_q2l_weight=wc,
+                         batch_reduction=br)
 
         q2l = pooled_softmax_loss(anchors, targets, member, temp, br,
                                   with_grads=False).value
@@ -110,11 +109,11 @@ def test_criterion_02_losses_match_brute_force_oracles():
         de = retrieval_loss(anchors, targets, member, cfg,
                             with_grads=False).value
         worst = max(worst, abs(de - bf_symmetric_loss(
-            anchors, targets, pos, pos_t, temp, wd, br)[0]))
+            anchors, targets, pos, pos_t, temp, 0.5, br)[0]))
         clf = classifier_loss(anchors, targets, member, cfg,
                               with_grads=False).value
         worst = max(worst, abs(clf - bf_symmetric_loss(
-            anchors, targets, pos, pos_t, temp, 1.0 - wd, br)[0]))
+            anchors, targets, pos, pos_t, temp, wc, br)[0]))
     _verdict("criterion 02 loss oracles", bool(worst < 1e-10),
              f"100 random instances, worst |diff| {worst:.3e} (budget 1e-10)")
 

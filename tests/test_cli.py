@@ -171,7 +171,9 @@ def test_unknown_search_backend_is_rejected(workspace, capsys):
                                   ["--data-format", "xmc-sparse"],
                                   ["--cache-size", "5"],
                                   ["--positive-reduction", "sum"],
-                                  ["--extra-clf-positives", "2"]])
+                                  ["--extra-clf-positives", "2"],
+                                  ["--de-q2l-weight", "0.5"],
+                                  ["--warm-start-classifiers", "false"]])
 def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
     # "--search" must not be taken as an abbreviation of "--search-dim"
     rc, _ = _run(["predict"] + workspace["common"] + [
@@ -184,7 +186,8 @@ def test_removed_search_and_mining_flags_are_rejected(workspace, capsys, argv):
 
 @pytest.mark.parametrize("key", ["search", "mining", "data_format",
                                  "cache_size", "positive_reduction",
-                                 "extra_clf_positives"])
+                                 "extra_clf_positives", "de_q2l_weight",
+                                 "warm_start_classifiers"])
 def test_removed_search_and_mining_keys_are_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}=exact\n")

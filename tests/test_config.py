@@ -20,14 +20,15 @@ from xmclite.config import KEYS, RunConfig, build_config, parse_config_file
 
 # The 41 keys of the flat RunConfig this schema replaced, minus the unused
 # ``triplet_margin``, the removed ``data_format`` and ``cache_size``, and the
-# ``positive_reduction`` and ``extra_clf_positives`` that no workload chose.
+# ``positive_reduction``, ``extra_clf_positives``, ``de_q2l_weight`` and
+# ``warm_start_classifiers`` whose other values no workload chose.
 PINNED_KEYS = {
     "queries_path", "labels_path", "eval_queries_path",
     "hash_dim", "encoder_dim", "search_dim", "dropout",
-    "warm_start_classifiers", "epochs", "batch_size", "refresh_interval",
+    "epochs", "batch_size", "refresh_interval",
     "positives_per_query", "hard_negatives_per_query",
     "lr_encoder", "lr_heads", "lr_classifiers", "grad_clip",
-    "seed", "eval_every", "temperature", "de_weight", "de_q2l_weight",
+    "seed", "eval_every", "temperature", "de_weight",
     "clf_q2l_weight", "batch_reduction", "mode",
     "top_k", "eval_k", "propensity_a", "propensity_b", "out_dir",
     "checkpoint_path", "predictions_path", "metrics_path", "log_path",
@@ -54,8 +55,6 @@ def _other_value(key):
     """A valid value different from the default, and its text form."""
     if key.name in _CHOICES:
         value = _CHOICES[key.name]
-    elif key.type is bool:
-        value = not key.default
     elif key.type is int:
         value = key.default + 1
     elif key.type is float:
@@ -71,7 +70,7 @@ def _other_value(key):
 
 def test_flat_key_set_is_pinned():
     assert set(KEYS) == PINNED_KEYS
-    assert len(KEYS) == 36
+    assert len(KEYS) == 34
 
 
 def test_keys_are_unique_across_dataclasses_and_documented():
@@ -175,4 +174,9 @@ def test_readme_documents_every_key():
                         re.S).group(1)
     missing = [name for name in KEYS if f"`{name}`" not in section]
     assert missing == []
+    removed = ["triplet_margin", "data_format", "cache_size", "mining",
+               "search", "positive_reduction", "extra_clf_positives",
+               "de_q2l_weight", "warm_start_classifiers"]
+    named = [name for name in removed if f"`{name}`" in section]
+    assert named == []
     assert "triplet_margin" not in text

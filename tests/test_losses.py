@@ -220,10 +220,11 @@ def test_retrieval_and_classifier_wrappers_route_their_weights():
     rng = np.random.default_rng(10)
     queries, labels = unit_rows(rng, 4, 3), unit_rows(rng, 5, 3)
     pos = mask_of(random_positive_sets(rng, 4, 5), 5)
-    cfg = LossConfig(temperature=0.1, de_q2l_weight=1.0, clf_q2l_weight=0.0)
+    cfg = LossConfig(temperature=0.1, clf_q2l_weight=0.0)
     de = retrieval_loss(queries, labels, pos, cfg)
     clf = classifier_loss(queries, labels, pos, cfg)
-    assert de.value == pytest.approx(de.q2l_value)
+    # the retrieval loss is always the even mix of its two directions
+    assert de.value == 0.5 * de.q2l_value + 0.5 * de.l2q_value
     assert clf.value == pytest.approx(clf.l2q_value)
 
 
@@ -239,7 +240,7 @@ def test_combined_loss_is_convex_mix():
 def test_loss_config_validation():
     LossConfig().validate()
     bad = [dict(temperature=0.0), dict(temperature=-1.0),
-           dict(de_weight=1.2), dict(de_q2l_weight=-0.1),
+           dict(de_weight=1.2), dict(clf_q2l_weight=-0.1),
            dict(clf_q2l_weight=2.0), dict(batch_reduction="none")]
     for kw in bad:
         with pytest.raises(ConfigError):

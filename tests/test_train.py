@@ -21,6 +21,7 @@ from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
 from xmclite import infer
 from xmclite.batching import STREAM_DROPOUT
 from xmclite.infer import MODES
+from xmclite.losses import DE_Q2L_WEIGHT
 from xmclite.train import negative_cache_size, refresh
 
 # the package's ``train`` attribute is the function, not the module
@@ -58,21 +59,9 @@ def logged_run(tmp_path_factory):
     return ds, cfg, params, report, log, ckpt
 
 
-def test_retrieval_only_training_leaves_classifier_side_untouched():
-    ds = _ds()
-    cfg = _cfg(warm_start_classifiers=False, loss=LossConfig(de_weight=1.0))
-    params, _ = train(ds, cfg)
-    ref = _reference_init(cfg, ds.num_labels)
-    assert np.array_equal(params.clf_w, ref.clf_w)
-    assert np.array_equal(params.clf_b, ref.clf_b)
-    assert np.array_equal(params.classifiers, ref.classifiers)
-    assert not np.array_equal(params.embed, ref.embed)
-    assert not np.array_equal(params.de_w, ref.de_w)
-
-
 def test_classifier_only_training_leaves_retrieval_head_untouched():
     ds = _ds()
-    cfg = _cfg(warm_start_classifiers=False, loss=LossConfig(de_weight=0.0))
+    cfg = _cfg(loss=LossConfig(de_weight=0.0))
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
     assert np.array_equal(params.de_w, ref.de_w)
@@ -84,23 +73,46 @@ def test_classifier_only_training_leaves_retrieval_head_untouched():
 
 
 def test_warm_start_copies_label_embeddings_into_classifiers():
-    # with retrieval-only loss the classifier table receives no gradient,
-    # so the warm-start values must survive training verbatim
+    # with retrieval-only loss the classifier side receives no gradient, so
+    # its head keeps its init and the warm-start rows survive verbatim
     ds = _ds()
-    cfg = _cfg(warm_start_classifiers=True, loss=LossConfig(de_weight=1.0))
+    cfg = _cfg(loss=LossConfig(de_weight=1.0))
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
     feats = featurize_all(ds.label_texts, ds.vocab)
     expected = forward(ref, feats, mode="eval", heads=("de",)).de_out
     assert np.array_equal(params.classifiers, expected)
+    assert np.array_equal(params.clf_w, ref.clf_w)
+    assert np.array_equal(params.clf_b, ref.clf_b)
+    assert not np.array_equal(params.embed, ref.embed)
+    assert not np.array_equal(params.de_w, ref.de_w)
+
+
+def test_rows_of_labels_without_training_positives_move_only_as_negatives():
+    # such a label is never a positive in a batch, so only the
+    # query-anchored classifier loss, where it is a pool negative, gives its
+    # row a gradient: at clf_q2l_weight 0 every such row keeps its warm start
+    ds = _ds(num_labels=60)
+    unseen = np.flatnonzero(ds.label_frequencies == 0)
+    assert unseen.size > 0
+    ref = _reference_init(_cfg(), ds.num_labels)
+    warm = forward(ref, featurize_all(ds.label_texts, ds.vocab), mode="eval",
+                   heads=("de",)).de_out[unseen]
+    kept = {}
+    for w in (0.0, 0.5):
+        params, _ = train(ds, _cfg(loss=LossConfig(clf_q2l_weight=w)))
+        rows = params.classifiers[unseen]
+        kept[w] = [np.array_equal(got.view(np.int64), want.view(np.int64))
+                   for got, want in zip(rows, warm)]
+    assert all(kept[0.0])
+    assert not all(kept[0.5])
 
 
 @pytest.mark.parametrize("neg", [2, 0])
-@pytest.mark.parametrize("warm", [True, False])
-def test_labels_are_embedded_once_before_the_first_step(monkeypatch, neg,
-                                                        warm):
-    # the warm start takes epoch 0's mining embeddings when there are any;
-    # ``embedded`` holds the step count at each eval pass over the labels
+def test_labels_are_embedded_once_before_the_first_step(monkeypatch, neg):
+    # the warm start takes epoch 0's mining embeddings when there are any,
+    # and embeds the labels itself when nothing is mined; ``embedded`` holds
+    # the step count at each eval pass over the labels
     ds = _ds()
     embedded, steps = [], []
     embed_rows, step = train_module.embed_rows, Adam.step
@@ -116,9 +128,8 @@ def test_labels_are_embedded_once_before_the_first_step(monkeypatch, neg,
 
     monkeypatch.setattr(train_module, "embed_rows", spy_embed_rows)
     monkeypatch.setattr(Adam, "step", spy_step)
-    train(ds, _cfg(epochs=1, hard_negatives_per_query=neg,
-                   warm_start_classifiers=warm))
-    assert embedded == ([0] if warm or neg else [])
+    train(ds, _cfg(epochs=1, hard_negatives_per_query=neg))
+    assert embedded == [0]
 
 
 def test_one_batch_epoch_equals_one_hand_run_step():
@@ -179,8 +190,8 @@ def test_epoch_records_decompose_exactly(logged_run):
     _, cfg, _, report, _, _ = logged_run
     w = cfg.loss.de_weight
     for rec in report.records:
-        de = (cfg.loss.de_q2l_weight * rec["de_q2l"]
-              + (1.0 - cfg.loss.de_q2l_weight) * rec["de_l2q"])
+        de = (DE_Q2L_WEIGHT * rec["de_q2l"]
+              + (1.0 - DE_Q2L_WEIGHT) * rec["de_l2q"])
         clf = (cfg.loss.clf_q2l_weight * rec["clf_q2l"]
                + (1.0 - cfg.loss.clf_q2l_weight) * rec["clf_l2q"])
         assert rec["de"] == pytest.approx(de, abs=1e-12)

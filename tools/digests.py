@@ -59,6 +59,7 @@ def _runs(xmc):
         ("de_weight 0", acceptance, accept(2, epochs=10, de_weight=0.0)),
         ("de_weight 1", acceptance, accept(2, epochs=10, de_weight=1.0)),
         ("grad_clip 0.5", acceptance, accept(2, epochs=10, grad_clip=0.5)),
+        ("clf_q2l 0", acceptance, accept(2, epochs=10, clf_q2l_weight=0.0)),
         ("wide batch sum", wide, wide_run("sum")),
         ("wide batch mean", wide, wide_run("mean")),
         ("empty rows sum", sparse, wide_run("sum")),
