@@ -103,7 +103,7 @@ def coerce_value(key: str, raw: str, kind: type) -> object:
         return text
     try:
         if kind is tuple:
-            return tuple(int(part) for part in text.split(",") if part.strip())
+            return tuple(int(part) for part in text.split(","))
         parsed = kind(text)
     except ValueError as exc:
         what = "a comma list of integers" if kind is tuple else kind.__name__

@@ -4,13 +4,14 @@ The core objective is a temperature-scaled softmax cross-entropy where each
 anchor may have several positive targets inside the pool, given as one
 boolean (anchors x targets) mask; an anchor's loss is the mean of its
 positives' negative log-probabilities (the pick-some-labels reduction over
-the positives picked into the batch).  It is applied in two directions
-(queries scoring the label pool with the batch's positive mask, and pool
-labels scoring the queries with its transpose) and on two representation
-pairs over the same one pool (retrieval-head embeddings against label
-retrieval embeddings; classifier-head embeddings against classifier rows).
-The retrieval loss is always the even mix of its two directions
-(``DE_Q2L_WEIGHT``); the classifier loss's mix is ``clf_q2l_weight``.
+the positives picked into the batch).  Both directions are read off one
+score matrix: its rows anchor the queries on the batch's positive mask, its
+columns anchor the pool labels on the mask's transpose.  It runs on two
+representation pairs over the same one pool (retrieval-head embeddings
+against label retrieval embeddings; classifier-head embeddings against
+classifier rows).  The retrieval loss is always the even mix of its two
+directions (``DE_Q2L_WEIGHT``); the classifier loss's mix is
+``clf_q2l_weight``; ``loss_parts`` mixes the two losses into the total.
 
 All losses return their gradients w.r.t. every input vector; no autodiff.
 """
@@ -60,50 +61,22 @@ class LossConfig:
 
 
 @dataclass
-class PoolLossResult:
+class SymmetricLossResult:
     value: float
-    per_anchor: np.ndarray            # pre-batch-reduction values, zeros if skipped
-    d_anchors: np.ndarray | None
+    q2l_value: float
+    l2q_value: float
+    d_queries: np.ndarray | None
     d_targets: np.ndarray | None
 
 
-def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
-                        positives: np.ndarray, temperature: float,
-                        batch_reduction: str = "mean",
-                        with_grads: bool = True) -> PoolLossResult:
-    """Multi-positive softmax cross-entropy of anchors against a target pool.
-
-    ``positives`` is a boolean (anchors, targets) mask whose row i marks
-    the positives of anchor i; an anchor's value is the mean of its
-    positives' negative log-probabilities.  Anchors with no positives
-    contribute nothing (and do not count toward the batch mean).
-    Log-sum-exp uses max subtraction.
-
-    Reference cases (any temperature):
-
-    * an anchor whose single pool label is its positive: loss 0;
-    * one anchor scoring two pool labels identically, one positive:
-      loss = ln 2 = 0.6931471805599453;
-    * one anchor scoring three pool labels identically, two positives:
-      ln 3 = 1.0986122886681098.
-    """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    if batch_reduction not in _REDUCTIONS:
-        raise ConfigError("batch_reduction must be 'mean' or 'sum'")
-    n, m = anchors.shape[0], targets.shape[0]
-    positives = np.asarray(positives)
-    if positives.dtype != bool or positives.shape != (n, m):
-        raise ValueError(f"positives must be a boolean ({n}, {m}) mask, got "
-                         f"{positives.dtype} {positives.shape}")
+def _anchored_loss(logits: np.ndarray, positives: np.ndarray,
+                   batch_reduction: str, with_grads: bool
+                   ) -> tuple[float, np.ndarray | None]:
+    """One anchoring direction over a score matrix whose rows are the
+    anchors: the value and its gradient w.r.t. ``logits``.  Needs at least
+    one positive in ``positives``; rows without one are left out."""
+    n, m = logits.shape
     sizes = positives.sum(axis=1)
-    if not sizes.any():
-        # no anchor, no target or no positive: nothing to learn from
-        d_a = np.zeros_like(anchors) if with_grads else None
-        d_t = np.zeros_like(targets) if with_grads else None
-        return PoolLossResult(0.0, np.zeros(n), d_a, d_t)
-
-    logits = (anchors @ targets.T) / temperature
     row_max = logits.max(axis=1, keepdims=True)
     lse = row_max + np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
     logp = logits - lse
@@ -117,23 +90,11 @@ def pooled_softmax_loss(anchors: np.ndarray, targets: np.ndarray,
     n_active = int(active.sum())
     weight = 1.0 / n_active if batch_reduction == "mean" else 1.0
     value = float(per_anchor[active].sum() * weight)
-
     if not with_grads:
-        return PoolLossResult(value, per_anchor, None, None)
+        return value, None
     d_logits = weight * (np.exp(logp) - pos_w)
     d_logits[~active] = 0.0
-    d_anchors = (d_logits @ targets) / temperature
-    d_targets = (d_logits.T @ anchors) / temperature
-    return PoolLossResult(value, per_anchor, d_anchors, d_targets)
-
-
-@dataclass
-class SymmetricLossResult:
-    value: float
-    q2l_value: float
-    l2q_value: float
-    d_queries: np.ndarray | None
-    d_targets: np.ndarray | None
+    return value, d_logits
 
 
 def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
@@ -141,21 +102,49 @@ def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
                         q2l_weight: float,
                         batch_reduction: str = "mean",
                         with_grads: bool = True) -> SymmetricLossResult:
-    """Convex mix of the two anchoring directions over one pool: queries
-    anchored with the (queries, targets) mask ``positives``, targets with its
-    transpose."""
-    kw = dict(batch_reduction=batch_reduction, with_grads=with_grads)
-    fwd = pooled_softmax_loss(query_vecs, target_vecs, positives,
-                              temperature, **kw)
-    rev = pooled_softmax_loss(target_vecs, query_vecs, positives.T,
-                              temperature, **kw)
+    """Multi-positive softmax cross-entropy over one score matrix, read both
+    ways and mixed: ``q2l_weight`` times the query-anchored direction (its
+    rows, with the boolean (queries, targets) mask ``positives``) plus the
+    rest times the target-anchored one (its columns, with the transpose).
+
+    In each direction an anchor's value is the mean of its positives'
+    negative log-probabilities (log-sum-exp with max subtraction); anchors
+    with no positive contribute nothing and do not count toward the batch
+    mean.  Reference cases of one direction (any temperature):
+
+    * an anchor whose single pool target is its positive: loss 0;
+    * one anchor scoring two targets identically, one positive:
+      loss = ln 2 = 0.6931471805599453;
+    * one anchor scoring three targets identically, two positives:
+      ln 3 = 1.0986122886681098.
+    """
+    if temperature <= 0:
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if batch_reduction not in _REDUCTIONS:
+        raise ConfigError("batch_reduction must be 'mean' or 'sum'")
+    n, m = query_vecs.shape[0], target_vecs.shape[0]
+    positives = np.asarray(positives)
+    if positives.dtype != bool or positives.shape != (n, m):
+        raise ValueError(f"positives must be a boolean ({n}, {m}) mask, got "
+                         f"{positives.dtype} {positives.shape}")
+    if not positives.any():
+        # no query, no target or no positive: nothing to learn from
+        d_q = np.zeros_like(query_vecs) if with_grads else None
+        d_t = np.zeros_like(target_vecs) if with_grads else None
+        return SymmetricLossResult(0.0, 0.0, 0.0, d_q, d_t)
+
+    scores = (query_vecs @ target_vecs.T) / temperature
+    q2l, d_q2l = _anchored_loss(scores, positives, batch_reduction,
+                                with_grads)
+    l2q, d_l2q = _anchored_loss(scores.T, positives.T, batch_reduction,
+                                with_grads)
     w = q2l_weight
-    value = w * fwd.value + (1.0 - w) * rev.value
+    value = w * q2l + (1.0 - w) * l2q
     if not with_grads:
-        return SymmetricLossResult(value, fwd.value, rev.value, None, None)
-    d_queries = w * fwd.d_anchors + (1.0 - w) * rev.d_targets
-    d_targets = w * fwd.d_targets + (1.0 - w) * rev.d_anchors
-    return SymmetricLossResult(value, fwd.value, rev.value, d_queries, d_targets)
+        return SymmetricLossResult(value, q2l, l2q, None, None)
+    d_scores = (w * d_q2l + (1.0 - w) * d_l2q.T) / temperature
+    return SymmetricLossResult(value, q2l, l2q, d_scores @ target_vecs,
+                               d_scores.T @ query_vecs)
 
 
 def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: LossConfig,
@@ -176,9 +165,12 @@ def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: LossConfig,
         cfg.clf_q2l_weight, cfg.batch_reduction, with_grads)
 
 
-def combined_loss(retrieval_value: float, classifier_value: float,
-                  de_weight: float) -> float:
-    if not 0.0 <= de_weight <= 1.0:
-        raise ConfigError(f"de_weight must be in [0, 1], got {de_weight}")
-    return de_weight * retrieval_value + (1.0 - de_weight) * classifier_value
-
+def loss_parts(directions: dict, cfg: LossConfig) -> dict:
+    """The four direction values ``de_q2l``, ``de_l2q``, ``clf_q2l`` and
+    ``clf_l2q`` with their mixes: ``de``, ``clf`` and the step's ``total``,
+    ``de_weight * de + (1 - de_weight) * clf``."""
+    w_d, w_c = DE_Q2L_WEIGHT, cfg.clf_q2l_weight
+    de = w_d * directions["de_q2l"] + (1.0 - w_d) * directions["de_l2q"]
+    clf = w_c * directions["clf_q2l"] + (1.0 - w_c) * directions["clf_l2q"]
+    return {**directions, "de": de, "clf": clf,
+            "total": cfg.de_weight * de + (1.0 - cfg.de_weight) * clf}

@@ -39,8 +39,7 @@ from .errors import ConfigError, TrainingAbort, reject_non_finite
 from .infer import (MODES, build_index, embed_rows,  # noqa: F401
                     label_vectors_by_mode, predict_vectors, query_vectors,
                     query_vectors_by_mode, topk)
-from .losses import (DE_Q2L_WEIGHT, LossConfig, classifier_loss,
-                     combined_loss, retrieval_loss)
+from .losses import LossConfig, classifier_loss, loss_parts, retrieval_loss
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (Grads, ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
@@ -199,10 +198,10 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
     clf_res = classifier_loss(q_trace.clf_out,
                               params.classifiers[batch.label_pool],
                               batch.positives, loss_cfg, with_grads=w < 1)
-    parts = {"de_q2l": de_res.q2l_value, "de_l2q": de_res.l2q_value,
-             "clf_q2l": clf_res.q2l_value, "clf_l2q": clf_res.l2q_value,
-             "de": de_res.value, "clf": clf_res.value,
-             "total": combined_loss(de_res.value, clf_res.value, w)}
+    parts = loss_parts({"de_q2l": de_res.q2l_value,
+                        "de_l2q": de_res.l2q_value,
+                        "clf_q2l": clf_res.q2l_value,
+                        "clf_l2q": clf_res.l2q_value}, loss_cfg)
 
     grads = zero_grads(params)
     backward(params, [
@@ -247,7 +246,6 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
     start = time.perf_counter()
     seed = cfg.seed
     pos_cap, neg_cap = cfg.positives_per_query, cfg.hard_negatives_per_query
-    de_w8 = cfg.loss.de_weight
     q_feats = featurize_all(dataset.instance_texts, dataset.vocab)
     l_feats = featurize_all(dataset.label_texts, dataset.vocab)
     positive_sets = dataset.positive_sets()
@@ -294,11 +292,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                     sums[key] += parts[key]
 
             means = {k: v / num_batches for k, v in sums.items()}
-            w_d, w_c = DE_Q2L_WEIGHT, cfg.loss.clf_q2l_weight
-            de_mean = w_d * means["de_q2l"] + (1 - w_d) * means["de_l2q"]
-            clf_mean = w_c * means["clf_q2l"] + (1 - w_c) * means["clf_l2q"]
-            record = {"epoch": epoch, **means, "de": de_mean, "clf": clf_mean,
-                      "total": combined_loss(de_mean, clf_mean, de_w8),
+            record = {"epoch": epoch, **loss_parts(means, cfg.loss),
                       "refreshed": refreshed}
             if cfg.eval_every > 0 and ((epoch + 1) % cfg.eval_every == 0
                                        or epoch == cfg.epochs - 1):

@@ -119,16 +119,9 @@ def loop_predictions_tsv(results):
     return "".join(out)
 
 
-def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
-                             batch_reduction="mean"):
-    """``losses.pooled_softmax_loss`` with its positive weights set anchor by
-    anchor.  Returns ``(value, per_anchor, d_anchors, d_targets)``; every
-    array operation is the package's, so the results must equal it bitwise.
-    """
-    n, m = anchors.shape[0], targets.shape[0]
-    if n == 0 or m == 0:
-        return 0.0, np.zeros(n), np.zeros_like(anchors), np.zeros_like(targets)
-    logits = (anchors @ targets.T) / temperature
+def _loop_anchored(logits, positive_sets, batch_reduction):
+    """One direction of ``loop_symmetric_pool_loss``: rows are anchors."""
+    n, m = logits.shape
     row_max = logits.max(axis=1, keepdims=True)
     lse = row_max + np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
     logp = logits - lse
@@ -141,15 +134,29 @@ def loop_pooled_softmax_loss(anchors, targets, positive_sets, temperature,
         active[i] = True
         pos_w[i, pos] = 1.0 / pos.size
     per_anchor = -(pos_w * logp).sum(axis=1)
-    n_active = int(active.sum())
-    if n_active == 0:
-        return 0.0, per_anchor, np.zeros_like(anchors), np.zeros_like(targets)
-    weight = 1.0 / n_active if batch_reduction == "mean" else 1.0
+    weight = 1.0 / int(active.sum()) if batch_reduction == "mean" else 1.0
     value = float(per_anchor[active].sum() * weight)
     d_logits = weight * (np.exp(logp) - pos_w)
     d_logits[~active] = 0.0
-    return (value, per_anchor, (d_logits @ targets) / temperature,
-            (d_logits.T @ anchors) / temperature)
+    return value, d_logits
+
+
+def loop_symmetric_pool_loss(queries, targets, pos_by_query, pos_by_target,
+                             temperature, q2l_weight, batch_reduction="mean"):
+    """``losses.symmetric_pool_loss`` with its positive weights set anchor
+    by anchor, from the per-query and per-target positive sets.  Returns
+    ``(value, q2l_value, l2q_value, d_queries, d_targets)``; every array
+    operation is the package's, so the results must equal it bitwise.
+    """
+    if not any(len(p) for p in pos_by_query):
+        return 0.0, 0.0, 0.0, np.zeros_like(queries), np.zeros_like(targets)
+    scores = (queries @ targets.T) / temperature
+    q2l, d_q2l = _loop_anchored(scores, pos_by_query, batch_reduction)
+    l2q, d_l2q = _loop_anchored(scores.T, pos_by_target, batch_reduction)
+    w = q2l_weight
+    d_scores = (w * d_q2l + (1.0 - w) * d_l2q.T) / temperature
+    return (w * q2l + (1.0 - w) * l2q, q2l, l2q, d_scores @ targets,
+            d_scores.T @ queries)
 
 
 def assert_finite(params):

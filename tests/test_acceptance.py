@@ -26,7 +26,7 @@ from xmclite.batching import collate_batch
 from xmclite.cli import main
 from xmclite.data import featurize_all
 from xmclite.infer import LabelIndex, label_vectors, predict_vectors, query_vectors
-from xmclite.losses import classifier_loss, pooled_softmax_loss, retrieval_loss
+from xmclite.losses import classifier_loss, retrieval_loss, symmetric_pool_loss
 from xmclite.metrics import metrics_report
 from xmclite.model import forward, init_params
 from xmclite.negatives import mine_hard_negatives
@@ -98,18 +98,11 @@ def test_criterion_02_losses_match_brute_force_oracles():
         cfg = LossConfig(temperature=temp, clf_q2l_weight=wc,
                          batch_reduction=br)
 
-        q2l = pooled_softmax_loss(anchors, targets, member, temp, br,
-                                  with_grads=False).value
-        worst = max(worst, abs(q2l - bf_pool_loss(anchors, targets, pos,
-                                                  temp, br)))
-        l2q = pooled_softmax_loss(targets, anchors, member.T, temp, br,
-                                  with_grads=False).value
-        worst = max(worst, abs(l2q - bf_pool_loss(targets, anchors, pos_t,
-                                                  temp, br)))
-        de = retrieval_loss(anchors, targets, member, cfg,
-                            with_grads=False).value
-        worst = max(worst, abs(de - bf_symmetric_loss(
-            anchors, targets, pos, pos_t, temp, 0.5, br)[0]))
+        de = retrieval_loss(anchors, targets, member, cfg, with_grads=False)
+        want, q2l, l2q = bf_symmetric_loss(anchors, targets, pos, pos_t,
+                                           temp, 0.5, br)
+        worst = max(worst, abs(de.value - want), abs(de.q2l_value - q2l),
+                    abs(de.l2q_value - l2q))
         clf = classifier_loss(anchors, targets, member, cfg,
                               with_grads=False).value
         worst = max(worst, abs(clf - bf_symmetric_loss(
@@ -122,11 +115,12 @@ def test_criterion_03_closed_form_reference_values():
     a = np.array([[1.0, 0.0]])
     two = np.array([[1.0, 0.0]] * 2)
     three = np.array([[1.0, 0.0]] * 3)
-    v2 = pooled_softmax_loss(a, two, np.array([[True, False]]), 0.05,
-                             with_grads=False).value
+    # the query-anchored direction of one query
+    v2 = symmetric_pool_loss(a, two, np.array([[True, False]]), 0.05, 1.0,
+                             with_grads=False).q2l_value
     pos3 = np.array([[True, False, True]])
-    mean3 = pooled_softmax_loss(a, three, pos3, 0.37,
-                                with_grads=False).value
+    mean3 = symmetric_pool_loss(a, three, pos3, 0.37, 1.0,
+                                with_grads=False).q2l_value
     closed = max(abs(v2 - math.log(2.0)), abs(mean3 - math.log(3.0)))
     _verdict("criterion 03 closed-form values", bool(closed < 1e-12),
              f"ln2/ln3 cases off by {closed:.3e} (budget 1e-12)")
@@ -183,9 +177,9 @@ def test_criterion_05_single_batch_reproduces_pooled_loss():
     union = np.unique(np.concatenate(ds.positive_sets()))
     mapped = [np.searchsorted(union, p) for p in ds.positive_sets()]
     want = bf_pool_loss(q_vecs, l_vecs[union], mapped, 0.1, "mean")
-    got = pooled_softmax_loss(q_vecs, l_vecs[batch.label_pool],
-                              batch.positives, 0.1, "mean",
-                              with_grads=False).value
+    got = symmetric_pool_loss(q_vecs, l_vecs[batch.label_pool],
+                              batch.positives, 0.1, 1.0, "mean",
+                              with_grads=False).q2l_value
     diff = abs(got - want)
     _verdict("criterion 05 full-batch equivalence",
              bool(np.array_equal(batch.label_pool, union) and diff < 1e-10),

@@ -130,6 +130,20 @@ def test_invalid_config_values_name_the_key(overrides):
         build_config({}, overrides)
 
 
+@pytest.mark.parametrize("name, text", [("eval_k", "1,,5"),
+                                        ("sim_positive_caps", ",3,")])
+def test_comma_list_with_an_empty_entry_is_rejected(tmp_path, name, text):
+    message = re.escape(f"{name} expects a comma list of integers, "
+                        f"got {text!r}")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        build_config(parse_config_file(str(cfg_file)))
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(build_parser().parse_args(["train", flag, text]))
+
+
 def _float_fields(cls):
     hints = typing.get_type_hints(cls)
     return [f.name for f in fields(cls) if hints[f.name] is float]

@@ -1,5 +1,6 @@
 """Print the sha256 of the parameters and train log of fixed training runs,
-and of the batch statistics of a fixed ``simulate-batches`` run.
+of the batch statistics of a fixed ``simulate-batches`` run, and of the
+parameters and train log of each benchmark workload's training run.
 
 Usage: python3 tools/digests.py [--src DIR]
 
@@ -8,8 +9,11 @@ Usage: python3 tools/digests.py [--src DIR]
 A refactor that claims no behaviour change must print the same pairs before
 and after.  The checkpoint digest covers its parameter section (magic, header
 and matrices), not the JSON metadata that follows it, so it also compares
-with checkpoints written before the metadata moved into the file.  Runs use
-one BLAS thread, which the determinism contract needs.
+with checkpoints written before the metadata moved into the file.  A
+workload's run is the one ``perfbench/worker.py`` makes: ``train`` on the
+inputs ``perfbench/run.py`` generates for seed 1, at
+``TrainConfig(seed=FIXED_SEED, **workload.train)``.  Runs use one BLAS
+thread, which the determinism contract needs.
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ SIMULATE_FLAGS = ["--sim-positive-caps", "1,2,3", "--sim-negative-caps",
                   "0,2,6", "--refresh-interval", "2", "--batch-size", "16"]
 
 
+# ``generate``'s seed draws only the held-out split, which training never
+# reads; 1 is the seed a benchmark round starts with
+BENCH_SEED = 1
+
+
 def _write_corpus(dirpath: str) -> tuple[str, str]:
     """A separable text corpus of 128 queries over 64 labels as
     (queries.jsonl, labels.txt): each query names its 1-3 labels' tokens
@@ -112,6 +121,33 @@ def _parameter_section(blob: bytes) -> bytes:
                            + labels * search)]
 
 
+def _train_line(xmc, name: str, dataset, cfg, tmp: str) -> str:
+    """The digest line of one training run, with its wall time."""
+    ckpt, log = os.path.join(tmp, "ckpt.bin"), os.path.join(tmp, "log.jsonl")
+    started = time.perf_counter()
+    xmc.train(dataset, cfg, log_path=log, checkpoint_path=ckpt)
+    elapsed = time.perf_counter() - started
+    params = hashlib.sha256(_parameter_section(_read(ckpt)))
+    return (f"{name:16s} parameters {params.hexdigest()}  "
+            f"log {hashlib.sha256(_read(log)).hexdigest()}  {elapsed:5.2f}s")
+
+
+def _workload_runs(xmc, tmp: str):
+    """(name, dataset, TrainConfig) of each benchmark workload's run."""
+    from run import generate
+    from workloads import FIXED_SEED, WORKLOADS
+    for name, workload in WORKLOADS.items():
+        inputs = os.path.join(tmp, name)
+        os.makedirs(inputs)
+        generate(workload, BENCH_SEED, inputs)
+        dataset = xmc.load_dataset(
+            os.path.join(inputs, "train.jsonl"),
+            os.path.join(inputs, "labels.txt"),
+            vocab=xmc.Vocabulary(workload.train["hash_dim"]))
+        yield name, dataset, xmc.TrainConfig(seed=FIXED_SEED,
+                                             **workload.train)
+
+
 def main(argv=None) -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -130,15 +166,8 @@ def main(argv=None) -> int:
 
     print(f"xmclite from {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt, log = os.path.join(tmp, "ckpt.bin"), os.path.join(tmp, "log.jsonl")
         for name, dataset, cfg in _runs(xmc):
-            started = time.perf_counter()
-            xmc.train(dataset, cfg, log_path=log, checkpoint_path=ckpt)
-            elapsed = time.perf_counter() - started
-            params = hashlib.sha256(_parameter_section(_read(ckpt)))
-            print(f"{name:16s} parameters {params.hexdigest()}  "
-                  f"log {hashlib.sha256(_read(log)).hexdigest()}  "
-                  f"{elapsed:5.2f}s", flush=True)
+            print(_train_line(xmc, name, dataset, cfg, tmp), flush=True)
 
         from xmclite.cli import main as cli_main
         queries, labels = _write_corpus(tmp)
@@ -154,6 +183,9 @@ def main(argv=None) -> int:
         stats = hashlib.sha256(_read(os.path.join(out_dir, "batch_stats.csv")))
         print(f"{'simulate-batches':16s} batch_stats.csv {stats.hexdigest()}  "
               f"{elapsed:5.2f}s", flush=True)
+
+        for name, dataset, cfg in _workload_runs(xmc, tmp):
+            print(_train_line(xmc, name, dataset, cfg, tmp), flush=True)
     return 0
 
 
