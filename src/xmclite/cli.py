@@ -20,7 +20,7 @@ import numpy as np
 
 from .batching import BATCH_STATS_HEADER, batch_count, batch_stats
 from .config import KEYS, RunConfig, build_config, parse_config_file
-from .data import Dataset, Vocabulary, featurize_all, load_dataset
+from .data import Dataset, Vocabulary, load_dataset
 from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
                      TrainingAbort, XmcliteError)
 from .fileio import atomic_open
@@ -28,7 +28,8 @@ from .infer import build_index, predict, read_predictions, write_predictions
 from .metrics import metrics_report, propensity
 from .model import init_params, load_checkpoint
 from .negatives import HardNegativeCache
-from .train import check_inputs, negative_cache_size, refresh, train
+from .train import (TRAIN_DTYPE, check_inputs, negative_cache_size, refresh,
+                    train, training_features)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,11 +159,13 @@ def cmd_eval(config: RunConfig, explicit: set) -> int:
 def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     _require(config, "queries_path", "labels_path")
     cfg = config.train
+    # the refresh ``train`` would make: parameters and feature rows in its
+    # dtype (exact for a checkpoint that training wrote)
     if config.checkpoint_path:
-        params = _checked_params(config, explicit)
+        params = _checked_params(config, explicit).astype(TRAIN_DTYPE)
     else:
         params = init_params(cfg.hash_dim, cfg.encoder_dim, cfg.search_dim, 1,
-                             cfg.seed, cfg.dropout)
+                             cfg.seed, cfg.dropout, TRAIN_DTYPE)
     vocab = Vocabulary(params.hash_dim)
     dataset = _load(config, config.queries_path, vocab)
     num_batches = batch_count(dataset, cfg.batch_size)
@@ -171,8 +174,8 @@ def cmd_simulate_batches(config: RunConfig, explicit: set) -> int:
     sizes = {cap: negative_cache_size(cap, cfg.refresh_interval)
              for cap in config.sim_negative_caps if cap > 0}
     plan, cache, _ = refresh(
-        params, featurize_all(dataset.instance_texts, vocab),
-        featurize_all(dataset.label_texts, vocab), dataset.positive_sets(),
+        params, training_features(dataset.instance_texts, vocab),
+        training_features(dataset.label_texts, vocab), dataset.positive_sets(),
         num_batches, cfg.seed, 0, max(sizes.values(), default=0))
     caches = {cap: HardNegativeCache.from_lists(
         [n[:size] for n in cache.negatives])

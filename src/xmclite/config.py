@@ -102,12 +102,16 @@ def coerce_value(key: str, raw: str, kind: type) -> object:
     if kind is str:
         return text
     try:
-        if kind is tuple:
-            return tuple(int(part) for part in text.split(","))
-        parsed = kind(text)
+        parsed = tuple(int(part) for part in text.split(",")) \
+            if kind is tuple else kind(text)
     except ValueError as exc:
         what = "a comma list of integers" if kind is tuple else kind.__name__
         raise ConfigError(f"{key} expects {what}, got {raw!r}") from exc
+    if kind is tuple:
+        for i, value in enumerate(parsed):
+            if value in parsed[:i]:
+                raise ConfigError(f"{key} lists {value} more than once, "
+                                  f"in {raw!r}")
     return parsed
 
 

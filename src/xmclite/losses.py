@@ -81,10 +81,11 @@ def _anchored_loss(logits: np.ndarray, positives: np.ndarray,
     lse = row_max + np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True))
     logp = logits - lse
 
-    # pos_w[i, p] = per-positive weight; True / size is the float 1.0 / size
+    # pos_w[i, p] = per-positive weight; True / size is the float 1.0 / size,
+    # rounded to the logits' dtype
     active = sizes > 0
-    pos_w = np.divide(positives, sizes[:, None], out=np.zeros((n, m)),
-                      where=positives)
+    pos_w = np.divide(positives, sizes[:, None],
+                      out=np.zeros((n, m), dtype=logits.dtype), where=positives)
 
     per_anchor = -(pos_w * logp).sum(axis=1)
     n_active = int(active.sum())

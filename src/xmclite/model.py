@@ -8,15 +8,21 @@ dropout (train mode), then L2 normalization; the classifier head applies
 ``enc @ clf_w + clf_b`` and dropout with no normalization.  A separate
 ``classifiers`` table holds one trainable vector per label.
 
-Everything is float64 by default so analytic gradients can be validated with
-central finite differences.  ``forward`` caches all intermediates needed by
-``backward``, the train-mode dropout masks among them; ``backward`` takes
-every trace of a training step and builds the embedding gradient rows in
-one pass.  Masks are drawn only from the pass's rng, so a generator seeded
-alike replays a pass bit-identically (as finite-difference checks need).
+Parameters are float64 by default so analytic gradients can be validated
+with central finite differences; ``train`` keeps its own in float32, and
+every array of the forward, the backward and the step follows the
+parameters' dtype (feature rows of another dtype promote the encoding, so
+a float32 pass takes float32 rows).  ``forward`` caches all intermediates
+needed by ``backward``, the train-mode dropout masks among them;
+``backward`` takes every trace of a training step and builds the embedding
+gradient rows in one pass.  Masks are drawn only from the pass's rng, so a
+generator seeded alike replays a pass bit-identically (as finite-difference
+checks need).
 
 Initialization, checkpoint saves and checkpoint loads each hold one copy of
-the parameter tables: tables are drawn, written and read in place.
+the parameter tables: tables are drawn, written and read in place, and a
+table of another dtype than float64 is drawn and written
+``CAST_BLOCK_ROWS`` rows at a time, so it is never copied whole.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"XMCLITE1"
 ROW_TABLES = ("embed", "classifiers")  # lookup tables with row-sparse grads
+# Rows per block when a table is drawn or saved in a dtype other than its
+# float64 draw or file format: 2 MB of float64 at width 64.
+CAST_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -72,14 +81,23 @@ class ModelParams:
         return ModelParams(**{k: v.copy() for k, v in self.arrays().items()},
                            dropout=self.dropout)
 
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every table cast to ``dtype``."""
+        return ModelParams(**{k: v.astype(dtype)
+                              for k, v in self.arrays().items()},
+                           dropout=self.dropout)
+
 
 def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
                 num_labels: int, seed: int = 0, dropout: float = 0.1,
                 dtype=np.float64) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; biases start at zero.
 
-    Each table is drawn straight into its float64 array, so in float64 an
-    init holds nothing beyond the tables it returns."""
+    The values are float64 draws.  In float64 each table is drawn straight
+    into its array; in any other dtype it is drawn ``CAST_BLOCK_ROWS`` rows
+    at a time into its array, which continues the same stream, so the values
+    are those of one draw cast whole.  Either way an init holds the tables it
+    returns and at most one block besides."""
     if min(hash_dim, encoder_dim, search_dim, num_labels) < 1:
         raise ConfigError("all model dimensions must be >= 1")
     if not 0.0 <= dropout <= 1.0:
@@ -88,7 +106,13 @@ def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
 
     def uniform(shape, fan_in):
         lim = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-lim, lim, size=shape).astype(dtype, copy=False)
+        if np.dtype(dtype) == np.float64:
+            return rng.uniform(-lim, lim, size=shape)
+        table = np.empty(shape, dtype=dtype)
+        for lo in range(0, shape[0], CAST_BLOCK_ROWS):
+            block = table[lo:lo + CAST_BLOCK_ROWS]
+            block[...] = rng.uniform(-lim, lim, size=block.shape)
+        return table
 
     return ModelParams(
         embed=uniform((hash_dim, encoder_dim), encoder_dim),
@@ -115,11 +139,13 @@ class ForwardTrace:
     clf_out: np.ndarray | None = None
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+def _dropout_mask(shape, rate: float, rng: np.random.Generator,
+                  dtype=np.float64) -> np.ndarray:
     if rate >= 1.0:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype=dtype)
     # Inverted dropout: keep with prob 1-rate, scale kept units by 1/(1-rate).
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    # The draws are float64 in every dtype, so a dtype keeps the masks.
+    return np.divide(rng.random(shape) >= rate, 1.0 - rate, dtype=dtype)
 
 
 def _dropout(x: np.ndarray, train: bool, rate: float,
@@ -130,7 +156,7 @@ def _dropout(x: np.ndarray, train: bool, rate: float,
         return x, None
     if rng is None:
         raise ValueError("train-mode forward needs an rng")
-    mask = _dropout_mask(x.shape, rate, rng)
+    mask = _dropout_mask(x.shape, rate, rng, x.dtype)
     return x * mask, mask
 
 
@@ -276,9 +302,11 @@ def save_checkpoint(path: str, params: ModelParams,
     """One checkpoint file: magic, dims, dropout and the float64 matrices,
     then ``extra`` as compact sorted-key UTF-8 JSON.
 
-    Each matrix is written from its own buffer (a little-endian float64
-    C-contiguous array is written as it is, anything else through one
-    converted copy), so a save of float64 parameters holds no copy of them.
+    Each matrix is written from its own buffer: a little-endian float64
+    C-contiguous array as it is, anything else ``CAST_BLOCK_ROWS`` rows at a
+    time through a converted copy of the block, which gives the bytes of a
+    whole-array conversion.  So a save holds no copy of a table, in any
+    dtype.
     The file is written to a temporary file and renamed into place, so a
     failed save leaves the previous checkpoint loadable.
     """
@@ -288,8 +316,12 @@ def save_checkpoint(path: str, params: ModelParams,
                              params.search_dim, params.num_labels,
                              params.dropout))
         for arr in params.arrays().values():   # in file order
-            fh.write(memoryview(
-                np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+            table = np.atleast_2d(arr)   # a view; a bias is one row
+            step = len(table) if arr.dtype == "<f8" and \
+                arr.flags.c_contiguous else CAST_BLOCK_ROWS
+            for lo in range(0, len(table), step):
+                fh.write(memoryview(np.ascontiguousarray(
+                    table[lo:lo + step], dtype="<f8")).cast("B"))
         fh.write(json.dumps(extra or {}, sort_keys=True,
                             separators=(",", ":")).encode("utf-8"))
 

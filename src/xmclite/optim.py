@@ -39,7 +39,10 @@ gradient on every step.  A lookup-table row with no gradient skips
 for every ``m`` except ``-0.0``, likewise for ``v``.  No moment is ever
 ``-0.0``: they start at ``+0.0``; with ``beta`` above 0.5 the decay rounds no
 nonzero value to zero and keeps the sign of a zero; and a sum is ``-0.0``
-only when both its terms are.
+only when both its terms are.  None of this depends on the binary format,
+so it holds for the float32 tables of training as for float64 ones: the
+moments take the parameter's dtype, and the Python-float constants round to
+it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,12 @@ for the pool, and differentiates
 ``de_weight * retrieval_loss + (1 - de_weight) * classifier_loss`` in one
 backward pass over both traces; Adam then steps on those gradients.
 
+Training runs in ``TRAIN_DTYPE`` (float32): the parameters, the feature
+rows, the activations, the losses, the gradients and Adam's moments.  What
+leaves a run is float64, the exact upcast of those parameters: the
+checkpoints, the returned parameters and every evaluation.  Refreshes embed
+in float32 into float64 arrays, so mining and clustering rank as before.
+
 Fully deterministic for a fixed config and seed: every step runs on the
 calling thread with one BLAS thread, and the top-k scans of mining and
 evaluation, which ``infer.topk`` then splits over the usable cores, give
@@ -32,7 +38,7 @@ import numpy as np
 
 from .batching import (STREAM_DROPOUT, CollatedBatch, batch_count,
                        cluster_queries, collate_batch)
-from .data import Dataset, featurize_all, take_rows
+from .data import Dataset, Vocabulary, featurize_all, take_rows
 from .errors import ConfigError, TrainingAbort, reject_non_finite
 # build_index, query_vectors and predict_vectors are unused here but stay
 # importable from this module: perfbench/tracer.py wraps them by name.
@@ -45,6 +51,9 @@ from .model import (Grads, ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
 from .negatives import HardNegativeCache, mine_hard_negatives
 from .optim import Adam
+
+# The dtype of every array a training step reads or writes.
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -152,6 +161,11 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
     return out
 
 
+def training_features(texts: list, vocab: Vocabulary):
+    """``featurize_all`` rows in ``TRAIN_DTYPE``, the rows a step encodes."""
+    return featurize_all(texts, vocab).astype(TRAIN_DTYPE)
+
+
 def negative_cache_size(neg_cap: int, refresh_interval: int) -> int:
     """Mined negatives kept per query: ``neg_cap`` for each epoch until the
     next refresh.  A cap of 0 gives 0, so ``refresh`` mines nothing."""
@@ -246,12 +260,12 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
     start = time.perf_counter()
     seed = cfg.seed
     pos_cap, neg_cap = cfg.positives_per_query, cfg.hard_negatives_per_query
-    q_feats = featurize_all(dataset.instance_texts, dataset.vocab)
-    l_feats = featurize_all(dataset.label_texts, dataset.vocab)
+    q_feats = training_features(dataset.instance_texts, dataset.vocab)
+    l_feats = training_features(dataset.label_texts, dataset.vocab)
     positive_sets = dataset.positive_sets()
 
     params = init_params(cfg.hash_dim, cfg.encoder_dim, cfg.search_dim,
-                         dataset.num_labels, seed, cfg.dropout)
+                         dataset.num_labels, seed, cfg.dropout, TRAIN_DTYPE)
     opt = Adam(cfg.lr_encoder, cfg.lr_heads, cfg.lr_classifiers)
     cache_size = negative_cache_size(neg_cap, cfg.refresh_interval)
     plan, cache = None, None
@@ -271,7 +285,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                     # has run, and the de forward reads no classifier row.
                     if l_emb is None:
                         l_emb = embed_rows(params, ("de",), l_feats)
-                    params.classifiers = l_emb
+                    params.classifiers = l_emb.astype(TRAIN_DTYPE)
 
             sums = {"de_q2l": 0.0, "de_l2q": 0.0, "clf_q2l": 0.0,
                     "clf_l2q": 0.0}
@@ -297,8 +311,11 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
             if cfg.eval_every > 0 and ((epoch + 1) % cfg.eval_every == 0
                                        or epoch == cfg.epochs - 1):
                 target = eval_dataset if eval_dataset is not None else dataset
+                # the float64 upcast a checkpoint holds, so these are the
+                # metrics of the checkpoint's read path
                 record["metrics"] = evaluate_model(
-                    params, target, cfg.eval_k, propensity_dataset=dataset,
+                    params.astype(np.float64), target, cfg.eval_k,
+                    propensity_dataset=dataset,
                     propensity_a=cfg.propensity_a,
                     propensity_b=cfg.propensity_b)
             report.records.append(record)
@@ -316,4 +333,5 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
     report.wall_seconds = time.perf_counter() - start
     if report.records and "metrics" in report.records[-1]:
         report.final_metrics = report.records[-1]["metrics"]
-    return params, report
+    opt = grads = None   # Adam's moments go before the float64 tables come
+    return params.astype(np.float64), report

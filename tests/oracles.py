@@ -313,9 +313,11 @@ class BfDenseAdam:
 
     ``step`` updates every entry of every array in ``params`` (name -> array,
     changed in place) from ``grads`` (name -> dense array of the same shape),
-    with the learning rate ``lrs[name]``.  Python floats round each operation
-    as numpy does, so with the same operation order the results are bitwise
-    those of a vectorized dense update.
+    with the learning rate ``lrs[name]``.  Each operation runs on numpy
+    scalars of the array's dtype, the constants rounded to it first, as a
+    vectorized update with Python-float constants rounds them; so with the
+    same operation order the results are bitwise those of a vectorized
+    dense update in that dtype.
     """
 
     def __init__(self, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -331,15 +333,20 @@ class BfDenseAdam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(x)
                 self.v[name] = np.zeros_like(x)
+            f = x.dtype.type
+            b1, b2, c1, c2 = (f(c) for c in (self.beta1, self.beta2,
+                                             1.0 - self.beta1, 1.0 - self.beta2))
+            lr, eps, bc1_f, bc2_f = (f(c) for c in (self.lrs[name], self.eps,
+                                                    bc1, bc2))
             xf, gf = x.reshape(-1), np.asarray(grads[name]).reshape(-1)
             mf, vf = self.m[name].reshape(-1), self.v[name].reshape(-1)
             for j in range(xf.size):
-                g = float(gf[j])
-                m = float(mf[j]) * self.beta1 + (1.0 - self.beta1) * g
-                v = float(vf[j]) * self.beta2 + (1.0 - self.beta2) * g * g
+                g = f(gf[j])
+                m = f(mf[j]) * b1 + c1 * g
+                v = f(vf[j]) * b2 + c2 * g * g
                 mf[j], vf[j] = m, v
-                xf[j] = float(xf[j]) - self.lrs[name] * (
-                    (m / bc1) / (math.sqrt(v / bc2) + self.eps))
+                xf[j] = f(xf[j]) - lr * ((m / bc1_f) / (np.sqrt(v / bc2_f)
+                                                        + eps))
 
 
 def finite_difference(fn, arrays, step=1e-6):

@@ -10,14 +10,17 @@ import os
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import parameter_bytes, write_text_dataset
-from xmclite import METRICS_SCHEMA, read_predictions
+from xmclite import METRICS_SCHEMA, Vocabulary, load_dataset, read_predictions
 from xmclite.batching import BATCH_STATS_HEADER
 from xmclite.cli import build_parser, main
 from xmclite.config import KEYS
+from xmclite.infer import embed_rows
 from xmclite.model import load_checkpoint
+from xmclite.train import TRAIN_DTYPE, training_features
 
 # the package's ``train`` attribute is the function, not the module
 train_module = importlib.import_module("xmclite.train")
@@ -431,6 +434,41 @@ def test_simulate_batches_without_checkpoint(tmp_path):
     assert len(lines) == 2  # default single cap combination
 
 
+def test_simulate_batches_refreshes_as_training_starts(workspace, tmp_path,
+                                                     monkeypatch):
+    # Without a checkpoint, simulate-batches embeds the queries of train()'s
+    # epoch-0 refresh, bitwise, and clusters them into the same plan.  With
+    # one, it refreshes from the checkpoint cast to the training dtype.
+    refreshed = []
+    cluster = train_module.cluster_queries
+
+    def spy(q_emb, *args, **kwargs):
+        plan = cluster(q_emb, *args, **kwargs)
+        refreshed.append((q_emb.copy(), [ids.copy() for ids in plan]))
+        return plan
+
+    monkeypatch.setattr(train_module, "cluster_queries", spy)
+    args = workspace["common"] + ["--batch-size", "8", "--seed", "5",
+                                  "--hard-negatives-per-query", "2"]
+    assert _run(["train"] + args + ["--epochs", "1", "--out-dir",
+                                    str(tmp_path / "run")])[0] == 0
+    assert _run(["simulate-batches"] + args + [
+        "--sim-negative-caps", "2", "--out-dir", str(tmp_path / "sim")])[0] == 0
+    assert _run(["simulate-batches"] + args + [
+        "--checkpoint-path", workspace["ckpt"],
+        "--out-dir", str(tmp_path / "sim")])[0] == 0
+    (train_emb, train_plan), (sim_emb, sim_plan), (ckpt_emb, _) = refreshed
+    assert np.array_equal(sim_emb.view(np.int64), train_emb.view(np.int64))
+    assert len(sim_plan) == len(train_plan) > 1
+    assert all(np.array_equal(a, b) for a, b in zip(sim_plan, train_plan))
+    params, _ = load_checkpoint(workspace["ckpt"])
+    dataset = load_dataset(workspace["queries"], workspace["labels"],
+                           vocab=Vocabulary(params.hash_dim))
+    want = embed_rows(params.astype(TRAIN_DTYPE), ("de",), training_features(
+        dataset.instance_texts, dataset.vocab))
+    assert np.array_equal(ckpt_emb.view(np.int64), want.view(np.int64))
+
+
 def test_simulate_batches_clusters_once_and_mines_at_most_once(
         workspace, tmp_path, monkeypatch):
     # simulate-batches refreshes through train.refresh, which looks these
@@ -457,10 +495,10 @@ def test_simulate_batches_clusters_once_and_mines_at_most_once(
                      "embed_rows": 2}
     # With refresh_interval 2, negative caps 2 and 3 give cache sizes 4 and
     # 6: one cache is mined, at the largest size, and the smaller size takes
-    # each list's prefix.  With every negative cap 0 nothing is mined and no
-    # label is embedded.
+    # each list's prefix.  With the one negative cap 0 nothing is mined and
+    # no label is embedded (a list names each cap once).
     for caps, extra, mined in (("2,3,0", ["--refresh-interval", "2"], 1),
-                               ("0,0", [], 0)):
+                               ("0", [], 0)):
         calls.update(cluster_queries=0, mine_hard_negatives=0, embed_rows=0)
         rc, _ = _run(["simulate-batches"] + workspace["common"] + [
             "--checkpoint-path", workspace["ckpt"], "--out-dir", str(tmp_path),

@@ -144,6 +144,29 @@ def test_comma_list_with_an_empty_entry_is_rejected(tmp_path, name, text):
         resolve_config(build_parser().parse_args(["train", flag, text]))
 
 
+TUPLE_KEYS = sorted(name for name, key in KEYS.items() if key.type is tuple)
+
+
+def test_tuple_keys_are_the_three_comma_lists():
+    assert TUPLE_KEYS == ["eval_k", "sim_negative_caps", "sim_positive_caps"]
+
+
+@pytest.mark.parametrize("name", TUPLE_KEYS)
+@pytest.mark.parametrize("text, repeated", [("5,5,1", 5), ("2, 3,02", 2)])
+def test_comma_list_with_a_repeated_entry_is_rejected(tmp_path, name, text,
+                                                      repeated):
+    # a repeat would fold into one P@k key or write one sweep row twice
+    message = re.escape(f"{name} lists {repeated} more than once, "
+                        f"in {text!r}")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        build_config(parse_config_file(str(cfg_file)))
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(build_parser().parse_args(["train", flag, text]))
+
+
 def _float_fields(cls):
     hints = typing.get_type_hints(cls)
     return [f.name for f in fields(cls) if hints[f.name] is float]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from xmclite import (ConfigError, DegenerateEmbeddingError, ModelParams,
+from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, ModelParams,
                      Vocabulary, backward, featurize_all, forward, init_params,
                      load_checkpoint, save_checkpoint, zero_grads)
 from xmclite import model as model_module
@@ -420,6 +420,56 @@ def test_init_save_and_load_hold_no_copy_of_a_table(tmp_path):
     assert meta == {"epoch": 1}
     for name, arr in params.arrays().items():
         assert np.array_equal(back.arrays()[name], arr)
+
+
+def test_a_float32_table_is_drawn_and_saved_in_row_blocks(tmp_path):
+    # one float64 block of a 64-wide table is 2 MiB; a whole-table cast of
+    # the 2^15 x 64 embedding would hold 16 MiB of float64 besides
+    block = model_module.CAST_BLOCK_ROWS * 64 * 8
+    params, init_peak = traced_peak(lambda: init_params(
+        1 << 15, 64, 32, 64, seed=0, dtype=np.float32))
+    assert init_peak < _nbytes(params) + block + 64 * 1024
+    # the blocks continue one stream: the values of one draw, cast whole
+    whole = init_params(1 << 15, 64, 32, 64, seed=0)
+    for name, arr in params.arrays().items():
+        assert arr.dtype == np.float32, name
+        assert np.array_equal(arr, whole.arrays()[name].astype(np.float32))
+    del whole
+    path, upcast = tmp_path / "m.bin", tmp_path / "m64.bin"
+    _, save_peak = traced_peak(lambda: save_checkpoint(
+        str(path), params, extra={"epoch": 1}))
+    assert save_peak < block + 64 * 1024
+    # the bytes of a whole-array upcast, and a load gives that upcast
+    save_checkpoint(str(upcast), params.astype(np.float64), extra={"epoch": 1})
+    assert path.read_bytes() == upcast.read_bytes()
+    back, _ = load_checkpoint(str(path))
+    for name, arr in params.arrays().items():
+        assert back.arrays()[name].dtype == np.float64
+        assert np.array_equal(back.arrays()[name], arr), name
+
+
+def test_a_float32_pass_keeps_every_array_in_float32():
+    # dropout masks included, at rate 1 too, where the mask is all zeros;
+    # Adam's moments follow the parameters
+    rng = np.random.default_rng(3)
+    feats = _random_feats(rng, 6, 32).astype(np.float32)
+    for rate in (0.0, 0.3, 1.0):
+        p = init_params(32, 5, 4, 3, seed=0, dropout=rate, dtype=np.float32)
+        heads = ("clf",) if rate == 1.0 else ("de", "clf")
+        trace = forward(p, feats, mode="train", rng=rng, heads=heads)
+        arrays = {k: v for k, v in vars(trace).items()
+                  if isinstance(v, np.ndarray)}
+        assert {k: v.dtype for k, v in arrays.items()} == dict.fromkeys(
+            arrays, np.dtype(np.float32)), rate
+        d_de = None if rate == 1.0 else np.ones_like(trace.de_out)
+        g = backward(p, [(trace, d_de, np.ones_like(trace.clf_out))])
+        assert {v.dtype for v in g.arrays().values()} == {
+            np.dtype(np.float32)}, rate
+        opt = Adam()
+        opt.step(p, g)
+        assert {a.dtype for group in (p.arrays(), opt.m, opt.v)
+                for a in group.values()} == {np.dtype(np.float32)}, rate
+    assert not trace.clf_mask.any() and not trace.clf_out.any()
 
 
 def test_a_short_read_is_a_config_error_naming_the_path(tmp_path,

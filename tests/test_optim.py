@@ -151,9 +151,10 @@ def test_moments_are_kept_per_parameter():
 
 
 def _bits(a):
-    """``a``'s float64 entries as integers: unlike ``==``, tells -0.0 from
-    +0.0."""
-    return np.ascontiguousarray(a).view(np.int64)
+    """``a``'s float64 or float32 entries as integers of their width:
+    unlike ``==``, tells -0.0 from +0.0."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.int64 if a.dtype == np.float64 else np.int32)
 
 
 def _signed_zeros(rows, rng):
@@ -168,10 +169,14 @@ def _signed_zeros(rows, rng):
     return rows
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("row_block", [256, 3])
-def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
+def test_row_sparse_adam_matches_dense_reference(row_block, dtype,
+                                                 monkeypatch):
+    # the skipped zero terms are exact in every binary format (module doc),
+    # so float32 training steps bitwise as dense float32 Adam
     monkeypatch.setattr(optim, "_ROW_BLOCK", row_block)
-    p = init_params(600, 3, 2, 6, seed=1)
+    p = init_params(600, 3, 2, 6, seed=1, dtype=dtype)
     p.embed[::7, 0] = -0.0   # a zero update must keep a parameter's sign
     ref = p.copy()
     opt = Adam(lr_encoder=0.01, lr_heads=0.02, lr_classifiers=0.05)
@@ -198,10 +203,11 @@ def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
         for name, ids in zip(rows, touched):
             width = p.arrays()[name].shape[1]
             setattr(g, name, (np.array(ids, dtype=np.int64), _signed_zeros(
-                rng.normal(size=(len(ids), width)), rng)))
+                rng.normal(size=(len(ids), width)).astype(dtype), rng)))
         oracle.step(ref.arrays(), dense_grads(g, p))
         opt.step(p, g)
         for name, arr in p.arrays().items():
+            assert arr.dtype == opt.m[name].dtype == opt.v[name].dtype == dtype
             assert np.array_equal(_bits(arr), _bits(ref.arrays()[name])), (
                 step, name)
             # a lookup table keeps row active[s]'s moments in row s
@@ -226,7 +232,7 @@ def test_row_sparse_adam_matches_dense_reference(row_block, monkeypatch):
     for name in ROW_TABLES:
         g = zero_grads(p)
         g.de_w[:] = 1.0
-        bad = np.full((2, p.arrays()[name].shape[1]), 0.5)
+        bad = np.full((2, p.arrays()[name].shape[1]), 0.5, dtype=dtype)
         bad[1, 1] = np.nan
         setattr(g, name, (np.array([3, 5]), bad))
         with pytest.raises(TrainingAbort, match=name):

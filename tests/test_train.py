@@ -14,7 +14,7 @@ from oracles import assert_finite, loop_metrics_report
 from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
                      TrainConfig, TrainingAbort, Vocabulary, backward,
                      build_index, classifier_loss, collate_batch,
-                     evaluate_model, featurize_all, forward, init_params,
+                     evaluate_model, forward, init_params,
                      load_checkpoint, make_dataset, predict_vectors,
                      propensity, query_vectors, retrieval_loss, train,
                      zero_grads)
@@ -22,7 +22,8 @@ from xmclite import infer
 from xmclite.batching import STREAM_DROPOUT
 from xmclite.infer import MODES
 from xmclite.losses import DE_Q2L_WEIGHT
-from xmclite.train import negative_cache_size, refresh
+from xmclite.train import (TRAIN_DTYPE, negative_cache_size, refresh,
+                           training_features)
 
 # the package's ``train`` attribute is the function, not the module
 train_module = importlib.import_module("xmclite.train")
@@ -43,8 +44,16 @@ def _ds(n=24, num_labels=6, seed=1):
 
 
 def _reference_init(cfg: TrainConfig, num_labels: int):
+    """The parameters ``train`` starts from, in its dtype."""
     return init_params(cfg.hash_dim, cfg.encoder_dim, cfg.search_dim,
-                       num_labels, seed=cfg.seed, dropout=cfg.dropout)
+                       num_labels, seed=cfg.seed, dropout=cfg.dropout,
+                       dtype=TRAIN_DTYPE)
+
+
+def _same_bits(got, want) -> bool:
+    """float64 ``got`` holds bitwise the float64 upcast of ``want``."""
+    return got.dtype == np.float64 and np.array_equal(
+        got.view(np.int64), want.astype(np.float64).view(np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +75,8 @@ def test_retrieval_only_training_leaves_classifier_side_untouched():
     cfg = _cfg(loss=LossConfig(de_weight=1.0))
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
-    assert np.array_equal(params.clf_w, ref.clf_w)
-    assert np.array_equal(params.clf_b, ref.clf_b)
+    assert _same_bits(params.clf_w, ref.clf_w)
+    assert _same_bits(params.clf_b, ref.clf_b)
     assert not np.array_equal(params.embed, ref.embed)
     assert not np.array_equal(params.de_w, ref.de_w)
 
@@ -77,8 +86,8 @@ def test_classifier_only_training_leaves_retrieval_head_untouched():
     cfg = _cfg(loss=LossConfig(de_weight=0.0))
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
-    assert np.array_equal(params.de_w, ref.de_w)
-    assert np.array_equal(params.de_b, ref.de_b)
+    assert _same_bits(params.de_w, ref.de_w)
+    assert _same_bits(params.de_b, ref.de_b)
     # the encoder is shared, so it still moves through the classifier path
     assert not np.array_equal(params.embed, ref.embed)
     assert not np.array_equal(params.clf_w, ref.clf_w)
@@ -92,9 +101,10 @@ def test_warm_start_copies_label_embeddings_into_classifiers():
     cfg = _cfg(loss=LossConfig(de_weight=1.0))
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
-    feats = featurize_all(ds.label_texts, ds.vocab)
+    feats = training_features(ds.label_texts, ds.vocab)
     expected = forward(ref, feats, mode="eval", heads=("de",)).de_out
-    assert np.array_equal(params.classifiers, expected)
+    assert expected.dtype == TRAIN_DTYPE
+    assert _same_bits(params.classifiers, expected)
 
 
 def test_rows_of_labels_without_training_positives_move_only_as_negatives():
@@ -105,14 +115,13 @@ def test_rows_of_labels_without_training_positives_move_only_as_negatives():
     unseen = np.flatnonzero(ds.label_frequencies == 0)
     assert unseen.size > 0
     ref = _reference_init(_cfg(), ds.num_labels)
-    warm = forward(ref, featurize_all(ds.label_texts, ds.vocab), mode="eval",
-                   heads=("de",)).de_out[unseen]
+    warm = forward(ref, training_features(ds.label_texts, ds.vocab),
+                   mode="eval", heads=("de",)).de_out[unseen]
     kept = {}
     for w in (0.0, 0.5):
         params, _ = train(ds, _cfg(loss=LossConfig(clf_q2l_weight=w)))
         rows = params.classifiers[unseen]
-        kept[w] = [np.array_equal(got.view(np.int64), want.view(np.int64))
-                   for got, want in zip(rows, warm)]
+        kept[w] = [_same_bits(got, want) for got, want in zip(rows, warm)]
     assert all(kept[0.0])
     assert not all(kept[0.5])
 
@@ -151,8 +160,8 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     got, _ = train(ds, cfg)
 
     seed, w = cfg.seed, cfg.loss.de_weight
-    q_feats = featurize_all(ds.instance_texts, ds.vocab)
-    l_feats = featurize_all(ds.label_texts, ds.vocab)
+    q_feats = training_features(ds.instance_texts, ds.vocab)
+    l_feats = training_features(ds.label_texts, ds.vocab)
     params = _reference_init(cfg, ds.num_labels)
     params.classifiers = forward(params, l_feats, heads=("de",)).de_out.copy()
     plan, cache, _ = refresh(params, q_feats, l_feats, ds.positive_sets(), 1,
@@ -179,8 +188,24 @@ def test_one_batch_epoch_equals_one_hand_run_step():
         params, grads, cfg.grad_clip)
 
     for name, want in params.arrays().items():
-        assert np.array_equal(got.arrays()[name].view(np.int64),
-                              want.view(np.int64)), name
+        assert want.dtype == TRAIN_DTYPE, name
+        assert _same_bits(got.arrays()[name], want), name
+
+
+def test_training_hands_adam_only_arrays_of_its_dtype(monkeypatch):
+    # every gradient, parameter and moment a step of train() reaches Adam
+    # with, the warm-started classifier table among them
+    seen = set()
+    step_rows = Adam._step_rows
+
+    def spy(self, name, given, table, bc1, bc2):
+        seen.update({given[1].dtype, table.dtype, self.m[name].dtype,
+                     self.v[name].dtype})
+        return step_rows(self, name, given, table, bc1, bc2)
+
+    monkeypatch.setattr(Adam, "_step_rows", spy)
+    train(_ds(), _cfg(epochs=1))
+    assert seen == {np.dtype(TRAIN_DTYPE)}
 
 
 def test_refresh_schedule_stamps(logged_run):
@@ -241,13 +266,37 @@ def test_log_lines_are_stable_sorted_json(logged_run):
 
 
 def test_checkpoint_reflects_final_parameters(logged_run):
+    # train() returns float64 tables, bitwise the checkpoint's
     _, cfg, params, _, _, ckpt = logged_run
     loaded, meta = load_checkpoint(ckpt)
     for name, mine in params.arrays().items():
-        assert np.array_equal(mine, loaded.arrays()[name]), name
+        assert _same_bits(mine, loaded.arrays()[name]), name
     assert meta["epoch"] == cfg.epochs
     assert meta["config"]["epochs"] == cfg.epochs
     assert meta["config"]["loss"]["temperature"] == cfg.loss.temperature
+
+
+def test_in_run_evaluation_scores_the_float64_checkpoint(monkeypatch,
+                                                         tmp_path):
+    # so the metrics of a run are those of its checkpoint's read path
+    scored = []
+    evaluate = train_module.evaluate_model
+
+    def spy(params, *args, **kw):
+        scored.append(params.copy())
+        return evaluate(params, *args, **kw)
+
+    monkeypatch.setattr(train_module, "evaluate_model", spy)
+    ds, ckpt = _ds(), str(tmp_path / "ck.bin")
+    cfg = _cfg(epochs=2, eval_every=1, eval_k=(1, 3))
+    _, report = train(ds, cfg, checkpoint_path=ckpt)
+    loaded, _ = load_checkpoint(ckpt)
+    assert len(scored) == 2
+    for name, arr in scored[-1].arrays().items():
+        assert _same_bits(arr, loaded.arrays()[name]), name
+    assert report.final_metrics == evaluate(
+        loaded, ds, cfg.eval_k, propensity_dataset=ds,
+        propensity_a=cfg.propensity_a, propensity_b=cfg.propensity_b)
 
 
 def test_checkpoint_written_even_without_refresh_alignment(tmp_path):
