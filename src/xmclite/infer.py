@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from .data import Dataset, Vocabulary, featurize_all
 from .errors import ConfigError, DegenerateEmbeddingError
 from .fileio import atomic_open
-from .model import ModelParams, forward
+from .model import BLOCK_ROWS, ModelParams, forward
 
 MODES = ("de", "clf", "concat")
 
@@ -57,9 +57,6 @@ GROUPS_PER_K = 8
 # A row with more than this many candidates per wanted label is ranked on
 # its own rather than widening the block's padded sort.
 MAX_CANDIDATES_PER_K = 4
-# Rows an ``embed_rows`` pass puts through the forward at once: the forward's
-# temporaries then grow with the block, not with the catalog or the queries.
-EMBED_BLOCK_ROWS = 4096
 # Queries whose prediction rows ``write_predictions`` formats per write.
 WRITE_CHUNK_QUERIES = 1024
 # Thread-count variables of the BLAS runtimes numpy may load (OpenBLAS,
@@ -96,7 +93,7 @@ def _unit_rows(x: np.ndarray, what: str, out: np.ndarray | None = None,
 
 def _block_edges(n: int) -> list:
     """Row edges of the blocks of an ``embed_rows`` pass over ``n`` rows."""
-    edges = list(range(0, n, max(2, EMBED_BLOCK_ROWS))) + [n]
+    edges = list(range(0, n, max(2, BLOCK_ROWS))) + [n]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]                  # a one-row tail joins its predecessor
     return edges
@@ -110,7 +107,7 @@ def embed_rows(params: ModelParams, parts: tuple,
     A part is ``"de"`` or ``"clf"``, that head's vectors from the eval
     forward of ``feats``, or ``"classifiers"``, the classifier table's rows,
     which need no ``feats``.  The rows go through ``forward`` and the
-    normalization ``EMBED_BLOCK_ROWS`` at a time, straight into the output,
+    normalization ``BLOCK_ROWS`` at a time, straight into the output,
     so a pass holds one block's temporaries besides it.  No block has one
     row unless the pass has: numpy computes a one-row product as a
     matrix-vector product, which can round differently from the same row

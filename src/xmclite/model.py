@@ -20,9 +20,9 @@ generator seeded alike replays a pass bit-identically (as finite-difference
 checks need).
 
 Initialization, checkpoint saves and checkpoint loads each hold one copy of
-the parameter tables: tables are drawn, written and read in place, and a
-table of another dtype than float64 is drawn and written
-``CAST_BLOCK_ROWS`` rows at a time, so it is never copied whole.
+the parameter tables: tables are read in place, every table is written
+``BLOCK_ROWS`` rows at a time, and a table of another dtype than float64
+is drawn ``BLOCK_ROWS`` rows at a time, so none is ever copied whole.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"XMCLITE1"
 ROW_TABLES = ("embed", "classifiers")  # lookup tables with row-sparse grads
-# Rows per block when a table is drawn or saved in a dtype other than its
-# float64 draw or file format: 2 MB of float64 at width 64.
-CAST_BLOCK_ROWS = 4096
+# Rows per block wherever a pass over rows is cut to bound its memory: a
+# table drawn in another dtype than float64, a table written to a checkpoint,
+# and an ``infer.embed_rows`` pass.  2 MB of float64 at width 64.
+BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -94,7 +95,7 @@ def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; biases start at zero.
 
     The values are float64 draws.  In float64 each table is drawn straight
-    into its array; in any other dtype it is drawn ``CAST_BLOCK_ROWS`` rows
+    into its array; in any other dtype it is drawn ``BLOCK_ROWS`` rows
     at a time into its array, which continues the same stream, so the values
     are those of one draw cast whole.  Either way an init holds the tables it
     returns and at most one block besides."""
@@ -109,8 +110,8 @@ def init_params(hash_dim: int, encoder_dim: int, search_dim: int,
         if np.dtype(dtype) == np.float64:
             return rng.uniform(-lim, lim, size=shape)
         table = np.empty(shape, dtype=dtype)
-        for lo in range(0, shape[0], CAST_BLOCK_ROWS):
-            block = table[lo:lo + CAST_BLOCK_ROWS]
+        for lo in range(0, shape[0], BLOCK_ROWS):
+            block = table[lo:lo + BLOCK_ROWS]
             block[...] = rng.uniform(-lim, lim, size=block.shape)
         return table
 
@@ -302,11 +303,11 @@ def save_checkpoint(path: str, params: ModelParams,
     """One checkpoint file: magic, dims, dropout and the float64 matrices,
     then ``extra`` as compact sorted-key UTF-8 JSON.
 
-    Each matrix is written from its own buffer: a little-endian float64
-    C-contiguous array as it is, anything else ``CAST_BLOCK_ROWS`` rows at a
-    time through a converted copy of the block, which gives the bytes of a
-    whole-array conversion.  So a save holds no copy of a table, in any
-    dtype.
+    Every matrix is written ``BLOCK_ROWS`` rows at a time as little-endian
+    float64, which gives the bytes of a whole-array conversion.  A block of
+    a C-contiguous float64 table is written from the table's own buffer,
+    and a block of any other is converted alone, so a save holds no copy of
+    a table.
     The file is written to a temporary file and renamed into place, so a
     failed save leaves the previous checkpoint loadable.
     """
@@ -317,11 +318,9 @@ def save_checkpoint(path: str, params: ModelParams,
                              params.dropout))
         for arr in params.arrays().values():   # in file order
             table = np.atleast_2d(arr)   # a view; a bias is one row
-            step = len(table) if arr.dtype == "<f8" and \
-                arr.flags.c_contiguous else CAST_BLOCK_ROWS
-            for lo in range(0, len(table), step):
+            for lo in range(0, len(table), BLOCK_ROWS):
                 fh.write(memoryview(np.ascontiguousarray(
-                    table[lo:lo + step], dtype="<f8")).cast("B"))
+                    table[lo:lo + BLOCK_ROWS], dtype="<f8")).cast("B"))
         fh.write(json.dumps(extra or {}, sort_keys=True,
                             separators=(",", ":")).encode("utf-8"))
 

@@ -147,10 +147,6 @@ def test_comma_list_with_an_empty_entry_is_rejected(tmp_path, name, text):
 TUPLE_KEYS = sorted(name for name, key in KEYS.items() if key.type is tuple)
 
 
-def test_tuple_keys_are_the_three_comma_lists():
-    assert TUPLE_KEYS == ["eval_k", "sim_negative_caps", "sim_positive_caps"]
-
-
 @pytest.mark.parametrize("name", TUPLE_KEYS)
 @pytest.mark.parametrize("text, repeated", [("5,5,1", 5), ("2, 3,02", 2)])
 def test_comma_list_with_a_repeated_entry_is_rejected(tmp_path, name, text,

@@ -464,7 +464,7 @@ def test_blocked_vectors_equal_the_one_pass_forward_bitwise(monkeypatch,
     params = init_params(ds.vocab.hash_dim, 16, 8, ds.num_labels, seed=1)
     params.clf_b[:] = 0.1
     want = _one_pass_vectors(params, ds)
-    monkeypatch.setattr(infer, "EMBED_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(infer, "BLOCK_ROWS", block_rows)
     got = {"labels": {mode: infer.label_vectors_by_mode(params, ds, (mode,))
                       [mode] for mode in infer.MODES},
            "queries": {mode: infer.query_vectors_by_mode(
@@ -494,7 +494,7 @@ def test_blocked_vectors_equal_the_one_pass_forward_bitwise(monkeypatch,
 def test_a_degenerate_row_in_a_later_block_is_named_by_its_pass_index(
         monkeypatch):
     # blocks of 7 rows: row 17 lies in the third block
-    monkeypatch.setattr(infer, "EMBED_BLOCK_ROWS", 7)
+    monkeypatch.setattr(infer, "BLOCK_ROWS", 7)
     ds = synth_dataset(30, 25, seed=2)
     params = init_params(ds.vocab.hash_dim, 12, 6, ds.num_labels, seed=4)
     texts = list(ds.instance_texts)
@@ -526,7 +526,7 @@ def test_blocked_vectors_hold_their_output_and_one_block(monkeypatch, rows):
     # output array and the temporaries of a block of 64 rows (about 200
     # KiB), whatever the row count; one (rows, encoder_dim) encoding of all
     # rows is 2 or 8 MiB
-    monkeypatch.setattr(infer, "EMBED_BLOCK_ROWS", 64)
+    monkeypatch.setattr(infer, "BLOCK_ROWS", 64)
     feats = _feature_rows(np.random.default_rng(0), rows, 1024)
     monkeypatch.setattr(infer, "featurize_all", lambda texts, vocab: feats)
     params = init_params(1024, 64, 32, rows, seed=0)

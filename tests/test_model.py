@@ -425,7 +425,7 @@ def test_init_save_and_load_hold_no_copy_of_a_table(tmp_path):
 def test_a_float32_table_is_drawn_and_saved_in_row_blocks(tmp_path):
     # one float64 block of a 64-wide table is 2 MiB; a whole-table cast of
     # the 2^15 x 64 embedding would hold 16 MiB of float64 besides
-    block = model_module.CAST_BLOCK_ROWS * 64 * 8
+    block = model_module.BLOCK_ROWS * 64 * 8
     params, init_peak = traced_peak(lambda: init_params(
         1 << 15, 64, 32, 64, seed=0, dtype=np.float32))
     assert init_peak < _nbytes(params) + block + 64 * 1024
