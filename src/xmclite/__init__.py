@@ -17,7 +17,7 @@ from .errors import (ConfigError, DatasetFormatError, DegenerateEmbeddingError,
 from .infer import (LabelIndex, build_index, label_vectors, predict,
                     predict_vectors, query_vectors, read_predictions, topk,
                     write_predictions)
-from .losses import (LossConfig, classifier_loss, loss_parts, retrieval_loss,
+from .losses import (classifier_loss, loss_parts, retrieval_loss,
                      symmetric_pool_loss)
 from .metrics import METRICS_SCHEMA, metrics_report, propensity
 from .model import (ForwardTrace, Grads, ModelParams, backward, forward,

@@ -1,7 +1,7 @@
 """Command-line pipeline: train, predict, eval, simulate-batches.
 
 Every configuration key (``config.KEYS``: the fields of ``RunConfig`` and
-of the ``TrainConfig``/``LossConfig`` it nests) is a ``--key-name`` flag on
+of the ``TrainConfig`` it nests) is a ``--key-name`` flag on
 every command, with that field's help text and default; values can also come
 from a ``--config`` key=value file, with command-line flags winning.  The
 merged configuration is validated once, before any command runs.  Exit

@@ -2,23 +2,26 @@
 
 ``RunConfig`` owns only the keys no library dataclass owns (paths, the
 inference mode, ``top_k`` and the ``simulate-batches`` sweeps) and nests
-``TrainConfig``, which nests ``LossConfig``.  Every leaf field of that
-tree is one flat key, named after the field: the config-file key, and the
-``--key-name`` flag with ``_`` spelled ``-``.  The field's type says how a
-value is parsed (``tuple`` is a comma list of integers) and its
-``metadata["help"]`` is the help text.  Key names are unique across the
-tree.
+``TrainConfig``, which owns every training key.  Every field of the two
+that holds no dataclass is one flat key, named after the field: the
+config-file key, and the ``--key-name`` flag with ``_`` spelled ``-``.  The
+field's type says how a value is parsed (``tuple`` is a comma list of
+integers) and its ``metadata["help"]`` is the help text.  Key names are
+unique across the two.
 
 Precedence is command line > config file > built-in defaults.  Unknown keys
-and unparsable or invalid values are rejected by name (``ConfigError``).
+and unparsable values are rejected here by name (``ConfigError``); the
+``validate()`` of each dataclass rejects invalid ones, so the library and
+the command line apply the same rules.
 """
 
 from __future__ import annotations
 
+import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_bad_values
 from .infer import MODES
 from .train import TrainConfig
 
@@ -57,6 +60,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
+        reject_bad_values(self)
         checks = [
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
             (self.top_k >= 1, "top_k must be >= 1"),
@@ -107,21 +111,20 @@ def coerce_value(key: str, raw: str, kind: type) -> object:
     except ValueError as exc:
         what = "a comma list of integers" if kind is tuple else kind.__name__
         raise ConfigError(f"{key} expects {what}, got {raw!r}") from exc
-    if kind is tuple:
-        for i, value in enumerate(parsed):
-            if value in parsed[:i]:
-                raise ConfigError(f"{key} lists {value} more than once, "
-                                  f"in {raw!r}")
     return parsed
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config_file(path: str) -> dict:
-    """key=value lines, '#' comments, each key at most once; returns raw
-    string values by key."""
+    """key=value lines, each key at most once; returns raw string values by
+    key.  A '#' at the start of a line or after whitespace starts a comment,
+    so one inside a value, as in ``out_dir = runs/exp#3``, is kept."""
     values, line_of = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", line, count=1).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -139,8 +142,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def _construct(obj, values: dict):
-    """Copy of ``obj`` with flat ``values`` applied, built bottom-up because
-    ``LossConfig`` is frozen."""
+    """Copy of ``obj``, and of each dataclass it nests, with flat ``values``
+    applied."""
     changes = {}
     for f in fields(obj):
         current = getattr(obj, f.name)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness rule of
-the config dataclasses.
+"""Exception types shared across the package, and the two value rules of
+the config dataclasses: floats are finite, comma lists name each value once.
 
 Every failure mode that callers are expected to handle gets its own class so
 the CLI can map them onto exit codes without string matching.
@@ -17,13 +17,19 @@ class ConfigError(XmcliteError):
     """Invalid, conflicting, or unknown configuration values."""
 
 
-def reject_non_finite(config) -> None:
-    """Raise ``ConfigError`` naming the first float field of the dataclass
-    ``config`` that holds a NaN or an infinity."""
+def reject_bad_values(config) -> None:
+    """Raise ``ConfigError`` naming the first field of the dataclass
+    ``config`` that holds a NaN or an infinity, or a tuple that lists a
+    value twice (a repeat would fold into one ``P@k`` key or write one
+    sweep row twice)."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
+        if isinstance(value, tuple) and len(set(value)) < len(value):
+            repeat = next(v for i, v in enumerate(value) if v in value[:i])
+            raise ConfigError(f"{f.name} lists {repeat} more than once, in "
+                              f"{','.join(map(str, value))}")
 
 
 class DatasetFormatError(XmcliteError):

@@ -18,46 +18,19 @@ All losses return their gradients w.r.t. every input vector; no autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, reject_non_finite
+from .errors import ConfigError
 
-_REDUCTIONS = ("mean", "sum")
+if TYPE_CHECKING:   # train imports this module
+    from .train import TrainConfig
+
+REDUCTIONS = ("mean", "sum")
 # query-anchored share inside the retrieval loss, the rest label-anchored
 DE_Q2L_WEIGHT = 0.5
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Mixing weights and options for the combined objective.
-
-    ``de_weight`` mixes the retrieval-head loss against the classifier loss;
-    ``clf_q2l_weight`` mixes the query-anchored direction against the
-    label-anchored direction inside the classifier loss.
-    """
-
-    temperature: float = field(default=0.05, metadata={
-        "help": "softmax temperature for all pool losses"})
-    de_weight: float = field(default=0.5, metadata={
-        "help": "weight of the retrieval loss in the total (1 = retrieval only)"})
-    clf_q2l_weight: float = field(default=0.5, metadata={
-        "help": "query-anchored share inside the classifier loss"})
-    batch_reduction: str = field(default="mean", metadata={
-        "help": "reduction over anchors: mean or sum"})
-
-    def validate(self) -> None:
-        reject_non_finite(self)
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        for name in ("de_weight", "clf_q2l_weight"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.batch_reduction not in _REDUCTIONS:
-            raise ConfigError(f"batch_reduction must be one of {_REDUCTIONS}, "
-                              f"got {self.batch_reduction!r}")
 
 
 @dataclass
@@ -121,7 +94,7 @@ def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
-    if batch_reduction not in _REDUCTIONS:
+    if batch_reduction not in REDUCTIONS:
         raise ConfigError("batch_reduction must be 'mean' or 'sum'")
     n, m = query_vecs.shape[0], target_vecs.shape[0]
     positives = np.asarray(positives)
@@ -148,7 +121,7 @@ def symmetric_pool_loss(query_vecs: np.ndarray, target_vecs: np.ndarray,
                                d_scores.T @ query_vecs)
 
 
-def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: LossConfig,
+def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: TrainConfig,
                    with_grads: bool = True) -> SymmetricLossResult:
     """Symmetric pool loss on the (unit-norm) retrieval-head embeddings,
     the even mix of its two directions."""
@@ -157,7 +130,7 @@ def retrieval_loss(query_de_vecs, label_de_vecs, positives, cfg: LossConfig,
         DE_Q2L_WEIGHT, cfg.batch_reduction, with_grads)
 
 
-def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: LossConfig,
+def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: TrainConfig,
                     with_grads: bool = True) -> SymmetricLossResult:
     """Symmetric pool loss on classifier-head outputs vs the classifier rows
     of the retrieval loss's pool; inputs are deliberately not normalized."""
@@ -166,7 +139,7 @@ def classifier_loss(query_clf_vecs, classifier_rows, positives, cfg: LossConfig,
         cfg.clf_q2l_weight, cfg.batch_reduction, with_grads)
 
 
-def loss_parts(directions: dict, cfg: LossConfig) -> dict:
+def loss_parts(directions: dict, cfg: TrainConfig) -> dict:
     """The four direction values ``de_q2l``, ``de_l2q``, ``clf_q2l`` and
     ``clf_l2q`` with their mixes: ``de``, ``clf`` and the step's ``total``,
     ``de_weight * de + (1 - de_weight) * clf``."""

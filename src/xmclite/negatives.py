@@ -49,14 +49,12 @@ def mine_hard_negatives(query_vecs: np.ndarray, label_vecs: np.ndarray,
     """Top ``cache_size`` non-positive labels per query by inner product.
 
     Equal scores resolve toward the lower label id.  Queries whose positives
-    cover almost the whole label set simply get shorter lists.
+    cover almost the whole label set simply get shorter lists, and a
+    ``cache_size`` of 0 gives every query an empty one.
     """
     n, num_labels = query_vecs.shape[0], label_vecs.shape[0]
     if len(positive_sets) != n:
         raise ValueError("one positive set per query required")
-    if cache_size <= 0:
-        return HardNegativeCache(np.zeros(n + 1, dtype=np.int64),
-                                 np.zeros(0, dtype=np.int64))
 
     cols = [np.asarray(p, dtype=np.int64) for p in positive_sets]
     indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])

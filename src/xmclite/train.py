@@ -39,13 +39,13 @@ import numpy as np
 from .batching import (STREAM_DROPOUT, CollatedBatch, batch_count,
                        cluster_queries, collate_batch)
 from .data import Dataset, Vocabulary, featurize_all, take_rows
-from .errors import ConfigError, TrainingAbort, reject_non_finite
+from .errors import ConfigError, TrainingAbort, reject_bad_values
 # build_index, query_vectors and predict_vectors are unused here but stay
 # importable from this module: perfbench/tracer.py wraps them by name.
 from .infer import (MODES, build_index, embed_rows,  # noqa: F401
                     label_vectors_by_mode, predict_vectors, query_vectors,
                     query_vectors_by_mode, topk)
-from .losses import LossConfig, classifier_loss, loss_parts, retrieval_loss
+from .losses import REDUCTIONS, classifier_loss, loss_parts, retrieval_loss
 from .metrics import DEFAULT_A, DEFAULT_B, metrics_report, propensity
 from .model import (Grads, ModelParams, backward, forward, init_params,
                     save_checkpoint, zero_grads)
@@ -94,10 +94,19 @@ class TrainConfig:
         "help": "propensity model exponent A"})
     propensity_b: float = field(default=DEFAULT_B, metadata={
         "help": "propensity model offset B (> 0)"})
-    loss: LossConfig = field(default_factory=LossConfig)
+    temperature: float = field(default=0.05, metadata={
+        "help": "softmax temperature for all pool losses"})
+    de_weight: float = field(default=0.5, metadata={
+        "help": "weight of the retrieval loss in the total (1 = retrieval only)"})
+    clf_q2l_weight: float = field(default=0.5, metadata={
+        "help": "query-anchored share inside the classifier loss"})
+    batch_reduction: str = field(default="mean", metadata={
+        "help": "reduction over anchors: mean or sum"})
 
     def validate(self) -> None:
-        reject_non_finite(self)
+        """The one check of every training key: ``ConfigError`` names the
+        first bad one."""
+        reject_bad_values(self)
         checks = [
             (self.epochs >= 1, "epochs must be >= 1"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
@@ -116,11 +125,18 @@ class TrainConfig:
             (len(self.eval_k) > 0, "eval_k must not be empty"),
             (all(k >= 1 for k in self.eval_k), "eval_k entries must be >= 1"),
             (self.propensity_b > 0, "propensity_b must be > 0"),
+            (self.temperature > 0,
+             f"temperature must be > 0, got {self.temperature}"),
+            *((0.0 <= getattr(self, k) <= 1.0,
+               f"{k} must be in [0, 1], got {getattr(self, k)}")
+              for k in ("de_weight", "clf_q2l_weight")),
+            (self.batch_reduction in REDUCTIONS,
+             f"batch_reduction must be one of {REDUCTIONS}, "
+             f"got {self.batch_reduction!r}"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        self.loss.validate()
 
 
 @dataclass
@@ -192,7 +208,7 @@ def refresh(params: ModelParams, q_feats, l_feats, positive_sets: list,
 
 
 def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
-               loss_cfg: LossConfig, rng: np.random.Generator
+               cfg: TrainConfig, rng: np.random.Generator
                ) -> tuple[dict, Grads]:
     """Loss parts and parameter gradients of one training step.
 
@@ -204,18 +220,18 @@ def batch_loss(params: ModelParams, batch: CollatedBatch, q_rows, l_rows,
     weight is 0 gets no gradients.  ``parts`` holds the four direction
     values, their mixes ``de`` and ``clf``, and the step's ``total``.
     """
-    w = loss_cfg.de_weight
+    w = cfg.de_weight
     q_trace = forward(params, q_rows, mode="train", rng=rng)
     l_trace = forward(params, l_rows, mode="train", rng=rng, heads=("de",))
     de_res = retrieval_loss(q_trace.de_out, l_trace.de_out, batch.positives,
-                            loss_cfg, with_grads=w > 0)
+                            cfg, with_grads=w > 0)
     clf_res = classifier_loss(q_trace.clf_out,
                               params.classifiers[batch.label_pool],
-                              batch.positives, loss_cfg, with_grads=w < 1)
+                              batch.positives, cfg, with_grads=w < 1)
     parts = loss_parts({"de_q2l": de_res.q2l_value,
                         "de_l2q": de_res.l2q_value,
                         "clf_q2l": clf_res.q2l_value,
-                        "clf_l2q": clf_res.l2q_value}, loss_cfg)
+                        "clf_l2q": clf_res.l2q_value}, cfg)
 
     grads = zero_grads(params)
     backward(params, [
@@ -294,9 +310,8 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                                       seed, epoch, b)
                 parts, grads = batch_loss(
                     params, batch, take_rows(q_feats, ids),
-                    take_rows(l_feats, batch.label_pool),
-                    cfg.loss, np.random.default_rng([seed, STREAM_DROPOUT,
-                                                     epoch, b]))
+                    take_rows(l_feats, batch.label_pool), cfg,
+                    np.random.default_rng([seed, STREAM_DROPOUT, epoch, b]))
                 if not np.isfinite(parts["total"]):
                     raise TrainingAbort(
                         f"non-finite loss at epoch {epoch} batch {b}: "
@@ -306,7 +321,7 @@ def train(dataset: Dataset, cfg: TrainConfig, log_path: str | None = None,
                     sums[key] += parts[key]
 
             means = {k: v / num_batches for k, v in sums.items()}
-            record = {"epoch": epoch, **loss_parts(means, cfg.loss),
+            record = {"epoch": epoch, **loss_parts(means, cfg),
                       "refreshed": refreshed}
             if cfg.eval_every > 0 and ((epoch + 1) % cfg.eval_every == 0
                                        or epoch == cfg.epochs - 1):

@@ -20,8 +20,8 @@ from oracles import (bf_collate, bf_hard_negatives, bf_pool_loss,
                      bf_precision_at_k, bf_psp_at_k, bf_symmetric_loss,
                      bf_top_k, dense_grads, finite_difference,
                      max_relative_error)
-from xmclite import (LossConfig, TrainConfig, Vocabulary, evaluate_model,
-                     make_dataset, synth_dataset, train)
+from xmclite import (TrainConfig, Vocabulary, evaluate_model, make_dataset,
+                     synth_dataset, train)
 from xmclite.batching import collate_batch
 from xmclite.cli import main
 from xmclite.data import featurize_all
@@ -50,7 +50,7 @@ def test_criterion_01_unified_loss_gradients_match_finite_differences():
                 "cedar grove"]]
     ds = make_dataset(q_texts, l_texts, [[0, 2], [1, 3], [2, 4]], 5, vocab)
     params = init_params(8, 4, 3, 5, seed=1, dropout=0.1)
-    cfg = LossConfig(temperature=0.05, de_weight=0.5, clf_q2l_weight=0.5)
+    cfg = TrainConfig(temperature=0.05, de_weight=0.5, clf_q2l_weight=0.5)
     q_feats = featurize_all(ds.instance_texts, vocab)
     l_feats_all = featurize_all(ds.label_texts, vocab)
 
@@ -95,8 +95,8 @@ def test_criterion_02_losses_match_brute_force_oracles():
         temp = float(rng.uniform(0.05, 1.0))
         br = ("mean", "sum")[int(rng.integers(2))]
         wc = float(rng.random())
-        cfg = LossConfig(temperature=temp, clf_q2l_weight=wc,
-                         batch_reduction=br)
+        cfg = TrainConfig(temperature=temp, clf_q2l_weight=wc,
+                          batch_reduction=br)
 
         de = retrieval_loss(anchors, targets, member, cfg, with_grads=False)
         want, q2l, l2q = bf_symmetric_loss(anchors, targets, pos, pos_t,

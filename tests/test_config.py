@@ -1,7 +1,7 @@
 """The configuration schema: one flat key per dataclass field, derived once.
 
 Flags, config-file keys, help, defaults and parsing all come from the
-fields of ``RunConfig``, ``TrainConfig`` and ``LossConfig``.
+fields of ``RunConfig`` and ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
-from xmclite import ConfigError, LossConfig, TrainConfig
+from xmclite import ConfigError, TrainConfig
 from xmclite.cli import build_parser, resolve_config
 from xmclite.config import KEYS, RunConfig, build_config, parse_config_file
 
@@ -41,12 +41,12 @@ _CHOICES = {"mode": "de", "batch_reduction": "sum"}
 
 def _leaf_fields():
     """Names of the fields of the tree that do not hold a dataclass."""
-    return [f.name for cls in (RunConfig, TrainConfig, LossConfig)
+    return [f.name for cls in (RunConfig, TrainConfig)
             for f in fields(cls) if not is_dataclass(getattr(cls(), f.name))]
 
 
 def _get(config: RunConfig, name: str):
-    (owner,) = [obj for obj in (config, config.train, config.train.loss)
+    (owner,) = [obj for obj in (config, config.train)
                 if name in {f.name for f in fields(obj)}]
     return getattr(owner, name)
 
@@ -84,12 +84,10 @@ def test_cli_defaults_equal_library_defaults():
     config, explicit = resolve_config(build_parser().parse_args(["train"]))
     assert explicit == set()
     assert config.train == TrainConfig()
-    assert config.train.loss == LossConfig()
-    for cls in (TrainConfig, LossConfig):
-        for f in fields(cls):
-            if f.default is not MISSING:
-                assert _get(config, f.name) == f.default, f.name
-                assert KEYS[f.name].default == f.default, f.name
+    for f in fields(TrainConfig):
+        assert f.default is not MISSING, f.name
+        assert _get(config, f.name) == f.default, f.name
+        assert KEYS[f.name].default == f.default, f.name
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
@@ -145,6 +143,7 @@ def test_comma_list_with_an_empty_entry_is_rejected(tmp_path, name, text):
 
 
 TUPLE_KEYS = sorted(name for name, key in KEYS.items() if key.type is tuple)
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 @pytest.mark.parametrize("name", TUPLE_KEYS)
@@ -152,8 +151,9 @@ TUPLE_KEYS = sorted(name for name, key in KEYS.items() if key.type is tuple)
 def test_comma_list_with_a_repeated_entry_is_rejected(tmp_path, name, text,
                                                       repeated):
     # a repeat would fold into one P@k key or write one sweep row twice
+    values = tuple(int(part) for part in text.split(","))
     message = re.escape(f"{name} lists {repeated} more than once, "
-                        f"in {text!r}")
+                        f"in {','.join(map(str, values))}")
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=message):
@@ -161,6 +161,11 @@ def test_comma_list_with_a_repeated_entry_is_rejected(tmp_path, name, text,
     flag = "--" + name.replace("_", "-")
     with pytest.raises(ConfigError, match=message):
         resolve_config(build_parser().parse_args(["train", flag, text]))
+    # the library applies the same rule
+    library = (TrainConfig(**{name: values}) if name in TRAIN_KEYS
+               else RunConfig(**{name: values}))
+    with pytest.raises(ConfigError, match=message):
+        library.validate()
 
 
 def _float_fields(cls):
@@ -168,26 +173,71 @@ def _float_fields(cls):
     return [f.name for f in fields(cls) if hints[f.name] is float]
 
 
-FLOAT_FIELDS = [(cls, name) for cls in (TrainConfig, LossConfig)
-                for name in _float_fields(cls)]
+FLOAT_FIELDS = _float_fields(TrainConfig)
+LOSS_KEYS = ("temperature", "de_weight", "clf_q2l_weight", "batch_reduction")
 
 
 def test_float_fields_cover_the_learning_rates_and_the_loss():
-    names = {name for _, name in FLOAT_FIELDS}
     assert {"temperature", "propensity_a", "propensity_b", "lr_encoder",
-            "grad_clip", "dropout", "de_weight"} <= names
+            "grad_clip", "dropout", "de_weight"} <= set(FLOAT_FIELDS)
 
 
+# Case ids stay stable across revisions: the loss keys' cases keep the
+# ``LossConfig.`` prefix they were first recorded under.
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
-                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
-def test_validate_rejects_a_non_finite_float_by_name(cls, name, value):
-    config = cls(**{name: value})
+@pytest.mark.parametrize("name", FLOAT_FIELDS, ids=[
+    f"{'LossConfig' if n in LOSS_KEYS else 'TrainConfig'}.{n}"
+    for n in FLOAT_FIELDS])
+def test_validate_rejects_a_non_finite_float_by_name(name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be finite"):
-        config.validate()
-    if cls is LossConfig:
-        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
-            TrainConfig(loss=config).validate()
+        TrainConfig(**{name: value}).validate()
+
+
+LOSS_KEY_ERRORS = [
+    ("temperature", "0", "temperature must be > 0, got 0.0"),
+    ("temperature", "-inf", "temperature must be finite, got -inf"),
+    ("de_weight", "1.5", "de_weight must be in [0, 1], got 1.5"),
+    ("de_weight", "nan", "de_weight must be finite, got nan"),
+    ("clf_q2l_weight", "-0.25",
+     "clf_q2l_weight must be in [0, 1], got -0.25"),
+    ("clf_q2l_weight", "inf", "clf_q2l_weight must be finite, got inf"),
+    ("batch_reduction", "max",
+     "batch_reduction must be one of ('mean', 'sum'), got 'max'"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", LOSS_KEY_ERRORS,
+                         ids=[f"{n}={t}" for n, t, _ in LOSS_KEY_ERRORS])
+def test_a_loss_key_error_reads_the_same_from_file_flag_and_library(
+        tmp_path, name, text, message):
+    pattern = f"^{re.escape(message)}$"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=pattern):
+        build_config(parse_config_file(str(cfg_file)))
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(ConfigError, match=pattern):
+        resolve_config(build_parser().parse_args(["train", f"{flag}={text}"]))
+    with pytest.raises(ConfigError, match=pattern):
+        TrainConfig(**{name: KEYS[name].type(text)}).validate()
+
+
+def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_space(
+        tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# runs\n"
+                        "out_dir = runs/exp#3\n"
+                        "labels_path = data/set#2/labels.txt # the labels\n"
+                        "epochs = 4 # four\n"
+                        "batch_size = 8\t#eight\n"
+                        "   # indented\n", encoding="utf-8")
+    assert parse_config_file(str(cfg_file)) == {
+        "out_dir": "runs/exp#3", "labels_path": "data/set#2/labels.txt",
+        "epochs": "4", "batch_size": "8"}
+    config, _ = build_config(parse_config_file(str(cfg_file)))
+    assert config.out_dir == "runs/exp#3"
+    assert config.labels_path == "data/set#2/labels.txt"
+    assert config.train.epochs == 4
 
 
 def test_seed_must_fit_the_64_bit_sampling_key():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xmclite import (ConfigError, LossConfig, classifier_loss, loss_parts,
+from xmclite import (ConfigError, TrainConfig, classifier_loss, loss_parts,
                      retrieval_loss, symmetric_pool_loss)
 
 from conftest import mask_of, random_positive_sets, sets_of, unit_rows
@@ -228,7 +228,7 @@ def test_retrieval_and_classifier_wrappers_route_their_weights():
     rng = np.random.default_rng(10)
     queries, labels = unit_rows(rng, 4, 3), unit_rows(rng, 5, 3)
     pos = mask_of(random_positive_sets(rng, 4, 5), 5)
-    cfg = LossConfig(temperature=0.1, clf_q2l_weight=0.0)
+    cfg = TrainConfig(temperature=0.1, clf_q2l_weight=0.0)
     de = retrieval_loss(queries, labels, pos, cfg)
     clf = classifier_loss(queries, labels, pos, cfg)
     # the retrieval loss is always the even mix of its two directions
@@ -240,19 +240,19 @@ def test_loss_parts_are_convex_mixes():
     directions = {"de_q2l": 1.0, "de_l2q": 3.0, "clf_q2l": 2.0,
                   "clf_l2q": 10.0}
     for de_weight, total in ((0.5, 3.0), (1.0, 2.0), (0.0, 4.0)):
-        cfg = LossConfig(de_weight=de_weight, clf_q2l_weight=0.75)
+        cfg = TrainConfig(de_weight=de_weight, clf_q2l_weight=0.75)
         assert loss_parts(directions, cfg) == {
             **directions, "de": 2.0, "clf": 4.0, "total": total}
 
 
 def test_loss_config_validation():
-    LossConfig().validate()
+    TrainConfig().validate()
     bad = [dict(temperature=0.0), dict(temperature=-1.0),
            dict(de_weight=1.2), dict(clf_q2l_weight=-0.1),
            dict(clf_q2l_weight=2.0), dict(batch_reduction="none")]
     for kw in bad:
         with pytest.raises(ConfigError):
-            LossConfig(**kw).validate()
+            TrainConfig(**kw).validate()
 
 
 def test_pool_loss_rejects_bad_arguments():

@@ -5,13 +5,14 @@ from __future__ import annotations
 import importlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import text_dataset
 from oracles import assert_finite, loop_metrics_report
-from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
+from xmclite import (Adam, ConfigError, DegenerateEmbeddingError,
                      TrainConfig, TrainingAbort, Vocabulary, backward,
                      build_index, classifier_loss, collate_batch,
                      evaluate_model, forward, init_params,
@@ -20,6 +21,7 @@ from xmclite import (Adam, ConfigError, DegenerateEmbeddingError, LossConfig,
                      zero_grads)
 from xmclite import infer
 from xmclite.batching import STREAM_DROPOUT
+from xmclite.config import KEYS, RunConfig
 from xmclite.infer import MODES
 from xmclite.losses import DE_Q2L_WEIGHT
 from xmclite.train import (TRAIN_DTYPE, negative_cache_size, refresh,
@@ -72,7 +74,7 @@ def test_retrieval_only_training_leaves_classifier_side_untouched():
     # the classifier rows keep their warm start, which
     # test_warm_start_copies_label_embeddings_into_classifiers checks
     ds = _ds()
-    cfg = _cfg(loss=LossConfig(de_weight=1.0))
+    cfg = _cfg(de_weight=1.0)
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
     assert _same_bits(params.clf_w, ref.clf_w)
@@ -83,7 +85,7 @@ def test_retrieval_only_training_leaves_classifier_side_untouched():
 
 def test_classifier_only_training_leaves_retrieval_head_untouched():
     ds = _ds()
-    cfg = _cfg(loss=LossConfig(de_weight=0.0))
+    cfg = _cfg(de_weight=0.0)
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
     assert _same_bits(params.de_w, ref.de_w)
@@ -98,7 +100,7 @@ def test_warm_start_copies_label_embeddings_into_classifiers():
     # with retrieval-only loss the classifier table receives no gradient,
     # so the warm-start values must survive training verbatim
     ds = _ds()
-    cfg = _cfg(loss=LossConfig(de_weight=1.0))
+    cfg = _cfg(de_weight=1.0)
     params, _ = train(ds, cfg)
     ref = _reference_init(cfg, ds.num_labels)
     feats = training_features(ds.label_texts, ds.vocab)
@@ -119,7 +121,7 @@ def test_rows_of_labels_without_training_positives_move_only_as_negatives():
                    mode="eval", heads=("de",)).de_out[unseen]
     kept = {}
     for w in (0.0, 0.5):
-        params, _ = train(ds, _cfg(loss=LossConfig(clf_q2l_weight=w)))
+        params, _ = train(ds, _cfg(clf_q2l_weight=w))
         rows = params.classifiers[unseen]
         kept[w] = [_same_bits(got, want) for got, want in zip(rows, warm)]
     assert all(kept[0.0])
@@ -156,10 +158,10 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     # two loss weights differ; both losses score the one label pool.
     ds = _ds(num_labels=120)
     cfg = _cfg(epochs=1, batch_size=ds.num_instances,
-               loss=LossConfig(de_weight=0.25))
+               de_weight=0.25)
     got, _ = train(ds, cfg)
 
-    seed, w = cfg.seed, cfg.loss.de_weight
+    seed, w = cfg.seed, cfg.de_weight
     q_feats = training_features(ds.instance_texts, ds.vocab)
     l_feats = training_features(ds.label_texts, ds.vocab)
     params = _reference_init(cfg, ds.num_labels)
@@ -176,10 +178,10 @@ def test_one_batch_epoch_equals_one_hand_run_step():
     l_trace = forward(params, l_feats[batch.label_pool], mode="train",
                       rng=rng, heads=("de",))
     de_res = retrieval_loss(q_trace.de_out, l_trace.de_out, batch.positives,
-                            cfg.loss)
+                            cfg)
     clf_res = classifier_loss(q_trace.clf_out,
                               params.classifiers[batch.label_pool],
-                              batch.positives, cfg.loss)
+                              batch.positives, cfg)
     grads = backward(params, [
         (q_trace, w * de_res.d_queries, (1 - w) * clf_res.d_queries),
         (l_trace, w * de_res.d_targets, None)], out=zero_grads(params))
@@ -222,12 +224,12 @@ def test_first_epoch_always_refreshes_even_with_long_interval():
 
 def test_epoch_records_decompose_exactly(logged_run):
     _, cfg, _, report, _, _ = logged_run
-    w = cfg.loss.de_weight
+    w = cfg.de_weight
     for rec in report.records:
         de = (DE_Q2L_WEIGHT * rec["de_q2l"]
               + (1.0 - DE_Q2L_WEIGHT) * rec["de_l2q"])
-        clf = (cfg.loss.clf_q2l_weight * rec["clf_q2l"]
-               + (1.0 - cfg.loss.clf_q2l_weight) * rec["clf_l2q"])
+        clf = (cfg.clf_q2l_weight * rec["clf_q2l"]
+               + (1.0 - cfg.clf_q2l_weight) * rec["clf_l2q"])
         assert rec["de"] == pytest.approx(de, abs=1e-12)
         assert rec["clf"] == pytest.approx(clf, abs=1e-12)
         assert rec["total"] == pytest.approx(w * de + (1.0 - w) * clf,
@@ -273,7 +275,18 @@ def test_checkpoint_reflects_final_parameters(logged_run):
         assert _same_bits(mine, loaded.arrays()[name]), name
     assert meta["epoch"] == cfg.epochs
     assert meta["config"]["epochs"] == cfg.epochs
-    assert meta["config"]["loss"]["temperature"] == cfg.loss.temperature
+    assert meta["config"]["temperature"] == cfg.temperature
+
+
+def test_checkpoint_records_the_run_as_flat_training_keys(logged_run):
+    _, cfg, _, _, _, ckpt = logged_run
+    recorded = load_checkpoint(ckpt)[1]["config"]
+    training_keys = set(KEYS) - {f.name for f in fields(RunConfig)}
+    assert set(recorded) == {f.name for f in fields(TrainConfig)}
+    assert set(recorded) == training_keys
+    # JSON gives the comma-list key back as a list
+    assert TrainConfig(**{**recorded,
+                          "eval_k": tuple(recorded["eval_k"])}) == cfg
 
 
 def test_in_run_evaluation_scores_the_float64_checkpoint(monkeypatch,
@@ -424,7 +437,7 @@ def test_empty_dataset_rejected():
     dict(dropout=-0.1), dict(lr_encoder=0.0), dict(lr_heads=-1.0),
     dict(lr_classifiers=0.0), dict(grad_clip=-1.0), dict(eval_every=-1),
     dict(eval_k=(0,)), dict(propensity_b=0.0),
-    dict(loss=LossConfig(temperature=0.0)),
+    dict(temperature=0.0),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ConfigError):

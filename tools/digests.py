@@ -9,8 +9,10 @@ Usage: python3 tools/digests.py [--src DIR]
 A refactor that claims no behaviour change must print the same pairs before
 and after.  The checkpoint digest covers its parameter section (magic, header
 and matrices), not the JSON metadata that follows it, so it also compares
-with checkpoints written before the metadata moved into the file.  A
-workload's run is the one ``perfbench/worker.py`` makes: ``train`` on the
+with checkpoints written before the metadata moved into the file.  The
+fixed runs build their ``TrainConfig`` from flat keys through
+``config.build_config``, as a config file would, so the tool runs unchanged
+against any checkout that accepts those keys.  A workload's run is the one ``perfbench/worker.py`` makes: ``train`` on the
 inputs ``perfbench/run.py`` generates for seed 1, at
 ``TrainConfig(seed=FIXED_SEED, **workload.train)``.  Runs use one BLAS
 thread, which the determinism contract needs.
@@ -43,19 +45,23 @@ def _runs(xmc):
     # query blocks of 64 rows against 2 label tiles of 4096.
     tiled = xmc.synth_dataset(256, 8192, seed=5)
 
-    def accept(neg, epochs=50, grad_clip=0.0, **loss):
-        return xmc.TrainConfig(epochs=epochs, batch_size=64,
-                               refresh_interval=5, positives_per_query=2,
-                               hard_negatives_per_query=neg, encoder_dim=64,
-                               search_dim=32, seed=0, grad_clip=grad_clip,
-                               loss=xmc.LossConfig(**loss))
+    from xmclite.config import build_config
+
+    def config(**keys):
+        # flat keys, as a config file or the command line give them
+        return build_config(
+            {}, {key: str(value) for key, value in keys.items()})[0].train
+
+    def accept(neg, epochs=50, **keys):
+        return config(epochs=epochs, batch_size=64, refresh_interval=5,
+                      positives_per_query=2, hard_negatives_per_query=neg,
+                      encoder_dim=64, search_dim=32, seed=0, **keys)
 
     def wide_run(reduction):
-        return xmc.TrainConfig(epochs=6, batch_size=32, refresh_interval=2,
-                               positives_per_query=2,
-                               hard_negatives_per_query=3, encoder_dim=64,
-                               search_dim=32, seed=1,
-                               loss=xmc.LossConfig(batch_reduction=reduction))
+        return config(epochs=6, batch_size=32, refresh_interval=2,
+                      positives_per_query=2, hard_negatives_per_query=3,
+                      encoder_dim=64, search_dim=32, seed=1,
+                      batch_reduction=reduction)
 
     return [
         ("acceptance neg2", acceptance, accept(2)),
@@ -69,10 +75,9 @@ def _runs(xmc):
         ("empty rows sum", sparse, wide_run("sum")),
         ("empty rows mean", sparse, wide_run("mean")),
         ("blocks and tiles", tiled,
-         xmc.TrainConfig(epochs=2, batch_size=64, refresh_interval=1,
-                         positives_per_query=2, hard_negatives_per_query=3,
-                         encoder_dim=64, search_dim=32, seed=2,
-                         eval_every=1)),
+         config(epochs=2, batch_size=64, refresh_interval=1,
+                positives_per_query=2, hard_negatives_per_query=3,
+                encoder_dim=64, search_dim=32, seed=2, eval_every=1)),
     ]
 
 
